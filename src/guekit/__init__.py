@@ -9,7 +9,6 @@ numerical quadrature, and seeded matrix sampling.
 from .exact import (
     PartitionTerm,
     QuadratureError,
-    Rational,
     binomial,
     catalan,
     double_factorial,
@@ -33,6 +32,7 @@ from .maps import (
     eulerian_count_normalized,
     eulerian_count_rooted,
     harer_zagier_closed,
+    harer_zagier_from_counts,
     moment_wick,
     rosette_census,
     rosette_count_formula,
@@ -40,17 +40,14 @@ from .maps import (
     verify_initial_identity,
 )
 from .montecarlo import (
-    HermitianSample,
     SampleStats,
     estimate_density_histogram,
     estimate_wilson,
-    hermitian_eigenvalues,
     sample_gue,
     zscore,
 )
 from .observables import (
-    DensityExpansion,
-    GaussianPolynomial,
+    CoefficientLadder,
     MomentTable,
     density,
     density_eval,

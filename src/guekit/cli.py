@@ -11,10 +11,8 @@ import argparse
 import json
 import sys
 
-from fractions import Fraction
-
 from .exact import catalan, double_factorial
-from .maps.rosettes import harer_zagier_closed, rosette_count_formula
+from .maps.rosettes import harer_zagier_closed, harer_zagier_from_counts, rosette_count_formula
 from .montecarlo import estimate_wilson, zscore
 from .observables import (
     density,
@@ -84,13 +82,7 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
 
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
     coeffs = harer_zagier_closed(N, p_max)
-    rows = []
-    for p in range(1, p_max + 1):
-        rebuilt = sum(
-            Fraction(rosette_count_formula(p, g), N ** (2 * g))
-            for g in range(p // 2 + 1)
-        ) / double_factorial(2 * p - 1)
-        rows.append([p, coeffs[p - 1], rebuilt])
+    rows = [[p, coeffs[p - 1], harer_zagier_from_counts(N, p)] for p in range(1, p_max + 1)]
     return OutputRecord("harer-zagier", {"N": N, "p_max": p_max},
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 

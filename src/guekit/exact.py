@@ -12,10 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-# Exact rational scalar used throughout the package.  fractions.Fraction
-# already guarantees canonical form: lowest terms, positive denominator.
-Rational = Fraction
-
 # Adaptive Simpson gives up once the interval has been split into more
 # panels than this.
 SIMPSON_PANEL_BUDGET = 2**20
@@ -111,7 +107,7 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
     yield from assign(1, g, [])
 
 
-def partition_term_sum(l: int, g: int) -> Rational:
+def partition_term_sum(l: int, g: int) -> Fraction:
     """sum over PartitionTerm(l, g) of prod_q 1 / (k_q! (2q+1)^k_q)."""
     total = Fraction(0)
     for term in enumerate_partition_terms(l, g):

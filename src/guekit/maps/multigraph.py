@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
-from ..exact import Rational, binomial
+from ..exact import binomial
 from .rosettes import moment_wick
 
 MULTIGRAPH_VERTEX_BUDGET = 5
@@ -234,7 +234,7 @@ def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
 
 # ------------------------------------------------------ differentiation oracle
 
-def trace_derivative_value(G: Multigraph) -> Rational:
+def trace_derivative_value(G: Multigraph) -> Fraction:
     """Apply G's normalized Gaussian derivative operator to Tr H^{2l} at H = 0.
 
     Fully symbolic: Tr H^{2l} is expanded into monomials over the entries

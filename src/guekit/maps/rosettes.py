@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from ..exact import Rational, double_factorial, partition_term_sum
+from ..exact import double_factorial, partition_term_sum
 
 # (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
 PAIRING_BUDGET = 8
@@ -32,10 +32,6 @@ class Pairing:
         for i, j in enumerate(self.partner):
             if not 0 <= j < n or j == i or self.partner[j] != i:
                 raise ValueError(f"not a fixed-point-free involution at dart {i}")
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.partner) // 2
 
 
 def _iter_partner_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -64,8 +60,8 @@ def enumerate_pairings(l: int) -> Iterator[Pairing]:
     return (Pairing(partner) for partner in _iter_partner_tuples(2 * l))
 
 
-def _face_count(partner: tuple[int, ...]) -> int:
-    """Cycles of i -> partner[i] + 1 (mod 2l)."""
+def _genus(partner: tuple[int, ...]) -> int:
+    """Genus g with F = l + 1 - 2g faces, F the cycles of i -> partner[i] + 1 (mod 2l)."""
     n = len(partner)
     seen = [False] * n
     faces = 0
@@ -79,16 +75,14 @@ def _face_count(partner: tuple[int, ...]) -> int:
             i = partner[i] + 1
             if i == n:
                 i = 0
-    return faces
+    excess = n // 2 + 1 - faces
+    assert excess >= 0 and excess % 2 == 0, f"Euler formula violated: l={n // 2}, F={faces}"
+    return excess // 2
 
 
 def rosette_genus(p: Pairing) -> int:
-    """Genus g with F = l + 1 - 2g faces around the single vertex."""
-    l = p.edge_count
-    faces = _face_count(p.partner)
-    excess = l + 1 - faces
-    assert excess >= 0 and excess % 2 == 0, f"Euler formula violated: l={l}, F={faces}"
-    return excess // 2
+    """Genus of the rooted rosette drawn by the pairing."""
+    return _genus(p.partner)
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +104,7 @@ def rosette_census(l: int) -> RosetteCensus:
         raise ValueError(f"census supports 1 <= l <= {PAIRING_BUDGET}, got {l}")
     counts = [0] * (l // 2 + 1)
     for partner in _iter_partner_tuples(2 * l):
-        faces = _face_count(partner)
-        excess = l + 1 - faces
-        assert excess >= 0 and excess % 2 == 0
-        counts[excess // 2] += 1
+        counts[_genus(partner)] += 1
     return RosetteCensus(l, tuple(counts))
 
 
@@ -126,7 +117,14 @@ def rosette_count_formula(l: int, g: int) -> int:
     return int(value)
 
 
-def moment_wick(N: int, l: int) -> Rational:
+def harer_zagier_from_counts(N: int, p: int) -> Fraction:
+    """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
+    return sum(
+        Fraction(rosette_count_formula(p, g), N ** (2 * g)) for g in range(p // 2 + 1)
+    ) / double_factorial(2 * p - 1)
+
+
+def moment_wick(N: int, l: int) -> Fraction:
     """Wick oracle for m_2l: sum over all pairings of N^(-2 genus)."""
     if N < 1:
         raise ValueError(f"moment_wick requires N >= 1, got {N}")
@@ -149,7 +147,7 @@ def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction
     return out
 
 
-def harer_zagier_closed(N: int, p_max: int) -> list[Rational]:
+def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
     """Coefficients of x^{p+1}, p = 1 .. p_max, in (1/2)((1+x/N)/(1-x/N))^N - 1/2 - x.
 
     The ratio has the explicit expansion 1 + sum_{k>=1} 2 (x/N)^k; the

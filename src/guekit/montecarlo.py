@@ -20,7 +20,6 @@ from functools import lru_cache
 
 import numpy as np
 
-JACOBI_SWEEP_CAP = 40
 _EIG_BATCH = 512
 
 
@@ -37,22 +36,6 @@ class SampleStats:
             raise ValueError("standard error cannot be negative")
         if self.sample_count < 1:
             raise ValueError("need at least one sample")
-
-
-@dataclass(frozen=True)
-class HermitianSample:
-    """One GUE draw; conjugate symmetry holds exactly by construction."""
-
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.N, self.N):
-            raise ValueError("entries must be an N x N matrix")
-        if not (self.entries == self.entries.conj().T).all():
-            raise ValueError("matrix is not Hermitian")
-        if (np.diag(self.entries).imag != 0).any():
-            raise ValueError("diagonal must be real")
 
 
 def _normals(seed: int, index: int, count: int) -> np.ndarray:
@@ -73,7 +56,10 @@ def _normals(seed: int, index: int, count: int) -> np.ndarray:
     return out[:count]
 
 
-def _gue_matrix(N: int, seed: int, index: int) -> np.ndarray:
+def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
+    """Draw sample `index` of the stream started by `seed` as an N x N array."""
+    if N < 1:
+        raise ValueError(f"sample_gue requires N >= 1, got {N}")
     z = _normals(seed, index, N * N)
     h = np.zeros((N, N), dtype=complex)
     h[np.diag_indices(N)] = z[:N] / math.sqrt(N)
@@ -87,56 +73,13 @@ def _gue_matrix(N: int, seed: int, index: int) -> np.ndarray:
     return h
 
 
-def sample_gue(N: int, seed: int, index: int = 0) -> HermitianSample:
-    """Draw sample `index` of the stream started by `seed`."""
-    if N < 1:
-        raise ValueError(f"sample_gue requires N >= 1, got {N}")
-    return HermitianSample(N, _gue_matrix(N, seed, index))
-
-
-def hermitian_eigenvalues(H: HermitianSample, tol: float = 1e-12) -> np.ndarray:
-    """Eigenvalues by cyclic Jacobi rotations, ascending.
-
-    Sweeps run until the off-diagonal Frobenius norm drops below tol;
-    exceeding the sweep cap raises.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = np.array(H.entries, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return a.real.diagonal().copy()
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = a - np.diag(np.diag(a))
-        if np.linalg.norm(off) < tol:
-            return np.sort(np.diag(a).real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = complex(a[p, q])
-                if apq == 0:
-                    continue
-                # atan2-based phase stays finite even for subnormal pivots
-                phi = math.atan2(apq.imag, apq.real)
-                phase = complex(math.cos(phi), math.sin(phi))
-                theta = 0.5 * math.atan2(2 * abs(apq), (a[p, p] - a[q, q]).real)
-                c, s = math.cos(theta), math.sin(theta)
-                # unitary: [[c, -s], [s e^{-i phi}, c e^{-i phi}]] on (p, q)
-                col_p = c * a[:, p] + s * phase.conjugate() * a[:, q]
-                col_q = -s * a[:, p] + c * phase.conjugate() * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] + s * phase * a[q, :]
-                row_q = -s * a[p, :] + c * phase * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-    raise RuntimeError(f"Jacobi iteration did not reach tol={tol} in {JACOBI_SWEEP_CAP} sweeps")
-
-
 @lru_cache(maxsize=8)
 def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
     """(samples, N) eigenvalue array; LAPACK eigvalsh batched over samples."""
     out = np.empty((samples, N))
     for start in range(0, samples, _EIG_BATCH):
         stop = min(start + _EIG_BATCH, samples)
-        batch = np.stack([_gue_matrix(N, seed, s) for s in range(start, stop)])
+        batch = np.stack([sample_gue(N, seed, s) for s in range(start, stop)])
         out[start:stop] = np.linalg.eigvalsh(batch)
     out.setflags(write=False)
     return out

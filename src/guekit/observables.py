@@ -19,13 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exact import (
-    Rational,
-    binomial,
-    integrate_complex,
-    integrate_real,
-    partition_term_sum,
-)
+from .exact import binomial, integrate_complex, integrate_real, partition_term_sum
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
 # times the (positive-coefficient) polynomial part drops below this.
@@ -49,8 +43,12 @@ def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class GaussianPolynomial:
-    """I(t, N) = exp(-t^2 / 2N) * sum_q c_q (-t^2)^q with exact c_q."""
+class CoefficientLadder:
+    """Exact c_q, q = 0 .. N-1, shared by the Wilson loop and the density.
+
+    I(t, N) = exp(-t^2 / 2N) sum_q c_q (-t^2)^q and
+    rho_N(lambda) = sqrt(N/2pi) e^{-N lambda^2/2} sum_q c_q N^q He_2q(sqrt(N) lambda).
+    """
 
     matrix_size: int
     coefficients: tuple[Fraction, ...]
@@ -67,27 +65,11 @@ class GaussianPolynomial:
     def float_coefficients(self) -> tuple[float, ...]:
         return tuple(float(c) for c in self.coefficients)
 
-
-@dataclass(frozen=True)
-class DensityExpansion:
-    """rho_N(lambda) = sqrt(N/2pi) e^{-N lambda^2/2} sum_q d_q N^q He_2q(sqrt(N) lambda)."""
-
-    matrix_size: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.matrix_size < 1:
-            raise ValueError(f"matrix size must be >= 1, got {self.matrix_size}")
-        if len(self.coefficients) != self.matrix_size:
-            raise ValueError("expected exactly N coefficients")
-        if self.coefficients[0] != 1:
-            raise ValueError("leading coefficient must be 1")
-
     @cached_property
     def hermite_weights(self) -> tuple[float, ...]:
-        """float(d_q * N^q); the weight multiplying He_2q(sqrt(N) lambda)."""
+        """float(c_q * N^q), rounded once; the weight multiplying He_2q(sqrt(N) lambda)."""
         N = self.matrix_size
-        return tuple(float(d * N**q) for q, d in enumerate(self.coefficients))
+        return tuple(float(c * N**q) for q, c in enumerate(self.coefficients))
 
 
 @dataclass(frozen=True)
@@ -98,14 +80,14 @@ class MomentTable:
     values: tuple[Fraction, ...]
 
 
-def wilson_loop(N: int) -> GaussianPolynomial:
-    """Exact expectation of (1/N) Tr exp(itH) as a GaussianPolynomial."""
+def wilson_loop(N: int) -> CoefficientLadder:
+    """Exact expectation of (1/N) Tr exp(itH) as a CoefficientLadder."""
     if N < 1:
         raise ValueError(f"wilson_loop requires N >= 1, got {N}")
-    return GaussianPolynomial(N, _coefficient_ladder(N))
+    return CoefficientLadder(N, _coefficient_ladder(N))
 
 
-def wilson_eval(w: GaussianPolynomial, t: complex) -> complex:
+def wilson_eval(w: CoefficientLadder, t: complex) -> complex:
     """Float64 value of I(t, N) at complex t."""
     u = -(complex(t) ** 2)
     acc = 0.0 + 0.0j
@@ -114,7 +96,7 @@ def wilson_eval(w: GaussianPolynomial, t: complex) -> complex:
     return cmath.exp(u / (2 * w.matrix_size)) * acc
 
 
-def wilson_taylor_coefficients(w: GaussianPolynomial, l_max: int) -> list[Rational]:
+def wilson_taylor_coefficients(w: CoefficientLadder, l_max: int) -> list[Fraction]:
     """Exact coefficients of (-t^2)^l in I(t, N), l = 0 .. l_max.
 
     Multiplies the exp(-t^2/2N) series into the stored polynomial in
@@ -151,14 +133,14 @@ def wilson_bound(N: int, t: complex) -> float:
     return math.exp(-(t * t).real / (2 * N)) * math.exp(2 * abs(t))
 
 
-def density(N: int) -> DensityExpansion:
+def density(N: int) -> CoefficientLadder:
     """Exact eigenvalue density of the N x N GUE as a Hermite expansion."""
     if N < 1:
         raise ValueError(f"density requires N >= 1, got {N}")
-    return DensityExpansion(N, _coefficient_ladder(N))
+    return CoefficientLadder(N, _coefficient_ladder(N))
 
 
-def density_eval(d: DensityExpansion, lam: float) -> float:
+def density_eval(d: CoefficientLadder, lam: float) -> float:
     """Float64 value of rho_N at lambda.
 
     One pass of the Hermite recurrence supplies every even order up to
@@ -185,7 +167,7 @@ def wigner_density(lam: float) -> float:
     return math.sqrt(4.0 - lam * lam) / (2.0 * math.pi)
 
 
-def moment_exact(N: int, l: int) -> Rational:
+def moment_exact(N: int, l: int) -> Fraction:
     """Exact m_2l = sum_{q2} binom(N,q2+1)/(N^{q2+1} q2!) (2l)!/(2^{l-q2}(l-q2)!) N^{q2-l}."""
     if N < 1:
         raise ValueError(f"moment_exact requires N >= 1, got {N}")
@@ -205,7 +187,7 @@ def moment_table(N: int, l_max: int) -> MomentTable:
     return MomentTable(N, tuple(moment_exact(N, l) for l in range(l_max + 1)))
 
 
-def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Rational]:
+def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
     """Coefficients of N^{-2g} in m_2l, g = 0 .. min(g_max, floor(l/2)).
 
     Entry g is (2l)!/l! 2^{-2g} * sum over multiplicity assignments of
@@ -218,7 +200,7 @@ def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Rational]:
     return [base / 4**g * partition_term_sum(l, g) for g in range(top + 1)]
 
 
-def _poly_tail_magnitude(w: GaussianPolynomial, t: float) -> float:
+def _poly_tail_magnitude(w: CoefficientLadder, t: float) -> float:
     """exp(-t^2/2N) * sum_q c_q t^2q, an upper envelope for |I| on the reals."""
     u = t * t
     acc = 0.0
@@ -227,7 +209,7 @@ def _poly_tail_magnitude(w: GaussianPolynomial, t: float) -> float:
     return math.exp(-u / (2 * w.matrix_size)) * acc
 
 
-def truncation_time(w: GaussianPolynomial) -> float:
+def truncation_time(w: CoefficientLadder) -> float:
     """Smallest scanned T with the Gaussian-times-polynomial envelope < 1e-12."""
     N = w.matrix_size
     T = max(4.0, math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON)))

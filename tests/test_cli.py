@@ -234,6 +234,35 @@ def test_main_verify_budget_cannot_be_raised(capsys):
     assert code == 2
 
 
+def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
+    import guekit.verify as verify
+
+    budgets = []
+
+    def recorder(name, top):
+        def suite(budget=None, **kwargs):
+            budgets.append((name, verify._cap(budget, top, "--l-max")))
+            return []
+        return suite
+
+    monkeypatch.setattr(verify, "suite_wick", recorder("wick", verify.WICK_L_MAX))
+    monkeypatch.setattr(verify, "suite_initial", recorder("initial", verify.INITIAL_L_MAX))
+    monkeypatch.setattr(verify, "suite_hz", recorder("hz", verify.HZ_P_MAX))
+    for name in ("best", "density", "bound"):
+        monkeypatch.setattr(verify, f"suite_{name}", lambda *a, **k: [])
+
+    for flags, expected in [
+        (["--l-max", "3"], [("wick", 3), ("initial", 3), ("hz", 3)]),
+        (["--l-max", "5"], [("wick", 5), ("initial", 4), ("hz", 5)]),
+        ([], [("wick", 7), ("initial", 4), ("hz", 7)]),
+    ]:
+        budgets.clear()
+        code, out = run_main(capsys, ["verify", "--suite", "all", *flags])
+        assert code == 0 and "PASS all" in out
+        assert budgets == expected
+    assert main(["verify", "--suite", "all", "--l-max", "8"]) == 2
+
+
 def test_main_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

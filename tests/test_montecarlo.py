@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from guekit.montecarlo import (
-    HermitianSample,
     SampleStats,
     estimate_density_histogram,
     estimate_wilson,
-    hermitian_eigenvalues,
     sample_gue,
     zscore,
 )
@@ -18,8 +16,14 @@ from guekit.observables import density, density_eval, wilson_eval, wilson_loop
 def test_sample_is_exactly_hermitian():
     for idx in range(5):
         h = sample_gue(6, seed=123, index=idx)
-        assert (h.entries == h.entries.conj().T).all()
-        assert (np.diag(h.entries).imag == 0).all()
+        assert h.shape == (6, 6)
+        assert (h == h.conj().T).all()
+        assert (np.diag(h).imag == 0).all()
+
+
+def test_sample_rejects_empty_matrix():
+    with pytest.raises(ValueError):
+        sample_gue(0, seed=1)
 
 
 def test_sampling_is_reproducible_and_index_dependent():
@@ -27,9 +31,9 @@ def test_sampling_is_reproducible_and_index_dependent():
     b = sample_gue(4, seed=42, index=3)
     c = sample_gue(4, seed=42, index=4)
     d = sample_gue(4, seed=43, index=3)
-    assert (a.entries == b.entries).all()
-    assert (a.entries != c.entries).any()
-    assert (a.entries != d.entries).any()
+    assert (a == b).all()
+    assert (a != c).any()
+    assert (a != d).any()
 
 
 def test_sample_variances_match_measure():
@@ -38,7 +42,7 @@ def test_sample_variances_match_measure():
     diag = np.empty((count, N))
     off = np.empty(count)
     for s in range(count):
-        h = sample_gue(N, seed=7, index=s).entries
+        h = sample_gue(N, seed=7, index=s)
         diag[s] = np.diag(h).real
         off[s] = abs(h[0, 1]) ** 2
     se_diag = diag.var() / math.sqrt(count * N)
@@ -59,48 +63,6 @@ def test_trace_moment_estimates():
     se1 = tr1.std(ddof=1) / math.sqrt(count)
     assert abs(tr2.mean() - 1.0) <= 5 * se2  # m_2 = 1
     assert abs(tr1.mean()) <= 5 * se1
-
-
-def test_jacobi_trivial_matrices():
-    z = HermitianSample(3, np.zeros((3, 3), dtype=complex))
-    assert (hermitian_eigenvalues(z) == 0).all()
-    d = HermitianSample(2, np.diag([1.0, -1.0]).astype(complex))
-    assert hermitian_eigenvalues(d).tolist() == [-1.0, 1.0]
-
-
-def test_jacobi_matches_lapack_and_traces():
-    for idx in range(4):
-        h = sample_gue(6, seed=5, index=idx)
-        ours = hermitian_eigenvalues(h, tol=1e-12)
-        lapack = np.linalg.eigvalsh(h.entries)
-        assert np.abs(ours - lapack).max() < 1e-10
-        assert abs(ours.sum() - np.trace(h.entries).real) < 1e-10
-        assert abs((ours**2).sum() - (abs(h.entries) ** 2).sum()) < 1e-9
-
-
-def test_jacobi_unitary_invariance():
-    # conjugate by a unitary assembled from fixed complex Jacobi rotations
-    h = sample_gue(5, seed=11, index=0)
-    u = np.eye(5, dtype=complex)
-    for (p, q, theta, phi) in [(0, 1, 0.7, 0.3), (2, 4, 1.1, -0.9), (1, 3, 0.4, 2.0)]:
-        r = np.eye(5, dtype=complex)
-        r[p, p] = math.cos(theta)
-        r[p, q] = -math.sin(theta)
-        r[q, p] = math.sin(theta) * np.exp(-1j * phi)
-        r[q, q] = math.cos(theta) * np.exp(-1j * phi)
-        u = u @ r
-    assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-14
-    m = u.conj().T @ h.entries @ u
-    rotated = HermitianSample(5, (m + m.conj().T) / 2)  # re-symmetrize float dust
-    a = hermitian_eigenvalues(h, tol=1e-13)
-    b = hermitian_eigenvalues(rotated, tol=1e-13)
-    assert np.abs(a - b).max() < 1e-8
-
-
-def test_jacobi_sweep_cap():
-    h = sample_gue(4, seed=3, index=0)
-    with pytest.raises(RuntimeError):
-        hermitian_eigenvalues(h, tol=1e-300)
 
 
 def test_estimate_wilson_at_zero_time():
