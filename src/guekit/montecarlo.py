@@ -3,6 +3,9 @@
 Sample s of a run is drawn from the counter-based Philox stream whose
 128-bit key is the pair (seed, s), so every sample depends only on
 (seed, s) and results do not depend on how samples are scheduled.
+Samples are built in batches that share one generator, whose state is
+reset to counter 0 and key (seed, s) before sample s draws; streams and
+matrices therefore do not depend on the batch size either.
 Uniform variates are turned into normals by Box-Muller.  Within a sample
 the N^2 normals are consumed in a fixed layout: the N diagonal entries
 first, then for each a < b in row-major order one (real, imaginary) pair
@@ -20,7 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# A batch holds at most _EIG_BATCH matrices and _BATCH_ENTRIES entries.
 _EIG_BATCH = 512
+_BATCH_ENTRIES = 2**17
 
 
 @dataclass(frozen=True)
@@ -38,49 +43,60 @@ class SampleStats:
             raise ValueError("need at least one sample")
 
 
-def _normals(seed: int, index: int, count: int) -> np.ndarray:
-    """`count` Box-Muller normals from the (seed, index) Philox stream.
+def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Samples start .. stop-1 of the stream started by `seed`, as one
+    (stop - start, N, N) array.
 
-    (seed, index) fills the full 2x64-bit Philox key, so distinct samples
-    get disjoint streams no matter how many blocks each one consumes.
+    (seed, s) fills the full 2x64-bit Philox key, so distinct samples get
+    disjoint streams no matter how many blocks each one consumes.
     """
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    B, count = stop - start, N * N
     m = (count + 1) // 2
-    u = gen.random(2 * m)
-    r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))  # 1 - u lies in (0, 1]
-    angle = 2.0 * np.pi * u[m:]
-    out = np.empty(2 * m)
-    out[0::2] = r * np.cos(angle)
-    out[1::2] = r * np.sin(angle)
-    return out[:count]
+    u = np.empty((B, 2 * m))
+    # One generator for the batch.  Before each sample its state is set to
+    # that of a fresh Philox(key=(seed, s)): counter 0, empty buffer.
+    bitgen = np.random.Philox()
+    gen = np.random.Generator(bitgen)
+    key = [seed % 2**64, 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, index in zip(u, range(start, stop)):
+        key[1] = index % 2**64
+        bitgen.state = state
+        gen.random(out=row)
+    # Box-Muller: row i of z holds the normals of sample start + i
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:, :m]))  # 1 - u lies in (0, 1]
+    angle = 2.0 * np.pi * u[:, m:]
+    z = np.empty_like(u)
+    z[:, 0::2] = r * np.cos(angle)
+    z[:, 1::2] = r * np.sin(angle)
+    h = np.empty((B, N, N), dtype=complex)
+    h.reshape(B, count)[:, ::N + 1] = z[:, :N] / math.sqrt(N)
+    vals = (z[:, N:count:2] + 1j * z[:, N + 1:count:2]) / math.sqrt(2 * N)
+    first = 0
+    for a in range(N - 1):
+        upper = vals[:, first:first + N - 1 - a]
+        h[:, a, a + 1:] = upper
+        h[:, a + 1:, a] = upper.conj()
+        first += N - 1 - a
+    return h
 
 
 def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
     """Draw sample `index` of the stream started by `seed` as an N x N array."""
     if N < 1:
         raise ValueError(f"sample_gue requires N >= 1, got {N}")
-    z = _normals(seed, index, N * N)
-    h = np.zeros((N, N), dtype=complex)
-    h[np.diag_indices(N)] = z[:N] / math.sqrt(N)
-    if N > 1:
-        iu, ju = np.triu_indices(N, k=1)
-        re = z[N::2]
-        im = z[N + 1::2]
-        vals = (re + 1j * im) / math.sqrt(2 * N)
-        h[iu, ju] = vals
-        h[ju, iu] = vals.conj()
-    return h
+    return _gue_batch(N, seed, index, index + 1)[0]
 
 
 @lru_cache(maxsize=8)
 def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
     """(samples, N) eigenvalue array; LAPACK eigvalsh batched over samples."""
+    batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
     out = np.empty((samples, N))
-    for start in range(0, samples, _EIG_BATCH):
-        stop = min(start + _EIG_BATCH, samples)
-        batch = np.stack([sample_gue(N, seed, s) for s in range(start, stop)])
-        out[start:stop] = np.linalg.eigvalsh(batch)
+    for start in range(0, samples, batch):
+        stop = min(start + batch, samples)
+        out[start:stop] = np.linalg.eigvalsh(_gue_batch(N, seed, start, stop))
     out.setflags(write=False)
     return out
 

@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output for the README commands.
+"""Byte-for-byte CLI output for the README commands and two multi-batch
+`sample` runs.
 
 Each file under tests/golden/ holds the stdout of one command; a change to
 the printed numbers or to their formatting fails here.
@@ -23,6 +24,9 @@ COMMANDS = {
     "harer-zagier.csv": ["harer-zagier", "--N", "3", "--p-max", "7"],
     "sample.csv": ["sample", "--N", "8", "--samples", "10000",
                    "--t", "0.5", "--t", "1.0", "--t", "2.0"],
+    # several sampler batches each: 600 / 128 at N=32 and 300 / 32 at N=64
+    "sample-n32.csv": ["sample", "--N", "32", "--samples", "600", "--seed", "7"],
+    "sample-n64.csv": ["sample", "--N", "64", "--samples", "300", "--seed", "7"],
 }
 
 

@@ -5,12 +5,62 @@ import pytest
 
 from guekit.montecarlo import (
     SampleStats,
+    _eigenvalue_samples,
+    _gue_batch,
     estimate_density_histogram,
     estimate_wilson,
     sample_gue,
     zscore,
 )
 from guekit.observables import density, density_eval, wilson_eval, wilson_loop
+
+
+def reference_gue(N, seed, index):
+    """One sample built the unbatched way: a fresh Philox keyed (seed, index),
+    Box-Muller on that sample alone, and a triu_indices scatter."""
+    count = N * N
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    m = (count + 1) // 2
+    u = gen.random(2 * m)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[:m]))
+    angle = 2.0 * np.pi * u[m:]
+    z = np.empty(2 * m)
+    z[0::2] = r * np.cos(angle)
+    z[1::2] = r * np.sin(angle)
+    z = z[:count]
+    h = np.zeros((N, N), dtype=complex)
+    h[np.diag_indices(N)] = z[:N] / math.sqrt(N)
+    if N > 1:
+        iu, ju = np.triu_indices(N, k=1)
+        vals = (z[N::2] + 1j * z[N + 1::2]) / math.sqrt(2 * N)
+        h[iu, ju] = vals
+        h[ju, iu] = vals.conj()
+    return h
+
+
+SEEDS = [0, 1, 20240901, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 33, 64])
+def test_sample_matches_unbatched_reference_bit_for_bit(N):
+    indices = [0, 1, 2, 511, 512, 2**32 + 7, 2**63, 2**64 - 1]
+    for seed in SEEDS:
+        for index in indices:
+            got = sample_gue(N, seed, index)
+            want = reference_gue(N, seed, index)
+            assert np.array_equal(got.view(np.float64), want.view(np.float64)), (N, seed, index)
+
+
+@pytest.mark.parametrize("N, samples", [(1, 600), (8, 1000), (33, 130), (64, 70)])
+def test_eigenvalue_batches_match_unbatched_reference(N, samples):
+    # sample counts that are not a multiple of the batch size, so the last
+    # batch is a short one; one batch of all samples must give the same bits
+    seed = 2**64 - 1 - N
+    stacked = np.stack([reference_gue(N, seed, s) for s in range(samples)])
+    whole = _gue_batch(N, seed, 0, samples)
+    assert np.array_equal(whole.view(np.float64), stacked.view(np.float64))
+    assert np.array_equal(_eigenvalue_samples(N, samples, seed), np.linalg.eigvalsh(stacked))
 
 
 def test_sample_is_exactly_hermitian():
@@ -53,8 +103,6 @@ def test_sample_variances_match_measure():
 def test_trace_moment_estimates():
     # Tr H^2 = sum lambda^2 and Tr H = sum lambda, so the cached eigenvalue
     # path gives the estimators directly at the full 1e5 sample count.
-    from guekit.montecarlo import _eigenvalue_samples
-
     N, count = 4, 100000
     eigs = _eigenvalue_samples(N, count, 99)
     tr2 = (eigs**2).sum(axis=1) / N

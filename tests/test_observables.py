@@ -158,6 +158,17 @@ def test_density_tail_is_tiny_but_nonnegative():
     assert 0 < v < 1e-6
 
 
+def test_hermite_weights_round_the_exact_product_once():
+    # float(c * N**q) rounds once; float(c) * N**q rounds twice and differs
+    # from it in two of the twelve weights at N = 12 (a power-of-two N would
+    # make the two agree, so N = 8 cannot tell them apart)
+    N = 12
+    d = density(N)
+    assert d.hermite_weights == tuple(float(c * N**q) for q, c in enumerate(d.coefficients))
+    assert any(w != float(c) * N**q
+               for q, (w, c) in enumerate(zip(d.hermite_weights, d.coefficients)))
+
+
 def test_density_never_dips_below_float_noise():
     # positivity is a tolerance check, not a structural guarantee
     for N in (1, 4, 9, 16):
