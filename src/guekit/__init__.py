@@ -13,7 +13,6 @@ from .exact import (
     catalan,
     double_factorial,
     enumerate_partition_terms,
-    hermite_eval,
     integrate_real,
 )
 from .maps import (

@@ -197,6 +197,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # the exact c_q pass 4300 digits from N = 801
     text = record.render(args.format)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,8 +1,7 @@
 """Exact integer/rational primitives and shared numerical utilities.
 
 Everything in this module is either bit-exact (integer and rational
-combinatorics) or carries an explicit tolerance (quadrature, Hermite
-evaluation in float64).
+combinatorics) or carries an explicit tolerance (quadrature).
 """
 
 from __future__ import annotations
@@ -56,25 +55,6 @@ class PartitionTerm:
 
     multiplicities: tuple[tuple[int, int], ...]  # sorted (q, k_q), k_q > 0
 
-    def multiplicity(self, q: int) -> int:
-        for qq, k in self.multiplicities:
-            if qq == q:
-                return k
-        return 0
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.multiplicities)
-
-    @property
-    def weighted_total(self) -> int:
-        """sum_q q * k_q (the genus this term accounts for)."""
-        return sum(q * k for q, k in self.multiplicities)
-
-    @property
-    def part_total(self) -> int:
-        """sum_q k_q."""
-        return sum(k for _, k in self.multiplicities)
-
 
 def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
     """All {k_q} with sum q*k_q = g and sum k_q = l - 2g + 1, each once.
@@ -116,18 +96,6 @@ def partition_term_sum(l: int, g: int) -> Fraction:
             w /= math.factorial(k) * (2 * q + 1) ** k
         total += w
     return total
-
-
-def hermite_eval(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial He_n(x) by three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"hermite_eval requires n >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, float(x)
-    for m in range(1, n):
-        prev, cur = cur, x * cur - m * prev
-    return cur
 
 
 # Fixed first-stage split; guards against false convergence when the three

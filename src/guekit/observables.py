@@ -6,7 +6,13 @@ one family of exact rational coefficients
 
     c_q = binom(N, q+1) / (N^{q+1} q!),   q = 0 .. N-1,
 
-stored exactly and converted to float64 only at evaluation time.
+stored exactly.  The float64 evaluators do not sum that ladder, which
+cancels catastrophically once N is in the tens; they run stable three-term
+recurrences instead:
+
+    I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N,  u = t^2/N  (Laguerre),
+    rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2,  y = sqrt(N/2) lambda
+                                        (Christoffel-Darboux, Hermite functions).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +48,29 @@ def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+# Recurrences rescale by this power of two (exact in binary) before they overflow.
+_RESCALE = 2.0**400
+_LOG_RESCALE = 400 * math.log(2)
+
+
+def _laguerre1(n: int, u: complex) -> tuple[complex, float]:
+    """(L, s) with L exp(s) = L^(1)_n(u), the generalized Laguerre polynomial.
+
+    Runs the three-term recurrence (k+1) L_{k+1} = (2k+2-u) L_k - (k+1) L_{k-1}
+    from L_{-1} = 0, L_0 = 1, written for the step d = L_k - L_{k-1}:
+    d_{k+1} = d_k - u L_k / (k+1).  Near u = 0 the recurrence has a double
+    characteristic root, and the plain form loses about n^2 ulps there; this
+    form loses about n.  At u = 0 every step is exact and L_n = n + 1.
+    """
+    cur, step, log_scale = 1.0, 1.0, 0.0
+    for k in range(n):
+        step -= u * cur / (k + 1)
+        cur += step
+        if abs(cur) > _RESCALE:
+            cur, step, log_scale = cur / _RESCALE, step / _RESCALE, log_scale + _LOG_RESCALE
+    return cur, log_scale
+
+
 @dataclass(frozen=True)
 class CoefficientLadder:
     """Exact c_q, q = 0 .. N-1, shared by the Wilson loop and the density.
@@ -61,16 +90,6 @@ class CoefficientLadder:
         if self.coefficients[0] != 1:
             raise ValueError("leading coefficient must be 1")
 
-    @cached_property
-    def float_coefficients(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coefficients)
-
-    @cached_property
-    def hermite_weights(self) -> tuple[float, ...]:
-        """float(c_q * N^q), rounded once; the weight multiplying He_2q(sqrt(N) lambda)."""
-        N = self.matrix_size
-        return tuple(float(c * N**q) for q, c in enumerate(self.coefficients))
-
 
 @dataclass(frozen=True)
 class MomentTable:
@@ -88,12 +107,12 @@ def wilson_loop(N: int) -> CoefficientLadder:
 
 
 def wilson_eval(w: CoefficientLadder, t: complex) -> complex:
-    """Float64 value of I(t, N) at complex t."""
-    u = -(complex(t) ** 2)
-    acc = 0.0 + 0.0j
-    for c in reversed(w.float_coefficients):
-        acc = acc * u + c
-    return cmath.exp(u / (2 * w.matrix_size)) * acc
+    """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, at complex t."""
+    N = w.matrix_size
+    u = complex(t) ** 2 / N
+    # a real u runs the same steps in float arithmetic: same bits, less time
+    lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
+    return cmath.exp(log_scale - u / 2) * lag / N
 
 
 def wilson_taylor_coefficients(w: CoefficientLadder, l_max: int) -> list[Fraction]:
@@ -141,23 +160,26 @@ def density(N: int) -> CoefficientLadder:
 
 
 def density_eval(d: CoefficientLadder, lam: float) -> float:
-    """Float64 value of rho_N at lambda.
+    """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
 
-    One pass of the Hermite recurrence supplies every even order up to
-    2(N-1); the Gaussian prefactor is applied last.
+    The normalized Hermite functions phi_k = cur * exp(log_scale) run by
+    phi_k = sqrt(2/k) y phi_{k-1} - sqrt((k-1)/k) phi_{k-2} from
+    phi_0 = pi^(-1/4) exp(-y^2/2); the Gaussian factor starts in log_scale,
+    so it cannot underflow, and the sum of squares is positive.
     """
     N = d.matrix_size
-    x = math.sqrt(N) * lam
-    weights = d.hermite_weights
-    total = weights[0]
-    prev, cur = 1.0, x  # He_0, He_1
-    for m in range(1, 2 * (N - 1)):
-        prev, cur = cur, x * cur - m * prev
-        if (m + 1) % 2 == 0:
-            q = (m + 1) // 2
-            if q < N:
-                total += weights[q] * cur
-    return math.sqrt(N / (2 * math.pi)) * math.exp(-N * lam * lam / 2) * total
+    y = math.sqrt(N / 2) * lam
+    prev, cur, log_scale = 0.0, math.pi**-0.25, -y * y / 2
+    total = cur * cur
+    for k in range(1, N):
+        prev, cur = cur, math.sqrt(2 / k) * y * cur - math.sqrt((k - 1) / k) * prev
+        total += cur * cur
+        if total > _RESCALE:
+            prev, cur, total = prev / _RESCALE, cur / _RESCALE, total / _RESCALE**2
+            log_scale += _LOG_RESCALE
+    # scale * (scale * total): scale**2 alone can underflow while total is large
+    scale = math.exp(log_scale)
+    return math.sqrt(N / 2) / N * scale * (scale * total)
 
 
 def wigner_density(lam: float) -> float:
@@ -200,22 +222,20 @@ def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
     return [base / 4**g * partition_term_sum(l, g) for g in range(top + 1)]
 
 
-def _poly_tail_magnitude(w: CoefficientLadder, t: float) -> float:
-    """exp(-t^2/2N) * sum_q c_q t^2q, an upper envelope for |I| on the reals."""
-    u = t * t
-    acc = 0.0
-    for c in reversed(w.float_coefficients):
-        acc = acc * u + c
-    return math.exp(-u / (2 * w.matrix_size)) * acc
-
-
 def truncation_time(w: CoefficientLadder) -> float:
-    """Smallest scanned T with the Gaussian-times-polynomial envelope < 1e-12."""
+    """Smallest scanned T with the Gaussian-times-polynomial envelope < 1e-12.
+
+    The envelope exp(-T^2/2N) sum_q c_q T^2q = exp(-v/2) L^(1)_{N-1}(-v) / N,
+    v = T^2/N, bounds |I| on the reals; all its terms are positive.
+    """
     N = w.matrix_size
     T = max(4.0, math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON)))
-    while _poly_tail_magnitude(w, T) >= TAIL_EPSILON:
+    while True:
+        v = T * T / N
+        lag, log_scale = _laguerre1(N - 1, -v)
+        if log_scale - v / 2 + math.log(lag / N) < math.log(TAIL_EPSILON):
+            return T
         T += 2.0
-    return T
 
 
 def resolvent_laplace(N: int, z: complex) -> complex:
@@ -249,11 +269,14 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
 
     Gauss-Hermite product rule matched to the exp(-N x^2 / 2) weight in
     each variable; restricted to Re z >= 1 to keep the (z - iA) pole well
-    away from the integration axis.
+    away from the integration axis, and to N <= 40.  There the default
+    240-node rule agrees with resolvent_laplace to 1e-8 at every probed z
+    (Re z from 1 to 100, |Im z| up to 20); beyond it the rule degrades
+    (4e-3 off at N = 80, z = 1; 2.52 for 0.5000007 at N = 120, z = 1.5).
     """
     z = complex(z)
-    if N < 1:
-        raise ValueError(f"resolvent_quadrature requires N >= 1, got {N}")
+    if not 1 <= N <= 40:
+        raise ValueError(f"resolvent_quadrature requires 1 <= N <= 40, got {N}")
     if z.real < 1:
         raise ValueError(f"resolvent_quadrature requires Re z >= 1, got {z}")
     if nodes < 2:

@@ -26,6 +26,7 @@ from guekit.maps.rosettes import (
 )
 from guekit.montecarlo import estimate_density_histogram, estimate_wilson, zscore
 from guekit.observables import (
+    DEFAULT_RESOLVENT_NODES,
     density,
     density_eval,
     density_fourier_check,
@@ -217,6 +218,6 @@ def test_criterion_12_resolvent_cross_check():
             a = resolvent_quadrature(N, z)
             b = resolvent_laplace(N, z)
             assert abs(a - b) <= 1e-6, (N, z, abs(a - b))
-            doubled = resolvent_quadrature(N, z, nodes=240)
+            doubled = resolvent_quadrature(N, z, nodes=2 * DEFAULT_RESOLVENT_NODES)
             assert abs(a - doubled) <= 1e-8, (N, z, abs(a - doubled))
     _report(12, "resolvent integral equals Laplace route to 1e-6; node doubling < 1e-8")

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from guekit.cli import (
     cmd_wilson,
     main,
 )
+from guekit.observables import wilson_loop
 from guekit.records import OutputRecord, decode_cell, encode_cell
 
 
@@ -189,6 +191,31 @@ def test_main_wilson_csv(capsys):
     rec = OutputRecord.from_csv(out)
     assert rec.command == "wilson"
     assert rec.rows[0] == [0.0, 1.0]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_main_wilson_prints_coefficients_past_the_int_digit_limit(capsys):
+    # the c_q denominators reach 4303 digits at N = 801 and 4422 at N = 820,
+    # past Python's default 4300-digit int-to-str limit; main lifts the limit
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out = run_main(capsys, ["wilson", "--N", "820", "--steps", "2"])
+        assert code == 0
+        rec = OutputRecord.from_csv(out)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert rec.parameters["coefficients"] == list(wilson_loop(820).coefficients)
+    assert [row[0] for row in rec.rows] == [0.0, 4.0]
+
+
+def test_main_density_at_n40_is_positive(capsys):
+    code, out = run_main(capsys, ["density", "--N", "40"])
+    assert code == 0
+    rec = OutputRecord.from_csv(out)
+    assert len(rec.rows) == 121
+    assert all(row[1] > 0 for row in rec.rows)
 
 
 def test_main_json_format(capsys):

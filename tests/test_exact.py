@@ -6,13 +6,11 @@ from itertools import product
 import pytest
 
 from guekit.exact import (
-    PartitionTerm,
     QuadratureError,
     binomial,
     catalan,
     double_factorial,
     enumerate_partition_terms,
-    hermite_eval,
     integrate_real,
     partition_term_sum,
 )
@@ -83,11 +81,11 @@ def test_catalan_values():
 
 
 def test_partition_terms_examples():
-    assert [t.as_dict() for t in enumerate_partition_terms(1, 0)] == [{0: 2}]
-    assert [t.as_dict() for t in enumerate_partition_terms(2, 1)] == [{1: 1}]
+    assert [t.multiplicities for t in enumerate_partition_terms(1, 0)] == [((0, 2),)]
+    assert [t.multiplicities for t in enumerate_partition_terms(2, 1)] == [((1, 1),)]
     # l=4, g=2: brute-force filter leaves only {k_2 = 1}
     assert brute_force_partition_terms(4, 2) == {((2, 1),)}
-    assert [t.as_dict() for t in enumerate_partition_terms(4, 2)] == [{2: 1}]
+    assert [t.multiplicities for t in enumerate_partition_terms(4, 2)] == [((2, 1),)]
 
 
 def test_partition_terms_empty_when_overshooting():
@@ -101,53 +99,18 @@ def test_partition_terms_match_brute_force_and_constraints():
             terms = list(enumerate_partition_terms(l, g))
             seen = set()
             for t in terms:
-                assert t.weighted_total == g
-                assert t.part_total == l - 2 * g + 1
+                assert sum(q * k for q, k in t.multiplicities) == g
+                assert sum(k for _, k in t.multiplicities) == l - 2 * g + 1
                 assert all(k > 0 for _, k in t.multiplicities)
                 assert t.multiplicities not in seen
                 seen.add(t.multiplicities)
             assert seen == brute_force_partition_terms(l, g)
 
 
-def test_partition_term_accessors():
-    term = PartitionTerm(((0, 2), (2, 1)))
-    assert term.multiplicity(0) == 2
-    assert term.multiplicity(1) == 0
-    assert term.multiplicity(2) == 1
-
-
 def test_partition_term_sum_small():
     # l=2, g=0: only {k_0 = 3} -> 1/3! ; l=2, g=1: only {k_1 = 1} -> 1/3
     assert partition_term_sum(2, 0) == Fraction(1, 6)
     assert partition_term_sum(2, 1) == Fraction(1, 3)
-
-
-def test_hermite_small_orders():
-    assert hermite_eval(0, 3.7) == 1.0
-    assert hermite_eval(1, 2.5) == 2.5
-    assert hermite_eval(2, 2.0) == 3.0
-    # He_4(x) = x^4 - 6x^2 + 3 evaluated symbolically at x=1
-    assert hermite_eval(4, 1.0) == -2.0
-
-
-def test_hermite_against_explicit_polynomials():
-    for x in [-2.0, -0.3, 0.0, 0.7, 1.9, 3.5]:
-        assert hermite_eval(3, x) == pytest.approx(x**3 - 3 * x, rel=1e-13, abs=1e-13)
-        assert hermite_eval(5, x) == pytest.approx(x**5 - 10 * x**3 + 15 * x, rel=1e-12, abs=1e-12)
-        assert hermite_eval(6, x) == pytest.approx(
-            x**6 - 15 * x**4 + 45 * x**2 - 15, rel=1e-12, abs=1e-12
-        )
-
-
-def test_hermite_recurrence_residual():
-    rng = random.Random(20240817)
-    for _ in range(200):
-        n = rng.randrange(1, 130)
-        x = rng.uniform(-20.0, 20.0)
-        lhs = hermite_eval(n + 1, x)
-        rhs = x * hermite_eval(n, x) - n * hermite_eval(n - 1, x)
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_integrate_constant_and_parabola():

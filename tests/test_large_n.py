@@ -1,0 +1,163 @@
+"""Large-N accuracy of the float evaluators against a high-precision oracle.
+
+The oracle takes the float argument t or lambda as the exact dyadic
+rational it is, sums the polynomial part of I(t, N) or rho_N(lambda)
+exactly in integers, multiplies by a 50-digit Decimal exponential and
+rounds once to float64.  It shares no code with guekit.
+"""
+
+import cmath
+import math
+import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+import pytest
+
+from guekit.exact import integrate_real
+from guekit.observables import (
+    density,
+    density_eval,
+    resolvent_laplace,
+    truncation_time,
+    wilson_eval,
+    wilson_loop,
+)
+
+DIGITS = 50
+PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+# Mean ulp distance to the oracle on the golden N = 8 grids (wilson t = 0..4
+# in 81 steps, density lambda = -3..3 in 241 steps), measured for the float
+# ladders these recurrences replaced: a Horner sum over float(c_q) and a
+# float(c_q N^q) * He_2q sum.
+LADDER_MEAN_ULPS = {"wilson": 29.12, "density": 17.38}
+
+
+def _laguerre_numerators(N):
+    """binom(N, q+1) (N-1)!/q! for q = 0 .. N-1: (N-1)! times the coefficients of L^(1)_{N-1}."""
+    out, ratio = [], math.factorial(N - 1)
+    for q in range(N):
+        out.append(math.comb(N, q + 1) * ratio)
+        ratio //= q + 1
+    return out
+
+
+def _homogeneous(coeffs, a, b):
+    """sum_q coeffs[q] a^q b^(n-q), n = len(coeffs) - 1, in integers."""
+    acc, b_power = coeffs[-1], 1
+    for k in reversed(coeffs[:-1]):
+        b_power *= b
+        acc = acc * a + k * b_power
+    return acc
+
+
+def _decimal(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def wilson_oracle(N, t):
+    """exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, with L = sum_q binom(N, q+1) (-u)^q / q!."""
+    u = Fraction(t) ** 2 / N
+    poly = Fraction(_homogeneous(_laguerre_numerators(N), -u.numerator, u.denominator),
+                    math.factorial(N) * u.denominator ** (N - 1))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float((-_decimal(u) / 2).exp() * _decimal(poly))
+
+
+def density_oracle(N, lam):
+    """sqrt(N/2pi) exp(-X/2) sum_q c_q N^q He_2q(x), x = sqrt(N) lambda, X = x^2.
+
+    He_2j(x) = E_j(X) and He_2j+1(x) = x O_j(X) are run as the integers
+    e_j = E_j b^j, o_j = O_j b^j, X = a/b, so no square root appears.
+    """
+    X = N * Fraction(lam) ** 2
+    a, b = X.numerator, X.denominator
+    num, e, o = 0, 1, 0
+    for j, k in enumerate(_laguerre_numerators(N)):
+        num += k * e * b ** (N - 1 - j)
+        o = e - 2 * j * b * o
+        e = a * o - (2 * j + 1) * b * e
+    poly = Fraction(num, math.factorial(N) * b ** (N - 1))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return float((Decimal(N) / (2 * PI)).sqrt() * (-_decimal(X) / 2).exp() * _decimal(poly))
+
+
+def _ulps(got, want):
+    return 0.0 if got == want else abs(got - want) / math.ulp(want)
+
+
+def test_oracle_small_cases():
+    assert wilson_oracle(1, 1.5) == math.exp(-1.125)
+    assert wilson_oracle(2, 2.0) == 0.0  # exp(-t^2/4)(1 - t^2/4)
+    assert density_oracle(1, 0.0) == 1 / math.sqrt(2 * math.pi)
+
+
+@pytest.mark.parametrize("N, ts", [
+    (40, [0.0, 0.7, 3.1, 16.5, 19.25, 40.0, 61.7, 80.0]),
+    (100, [0.35, 2.9, 16.5, 40.0, 55.5, 80.0]),
+    (300, [0.9, 1.6, 23.0, 47.3, 80.0]),
+    (1000, [1.77, 40.0, 80.0]),
+])
+def test_wilson_matches_oracle_at_large_n(N, ts):
+    w = wilson_loop(N)
+    for t in ts:
+        assert abs(wilson_eval(w, t).real - wilson_oracle(N, t)) <= 1e-11, t
+
+
+@pytest.mark.parametrize("N, lams", [
+    (40, [-3.0, -2.2, -1.0, 0.0, 0.31, 1.9999, 2.5, 3.0]),
+    (100, [-3.0, -1.3, 0.0, 2.05, 3.0]),
+    (300, [-2.7, 0.0, 1.5, 3.0]),
+    (1000, [-2.6, 0.0, 1.3, 2.5, 3.0]),
+])
+def test_density_matches_oracle_at_large_n(N, lams):
+    d = density(N)
+    for lam in lams:
+        got, want = density_eval(d, lam), density_oracle(N, lam)
+        if want >= sys.float_info.min:
+            assert got > 0, lam
+            assert abs(got - want) <= 1e-12 * want, lam
+        else:  # rho_1000(3) is about 1e-620, below every float64
+            assert 0 <= got < sys.float_info.min, lam
+
+
+def test_golden_grids_are_no_less_accurate_than_the_ladders():
+    w, d = wilson_loop(8), density(8)
+    ts = [i * 4 / 80 for i in range(81)]
+    lams = [-3 + i * 6 / 240 for i in range(241)]
+    wilson = [_ulps(wilson_eval(w, t).real, wilson_oracle(8, t)) for t in ts]
+    rho = [_ulps(density_eval(d, lam), density_oracle(8, lam)) for lam in lams]
+    assert sum(wilson) / len(wilson) <= LADDER_MEAN_ULPS["wilson"]
+    assert sum(rho) / len(rho) <= LADDER_MEAN_ULPS["density"]
+
+
+def test_density_normalization_at_n120():
+    d = density(120)
+    total = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+    assert abs(total - 1.0) <= 1e-9
+
+
+def test_resolvent_laplace_at_n120_is_near_the_semicircle():
+    z = 1 + 2j
+    semicircle = (cmath.sqrt(z * z + 4) - z) / 2
+    assert abs(resolvent_laplace(120, z) - semicircle) <= 1e-4
+
+
+@pytest.mark.parametrize("N", [120, 300])
+def test_truncation_time_is_the_first_scanned_t_below_the_envelope(N):
+    # exp(-T^2/2N) sum_q c_q T^2q = exp(-X/2) L^(1)_{N-1}(-X) / N, X = T^2/N,
+    # summed exactly; its log is compared with log 1e-12 at T and at the
+    # scan point before it
+    def log_envelope(T):
+        X = Fraction(T) ** 2 / N
+        poly = Fraction(_homogeneous(_laguerre_numerators(N), X.numerator, X.denominator),
+                        math.factorial(N) * X.denominator ** (N - 1))
+        with localcontext() as ctx:
+            ctx.prec = DIGITS
+            return float(_decimal(poly).ln() - _decimal(X) / 2)
+
+    T = truncation_time(wilson_loop(N))
+    assert log_envelope(T) < math.log(1e-12) <= log_envelope(T - 2.0)
