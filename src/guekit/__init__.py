@@ -7,7 +7,6 @@ numerical quadrature, and seeded matrix sampling.
 """
 
 from .exact import (
-    PartitionTerm,
     QuadratureError,
     binomial,
     catalan,
@@ -46,8 +45,6 @@ from .montecarlo import (
     zscore,
 )
 from .observables import (
-    CoefficientLadder,
-    MomentTable,
     density,
     density_eval,
     density_fourier_check,

@@ -14,14 +14,7 @@ import sys
 from .exact import catalan, double_factorial
 from .maps.rosettes import harer_zagier_closed, harer_zagier_from_counts, rosette_count_formula
 from .montecarlo import estimate_wilson, zscore
-from .observables import (
-    density,
-    density_eval,
-    moment_exact,
-    wigner_density,
-    wilson_eval,
-    wilson_loop,
-)
+from .observables import density_eval, moment_exact, wigner_density, wilson_eval, wilson_loop
 from .records import OutputRecord
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -35,19 +28,17 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
-    w = wilson_loop(N)
     params = {
         "N": N, "t_min": t_min, "t_max": t_max, "steps": steps,
-        "coefficients": list(w.coefficients),
+        "coefficients": list(wilson_loop(N)),
     }
-    rows = [[t, wilson_eval(w, t).real] for t in _grid(t_min, t_max, steps)]
+    rows = [[t, wilson_eval(N, t).real] for t in _grid(t_min, t_max, steps)]
     return OutputRecord("wilson", params, ["t", "wilson_loop"], rows)
 
 
 def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRecord:
-    d = density(N)
     rows = [
-        [lam, density_eval(d, lam), wigner_density(lam)]
+        [lam, density_eval(N, lam), wigner_density(lam)]
         for lam in _grid(lam_min, lam_max, steps)
     ]
     params = {"N": N, "lambda_min": lam_min, "lambda_max": lam_max, "steps": steps}
@@ -88,11 +79,10 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
 
 
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
-    w = wilson_loop(N)
     rows = []
     for t in t_list:
         st = estimate_wilson(N, t, samples, seed)
-        exact = wilson_eval(w, t).real
+        exact = wilson_eval(N, t).real
         z = zscore(st, exact) if st.std_error > 0 else 0.0
         rows.append([t, st.mean, st.std_error, exact, z])
     params = {"N": N, "samples": samples, "seed": seed}

@@ -7,7 +7,6 @@ combinatorics) or carries an explicit tolerance (quadrature).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -45,19 +44,9 @@ def catalan(l: int) -> int:
     return binomial(2 * l, l) // (l + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionTerm:
-    """Multiplicity assignment {k_q} with only the nonzero entries stored.
-
-    A term generated for parameters (l, g) satisfies sum_q q*k_q = g and
-    sum_q k_q = l - 2g + 1.
-    """
-
-    multiplicities: tuple[tuple[int, int], ...]  # sorted (q, k_q), k_q > 0
-
-
-def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
-    """All {k_q} with sum q*k_q = g and sum k_q = l - 2g + 1, each once.
+def enumerate_partition_terms(l: int, g: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """All {k_q} with sum q*k_q = g and sum k_q = l - 2g + 1, each once,
+    as the sorted pairs (q, k_q) with k_q > 0.
 
     Enumerates k_q for q = 1..g (q > g is impossible since q*k_q <= g),
     then fixes k_0 = l - 2g + 1 - sum_{q>=1} k_q, dropping assignments
@@ -71,7 +60,8 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
     if budget < 0:
         return
 
-    def assign(q: int, weight_left: int, parts: list[tuple[int, int]]) -> Iterator[PartitionTerm]:
+    def assign(q: int, weight_left: int,
+               parts: list[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
         if q > g or weight_left == 0:
             if weight_left != 0:
                 return
@@ -79,7 +69,7 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
             if k0 < 0:
                 return
             entries = ([(0, k0)] if k0 > 0 else []) + parts
-            yield PartitionTerm(tuple(entries))
+            yield tuple(entries)
             return
         for k in range(weight_left // q + 1):
             yield from assign(q + 1, weight_left - q * k, parts + ([(q, k)] if k else []))
@@ -88,11 +78,11 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[PartitionTerm]:
 
 
 def partition_term_sum(l: int, g: int) -> Fraction:
-    """sum over PartitionTerm(l, g) of prod_q 1 / (k_q! (2q+1)^k_q)."""
+    """sum over the terms {k_q} for (l, g) of prod_q 1 / (k_q! (2q+1)^k_q)."""
     total = Fraction(0)
     for term in enumerate_partition_terms(l, g):
         w = Fraction(1)
-        for q, k in term.multiplicities:
+        for q, k in term:
             w /= math.factorial(k) * (2 * q + 1) ** k
         total += w
     return total
@@ -103,12 +93,14 @@ def partition_term_sum(l: int, g: int) -> Fraction:
 SIMPSON_INITIAL_PANELS = 16
 
 
-def integrate_real(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+def integrate_real(f: Callable[[float], complex], a: float, b: float, tol: float) -> complex:
     """Adaptive composite Simpson integral of f over [a, b].
 
     The interval is first cut into SIMPSON_INITIAL_PANELS equal panels,
     each refined adaptively against its share of the absolute error
     target tol; raises QuadratureError once the panel budget is spent.
+    f may be real or complex valued: the rule is linear and the error
+    test takes the modulus, so a complex f is integrated in one pass.
     """
     if not a < b:
         raise ValueError(f"integrate_real requires a < b, got [{a}, {b}]")
@@ -117,11 +109,11 @@ def integrate_real(f: Callable[[float], float], a: float, b: float, tol: float) 
 
     panels = [SIMPSON_INITIAL_PANELS]  # mutable counter shared by the recursion
 
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
+    def simpson(x0: float, x2: float, f0: complex, f1: complex, f2: complex) -> complex:
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
 
-    def recurse(x0: float, x2: float, f0: float, f1: float, f2: float,
-                whole: float, eps: float) -> float:
+    def recurse(x0: float, x2: float, f0: complex, f1: complex, f2: complex,
+                whole: complex, eps: float) -> complex:
         xm = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)
@@ -151,10 +143,3 @@ def integrate_real(f: Callable[[float], float], a: float, b: float, tol: float) 
         f0, f1, f2 = f(x0), f(xm), f(x2)
         total += recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps)
     return total
-
-
-def integrate_complex(f: Callable[[float], complex], a: float, b: float, tol: float) -> complex:
-    """Componentwise adaptive Simpson for a complex-valued integrand."""
-    re = integrate_real(lambda x: f(x).real, a, b, tol)
-    im = integrate_real(lambda x: f(x).imag, a, b, tol)
-    return complex(re, im)

@@ -34,7 +34,6 @@ class CombinatorialMap:
     vertex_of: tuple[int, ...]
     rotation: tuple[tuple[int, ...], ...]
     partner: tuple[int, ...]
-    root: int | None = None
 
     def __post_init__(self):
         n = len(self.vertex_of)
@@ -51,8 +50,6 @@ class CombinatorialMap:
         for d, p in enumerate(self.partner):
             if p == d or self.partner[p] != d:
                 raise ValueError("partner must be a fixed-point-free involution")
-        if self.root is not None and not 0 <= self.root < n:
-            raise ValueError(f"root dart {self.root} out of range")
 
     @property
     def dart_count(self) -> int:
@@ -61,9 +58,6 @@ class CombinatorialMap:
     @property
     def edge_count(self) -> int:
         return self.dart_count // 2
-
-    def edge_of(self, dart: int) -> int:
-        return dart // 2
 
     def graph(self) -> Multigraph:
         v = len(self.rotation)
@@ -136,7 +130,7 @@ def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-def enumerate_maps(G: Multigraph, root: int | None = None) -> Iterator[CombinatorialMap]:
+def enumerate_maps(G: Multigraph) -> Iterator[CombinatorialMap]:
     """All rotation systems over the (labeled) darts of G, each exactly once.
 
     A vertex of degree d contributes (d-1)! cyclic orders, generated with
@@ -146,11 +140,10 @@ def enumerate_maps(G: Multigraph, root: int | None = None) -> Iterator[Combinato
     for ds in darts:
         if len(ds) > MAP_DEGREE_BUDGET:
             raise ValueError(f"map enumeration supports <= {MAP_DEGREE_BUDGET} darts per vertex")
-    return _rotation_systems(G, darts, root)
+    return _rotation_systems(G, darts)
 
 
-def _rotation_systems(G: Multigraph, darts: list[list[int]],
-                      root: int | None) -> Iterator[CombinatorialMap]:
+def _rotation_systems(G: Multigraph, darts: list[list[int]]) -> Iterator[CombinatorialMap]:
     n = 2 * G.edge_count
     vertex_of = [0] * n
     for v, ds in enumerate(darts):
@@ -162,7 +155,7 @@ def _rotation_systems(G: Multigraph, darts: list[list[int]],
         for ds in darts
     ]
     for rots in product(*choices):
-        yield CombinatorialMap(tuple(vertex_of), rots, tuple(partner), root)
+        yield CombinatorialMap(tuple(vertex_of), rots, tuple(partner))
 
 
 def spanning_trees(G: Multigraph) -> list[frozenset[int]]:
@@ -284,5 +277,5 @@ def best_inverse(c: EulerianCycle, G: Multigraph, root: int
         if a == b or not dsu.union(a, b):
             raise ValueError("last-exit edges do not form a spanning tree")
 
-    M = CombinatorialMap(tuple(vertex_of), rotation, partner, root)
+    M = CombinatorialMap(tuple(vertex_of), rotation, partner)
     return M, tree

@@ -84,11 +84,6 @@ class Multigraph:
                 out.extend([(a, b)] * self.multiplicity[a][b])
         return tuple(out)
 
-    def degree(self, a: int) -> int:
-        """Dart count at a; each self loop contributes 2."""
-        row = self.multiplicity[a]
-        return sum(row) + row[a]
-
     @property
     def is_connected(self) -> bool:
         """Union-find over edges; every vertex must land in one component."""

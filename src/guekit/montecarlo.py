@@ -89,9 +89,11 @@ def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
     return _gue_batch(N, seed, index, index + 1)[0]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # every caller reads one (N, samples, seed) per run
 def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
     """(samples, N) eigenvalue array; LAPACK eigvalsh batched over samples."""
+    if N < 1:
+        raise ValueError(f"GUE sampling requires N >= 1, got {N}")
     batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
     out = np.empty((samples, N))
     for start in range(0, samples, batch):

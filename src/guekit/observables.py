@@ -6,8 +6,9 @@ one family of exact rational coefficients
 
     c_q = binom(N, q+1) / (N^{q+1} q!),   q = 0 .. N-1,
 
-stored exactly.  The float64 evaluators do not sum that ladder, which
-cancels catastrophically once N is in the tens; they run stable three-term
+built exactly by wilson_loop and density where a rational is read.  The
+float64 evaluators take N alone and do not sum that ladder, which cancels
+catastrophically once N is in the tens; they run stable three-term
 recurrences instead:
 
     I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N,  u = t^2/N  (Laguerre),
@@ -19,13 +20,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .exact import binomial, integrate_complex, integrate_real, partition_term_sum
+from .exact import binomial, integrate_real, partition_term_sum
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
 # times the (positive-coefficient) polynomial part drops below this.
@@ -71,62 +71,35 @@ def _laguerre1(n: int, u: complex) -> tuple[complex, float]:
     return cur, log_scale
 
 
-@dataclass(frozen=True)
-class CoefficientLadder:
-    """Exact c_q, q = 0 .. N-1, shared by the Wilson loop and the density.
-
-    I(t, N) = exp(-t^2 / 2N) sum_q c_q (-t^2)^q and
-    rho_N(lambda) = sqrt(N/2pi) e^{-N lambda^2/2} sum_q c_q N^q He_2q(sqrt(N) lambda).
-    """
-
-    matrix_size: int
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.matrix_size < 1:
-            raise ValueError(f"matrix size must be >= 1, got {self.matrix_size}")
-        if len(self.coefficients) != self.matrix_size:
-            raise ValueError("expected exactly N coefficients")
-        if self.coefficients[0] != 1:
-            raise ValueError("leading coefficient must be 1")
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Exact even moments m_2l = <Tr H^{2l}>/N for l = 0 .. l_max."""
-
-    matrix_size: int
-    values: tuple[Fraction, ...]
-
-
-def wilson_loop(N: int) -> CoefficientLadder:
-    """Exact expectation of (1/N) Tr exp(itH) as a CoefficientLadder."""
+def wilson_loop(N: int) -> tuple[Fraction, ...]:
+    """Exact c_q, q = 0 .. N-1, of I(t, N) = exp(-t^2 / 2N) sum_q c_q (-t^2)^q."""
     if N < 1:
         raise ValueError(f"wilson_loop requires N >= 1, got {N}")
-    return CoefficientLadder(N, _coefficient_ladder(N))
+    return _coefficient_ladder(N)
 
 
-def wilson_eval(w: CoefficientLadder, t: complex) -> complex:
+def wilson_eval(N: int, t: complex) -> complex:
     """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, at complex t."""
-    N = w.matrix_size
+    if N < 1:
+        raise ValueError(f"wilson_eval requires N >= 1, got {N}")
     u = complex(t) ** 2 / N
     # a real u runs the same steps in float arithmetic: same bits, less time
     lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
     return cmath.exp(log_scale - u / 2) * lag / N
 
 
-def wilson_taylor_coefficients(w: CoefficientLadder, l_max: int) -> list[Fraction]:
+def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
     """Exact coefficients of (-t^2)^l in I(t, N), l = 0 .. l_max.
 
-    Multiplies the exp(-t^2/2N) series into the stored polynomial in
+    Multiplies the exp(-t^2/2N) series into the exact c_q polynomial in
     rational arithmetic; entry l equals m_2l / (2l)!.
     """
-    N = w.matrix_size
+    coefficients = wilson_loop(N)
     out = []
     for l in range(l_max + 1):
         total = Fraction(0)
         for q in range(min(l, N - 1) + 1):
-            total += w.coefficients[q] / (math.factorial(l - q) * (2 * N) ** (l - q))
+            total += coefficients[q] / (math.factorial(l - q) * (2 * N) ** (l - q))
         out.append(total)
     return out
 
@@ -152,14 +125,16 @@ def wilson_bound(N: int, t: complex) -> float:
     return math.exp(-(t * t).real / (2 * N)) * math.exp(2 * abs(t))
 
 
-def density(N: int) -> CoefficientLadder:
-    """Exact eigenvalue density of the N x N GUE as a Hermite expansion."""
+def density(N: int) -> tuple[Fraction, ...]:
+    """Exact c_q, q = 0 .. N-1, of the N x N GUE density
+    rho_N(lambda) = sqrt(N/2pi) e^{-N lambda^2/2} sum_q c_q N^q He_2q(sqrt(N) lambda).
+    """
     if N < 1:
         raise ValueError(f"density requires N >= 1, got {N}")
-    return CoefficientLadder(N, _coefficient_ladder(N))
+    return _coefficient_ladder(N)
 
 
-def density_eval(d: CoefficientLadder, lam: float) -> float:
+def density_eval(N: int, lam: float) -> float:
     """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
 
     The normalized Hermite functions phi_k = cur * exp(log_scale) run by
@@ -167,7 +142,8 @@ def density_eval(d: CoefficientLadder, lam: float) -> float:
     phi_0 = pi^(-1/4) exp(-y^2/2); the Gaussian factor starts in log_scale,
     so it cannot underflow, and the sum of squares is positive.
     """
-    N = d.matrix_size
+    if N < 1:
+        raise ValueError(f"density_eval requires N >= 1, got {N}")
     y = math.sqrt(N / 2) * lam
     prev, cur, log_scale = 0.0, math.pi**-0.25, -y * y / 2
     total = cur * cur
@@ -205,8 +181,9 @@ def moment_exact(N: int, l: int) -> Fraction:
     return total
 
 
-def moment_table(N: int, l_max: int) -> MomentTable:
-    return MomentTable(N, tuple(moment_exact(N, l) for l in range(l_max + 1)))
+def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
+    """Exact m_2l for l = 0 .. l_max."""
+    return tuple(moment_exact(N, l) for l in range(l_max + 1))
 
 
 def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
@@ -222,13 +199,14 @@ def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
     return [base / 4**g * partition_term_sum(l, g) for g in range(top + 1)]
 
 
-def truncation_time(w: CoefficientLadder) -> float:
+def truncation_time(N: int) -> float:
     """Smallest scanned T with the Gaussian-times-polynomial envelope < 1e-12.
 
     The envelope exp(-T^2/2N) sum_q c_q T^2q = exp(-v/2) L^(1)_{N-1}(-v) / N,
     v = T^2/N, bounds |I| on the reals; all its terms are positive.
     """
-    N = w.matrix_size
+    if N < 1:
+        raise ValueError(f"truncation_time requires N >= 1, got {N}")
     T = max(4.0, math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON)))
     while True:
         v = T * T / N
@@ -243,9 +221,8 @@ def resolvent_laplace(N: int, z: complex) -> complex:
     z = complex(z)
     if z.real <= 0:
         raise ValueError(f"resolvent_laplace requires Re z > 0, got {z}")
-    w = wilson_loop(N)
-    T = truncation_time(w)
-    return integrate_complex(lambda t: cmath.exp(-z * t) * wilson_eval(w, t), 0.0, T, 1e-10)
+    T = truncation_time(N)
+    return integrate_real(lambda t: cmath.exp(-z * t) * wilson_eval(N, t), 0.0, T, 1e-10)
 
 
 @lru_cache(maxsize=16)
@@ -298,9 +275,8 @@ def density_fourier_check(N: int, lam: float) -> float:
     I(t, N) is even in t, so the integral reduces to the cosine transform
     over [0, T] with T from the Gaussian-decay truncation rule.
     """
-    w = wilson_loop(N)
-    T = truncation_time(w)
+    T = truncation_time(N)
     val = integrate_real(
-        lambda t: math.cos(lam * t) * wilson_eval(w, t).real, 0.0, T, 1e-11
+        lambda t: math.cos(lam * t) * wilson_eval(N, t).real, 0.0, T, 1e-11
     )
     return val / math.pi

@@ -30,13 +30,11 @@ from .maps.rosettes import (
 )
 from .montecarlo import estimate_density_histogram
 from .observables import (
-    density,
     density_eval,
     density_fourier_check,
     moment_exact,
     wilson_bound,
     wilson_eval,
-    wilson_loop,
 )
 
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
@@ -176,43 +174,41 @@ FOURIER_POINTS = [
 def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
     failures = []
     for N in range(1, 11):
-        d = density(N)
-        total = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+        total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
         if abs(total - 1.0) > 1e-9:
             failures.append(_failure(
                 "observables", "density", {"N": N}, "normalization 1 +- 1e-9", total))
         for lam in (0.37, 1.21, 2.44):
-            gap = abs(density_eval(d, lam) - density_eval(d, -lam))
+            gap = abs(density_eval(N, lam) - density_eval(N, -lam))
             if gap > 1e-12:
                 failures.append(_failure(
                     "observables", "density_eval", {"N": N, "lambda": lam},
                     "even in lambda", gap))
         for l in range(5):
-            got = integrate_real(lambda x: x ** (2 * l) * density_eval(d, x),
+            got = integrate_real(lambda x: x ** (2 * l) * density_eval(N, x),
                                  -12.0, 12.0, 1e-9)
             want = float(moment_exact(N, l))
             if abs(got - want) > 1e-7:
                 failures.append(_failure(
                     "observables", "density moments", {"N": N, "l": l}, want, got))
-        odd = integrate_real(lambda x: x**3 * density_eval(d, x), -12.0, 12.0, 1e-10)
+        odd = integrate_real(lambda x: x**3 * density_eval(N, x), -12.0, 12.0, 1e-10)
         if abs(odd) > 1e-9:
             failures.append(_failure(
                 "observables", "density moments", {"N": N, "order": 3}, 0.0, odd))
     for N, lam in FOURIER_POINTS:
         via_fourier = density_fourier_check(N, lam)
-        via_hermite = density_eval(density(N), lam)
+        via_hermite = density_eval(N, lam)
         if abs(via_fourier - via_hermite) > 1e-8:
             failures.append(_failure(
                 "observables", "density_fourier_check", {"N": N, "lambda": lam},
                 via_hermite, via_fourier))
     if mc:
         stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
-        d8 = density(8)
         width = 6.0 / bins
         bad = 0
         for j, st in enumerate(stats):
             center = -3.0 + (j + 0.5) * width
-            if st.std_error > 0 and abs(st.mean - density_eval(d8, center)) > 4 * st.std_error:
+            if st.std_error > 0 and abs(st.mean - density_eval(8, center)) > 4 * st.std_error:
                 bad += 1
         if bad > 0.05 * bins:
             failures.append(_failure(
@@ -226,12 +222,11 @@ def suite_bound(seed=DEFAULT_SEED):
     failures = []
     rng = random.Random(seed)
     for N in range(1, 17):
-        w = wilson_loop(N)
         for _ in range(500):
             radius = rng.uniform(0.0, 10.0)
             angle = rng.uniform(0.0, 2 * math.pi)
             t = complex(radius * math.cos(angle), radius * math.sin(angle))
-            value = abs(wilson_eval(w, t))
+            value = abs(wilson_eval(N, t))
             bound = wilson_bound(N, t)
             if value > bound * (1 + 1e-12):
                 failures.append(_failure(

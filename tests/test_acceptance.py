@@ -27,7 +27,6 @@ from guekit.maps.rosettes import (
 from guekit.montecarlo import estimate_density_histogram, estimate_wilson, zscore
 from guekit.observables import (
     DEFAULT_RESOLVENT_NODES,
-    density,
     density_eval,
     density_fourier_check,
     moment_exact,
@@ -37,7 +36,6 @@ from guekit.observables import (
     wilson_bound,
     wilson_eval,
     wilson_limit_partial,
-    wilson_loop,
     wilson_taylor_coefficients,
 )
 
@@ -50,7 +48,7 @@ def _report(n, text):
 
 def test_criterion_01_taylor_coefficients_match_both_oracles():
     for N in range(1, 7):
-        coeffs = wilson_taylor_coefficients(wilson_loop(N), 7)
+        coeffs = wilson_taylor_coefficients(N, 7)
         for l in range(8):
             factor = math.factorial(2 * l)
             assert coeffs[l] == moment_exact(N, l) / factor
@@ -60,37 +58,33 @@ def test_criterion_01_taylor_coefficients_match_both_oracles():
 
 def test_criterion_02_limit_cases():
     for N in [1, 2, 5, 32]:
-        assert wilson_eval(wilson_loop(N), 0.0) == 1.0
-    w1 = wilson_loop(1)
+        assert wilson_eval(N, 0.0) == 1.0
     for k in range(41):
         t = -4.0 + 0.2 * k
-        assert abs(wilson_eval(w1, t) - math.exp(-t * t / 2)) <= 1e-14
-    w_big = wilson_loop(4096)
+        assert abs(wilson_eval(1, t) - math.exp(-t * t / 2)) <= 1e-14
     for k in range(21):
         t = -2.0 + 0.2 * k
-        assert abs(wilson_limit_partial(t, 60) - wilson_eval(w_big, t)) <= 1e-3
+        assert abs(wilson_limit_partial(t, 60) - wilson_eval(4096, t)) <= 1e-3
     _report(2, "I(0,N)=1, I(t,1)=exp(-t^2/2) to 1e-14, limit series matches N=4096")
 
 
 def test_criterion_03_upper_bound():
     rng = random.Random(SEED)
     for N in range(1, 17):
-        w = wilson_loop(N)
         for _ in range(500):
             radius = rng.uniform(0.0, 10.0)
             angle = rng.uniform(0.0, 2 * math.pi)
             t = complex(radius * math.cos(angle), radius * math.sin(angle))
-            assert abs(wilson_eval(w, t)) <= wilson_bound(N, t) * (1 + 1e-12)
+            assert abs(wilson_eval(N, t)) <= wilson_bound(N, t) * (1 + 1e-12)
     _report(3, "|I(t,N)| <= exp(-Re t^2/2N) exp(2|t|), 500 random t per N<=16")
 
 
 def test_criterion_04_spectral_density():
     for N in range(1, 11):
-        d = density(N)
-        total = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+        total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
         assert abs(total - 1.0) <= 1e-9
         for l in range(1, 5):
-            got = integrate_real(lambda x: x ** (2 * l) * density_eval(d, x),
+            got = integrate_real(lambda x: x ** (2 * l) * density_eval(N, x),
                                  -12.0, 12.0, 1e-9)
             assert abs(got - float(moment_exact(N, l))) <= 1e-7
     from guekit.verify import FOURIER_POINTS
@@ -98,7 +92,7 @@ def test_criterion_04_spectral_density():
     assert len(FOURIER_POINTS) == 20
     for N, lam in FOURIER_POINTS:
         assert abs(density_fourier_check(N, lam)
-                   - density_eval(density(N), lam)) <= 1e-8
+                   - density_eval(N, lam)) <= 1e-8
     _report(4, "rho_N normalized to 1e-9, moments to 1e-7 (N<=10), Fourier route to 1e-8")
 
 
@@ -190,10 +184,9 @@ def test_criterion_11_monte_carlo_validation():
     outliers = 0
     points = 0
     for N in (2, 8, 32):
-        w = wilson_loop(N)
         for t in grid:
             st = estimate_wilson(N, t, 10000, SEED)
-            z = zscore(st, wilson_eval(w, t).real)
+            z = zscore(st, wilson_eval(N, t).real)
             points += 1
             if abs(z) > 4:
                 outliers += 1
@@ -201,12 +194,11 @@ def test_criterion_11_monte_carlo_validation():
 
     bins = 40
     stats = estimate_density_histogram(8, 10000, bins, (-3.0, 3.0), SEED)
-    d8 = density(8)
     width = 6.0 / bins
     bad = 0
     for j, st in enumerate(stats):
         center = -3.0 + (j + 0.5) * width
-        if st.std_error > 0 and abs(st.mean - density_eval(d8, center)) > 4 * st.std_error:
+        if st.std_error > 0 and abs(st.mean - density_eval(8, center)) > 4 * st.std_error:
             bad += 1
     assert bad <= 0.05 * bins
     _report(11, "Wilson z-scores within +-4 at >=95% of grid; histogram bins within 4 se")

@@ -206,7 +206,7 @@ def test_main_wilson_prints_coefficients_past_the_int_digit_limit(capsys):
         rec = OutputRecord.from_csv(out)
     finally:
         sys.set_int_max_str_digits(default)
-    assert rec.parameters["coefficients"] == list(wilson_loop(820).coefficients)
+    assert rec.parameters["coefficients"] == list(wilson_loop(820))
     assert [row[0] for row in rec.rows] == [0.0, 4.0]
 
 
@@ -288,6 +288,13 @@ def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
         assert code == 0 and "PASS all" in out
         assert budgets == expected
     assert main(["verify", "--suite", "all", "--l-max", "8"]) == 2
+
+
+@pytest.mark.parametrize("N", ["0", "-1"])
+@pytest.mark.parametrize("command", ["wilson", "density", "moments", "harer-zagier", "sample"])
+def test_main_rejects_matrix_size_below_one(capsys, command, N):
+    assert main([command, "--N", N]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_main_verify_unknown_suite_is_usage_error():

@@ -81,11 +81,11 @@ def test_catalan_values():
 
 
 def test_partition_terms_examples():
-    assert [t.multiplicities for t in enumerate_partition_terms(1, 0)] == [((0, 2),)]
-    assert [t.multiplicities for t in enumerate_partition_terms(2, 1)] == [((1, 1),)]
+    assert list(enumerate_partition_terms(1, 0)) == [((0, 2),)]
+    assert list(enumerate_partition_terms(2, 1)) == [((1, 1),)]
     # l=4, g=2: brute-force filter leaves only {k_2 = 1}
     assert brute_force_partition_terms(4, 2) == {((2, 1),)}
-    assert [t.multiplicities for t in enumerate_partition_terms(4, 2)] == [((2, 1),)]
+    assert list(enumerate_partition_terms(4, 2)) == [((2, 1),)]
 
 
 def test_partition_terms_empty_when_overshooting():
@@ -99,11 +99,11 @@ def test_partition_terms_match_brute_force_and_constraints():
             terms = list(enumerate_partition_terms(l, g))
             seen = set()
             for t in terms:
-                assert sum(q * k for q, k in t.multiplicities) == g
-                assert sum(k for _, k in t.multiplicities) == l - 2 * g + 1
-                assert all(k > 0 for _, k in t.multiplicities)
-                assert t.multiplicities not in seen
-                seen.add(t.multiplicities)
+                assert sum(q * k for q, k in t) == g
+                assert sum(k for _, k in t) == l - 2 * g + 1
+                assert all(k > 0 for _, k in t)
+                assert t not in seen
+                seen.add(t)
             assert seen == brute_force_partition_terms(l, g)
 
 

@@ -16,12 +16,10 @@ import pytest
 
 from guekit.exact import integrate_real
 from guekit.observables import (
-    density,
     density_eval,
     resolvent_laplace,
     truncation_time,
     wilson_eval,
-    wilson_loop,
 )
 
 DIGITS = 50
@@ -102,9 +100,8 @@ def test_oracle_small_cases():
     (1000, [1.77, 40.0, 80.0]),
 ])
 def test_wilson_matches_oracle_at_large_n(N, ts):
-    w = wilson_loop(N)
     for t in ts:
-        assert abs(wilson_eval(w, t).real - wilson_oracle(N, t)) <= 1e-11, t
+        assert abs(wilson_eval(N, t).real - wilson_oracle(N, t)) <= 1e-11, t
 
 
 @pytest.mark.parametrize("N, lams", [
@@ -114,9 +111,8 @@ def test_wilson_matches_oracle_at_large_n(N, ts):
     (1000, [-2.6, 0.0, 1.3, 2.5, 3.0]),
 ])
 def test_density_matches_oracle_at_large_n(N, lams):
-    d = density(N)
     for lam in lams:
-        got, want = density_eval(d, lam), density_oracle(N, lam)
+        got, want = density_eval(N, lam), density_oracle(N, lam)
         if want >= sys.float_info.min:
             assert got > 0, lam
             assert abs(got - want) <= 1e-12 * want, lam
@@ -125,18 +121,16 @@ def test_density_matches_oracle_at_large_n(N, lams):
 
 
 def test_golden_grids_are_no_less_accurate_than_the_ladders():
-    w, d = wilson_loop(8), density(8)
     ts = [i * 4 / 80 for i in range(81)]
     lams = [-3 + i * 6 / 240 for i in range(241)]
-    wilson = [_ulps(wilson_eval(w, t).real, wilson_oracle(8, t)) for t in ts]
-    rho = [_ulps(density_eval(d, lam), density_oracle(8, lam)) for lam in lams]
+    wilson = [_ulps(wilson_eval(8, t).real, wilson_oracle(8, t)) for t in ts]
+    rho = [_ulps(density_eval(8, lam), density_oracle(8, lam)) for lam in lams]
     assert sum(wilson) / len(wilson) <= LADDER_MEAN_ULPS["wilson"]
     assert sum(rho) / len(rho) <= LADDER_MEAN_ULPS["density"]
 
 
 def test_density_normalization_at_n120():
-    d = density(120)
-    total = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+    total = integrate_real(lambda x: density_eval(120, x), -12.0, 12.0, 1e-10)
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -159,5 +153,5 @@ def test_truncation_time_is_the_first_scanned_t_below_the_envelope(N):
             ctx.prec = DIGITS
             return float(_decimal(poly).ln() - _decimal(X) / 2)
 
-    T = truncation_time(wilson_loop(N))
+    T = truncation_time(N)
     assert log_envelope(T) < math.log(1e-12) <= log_envelope(T - 2.0)

@@ -12,7 +12,7 @@ from guekit.montecarlo import (
     sample_gue,
     zscore,
 )
-from guekit.observables import density, density_eval, wilson_eval, wilson_loop
+from guekit.observables import density_eval, wilson_eval
 
 
 def reference_gue(N, seed, index):
@@ -74,6 +74,11 @@ def test_sample_is_exactly_hermitian():
 def test_sample_rejects_empty_matrix():
     with pytest.raises(ValueError):
         sample_gue(0, seed=1)
+    for N in (0, -1):
+        with pytest.raises(ValueError):
+            estimate_wilson(N, 1.0, samples=200, seed=1)
+        with pytest.raises(ValueError):
+            estimate_density_histogram(N, 200, 10, (-3.0, 3.0), seed=1)
 
 
 def test_sampling_is_reproducible_and_index_dependent():
@@ -126,15 +131,20 @@ def test_estimate_wilson_against_scalar_gaussian():
 
 
 def test_estimate_wilson_against_exact_formula():
-    w = wilson_loop(8)
     st = estimate_wilson(8, 1.5, samples=10000, seed=31)
-    assert abs(st.mean - wilson_eval(w, 1.5).real) <= 4 * st.std_error
+    assert abs(st.mean - wilson_eval(8, 1.5).real) <= 4 * st.std_error
 
 
 def test_estimate_wilson_reproducible():
     a = estimate_wilson(4, 0.8, samples=500, seed=77)
     b = estimate_wilson(4, 0.8, samples=500, seed=77)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+
+def test_eigenvalue_cache_holds_one_run():
+    estimate_wilson(4, 1.0, samples=200, seed=5)
+    estimate_wilson(4, 1.0, samples=200, seed=6)
+    assert _eigenvalue_samples.cache_info().currsize == 1
 
 
 def test_estimate_wilson_validates_sample_count():
@@ -145,11 +155,10 @@ def test_estimate_wilson_validates_sample_count():
 def test_histogram_matches_gaussian_density():
     stats = estimate_density_histogram(1, samples=10000, bins=20,
                                        lam_range=(-3.0, 3.0), seed=5)
-    d = density(1)
     centers = [-3.0 + (j + 0.5) * 0.3 for j in range(20)]
     bad = 0
     for st, x in zip(stats, centers):
-        ref = density_eval(d, x)
+        ref = density_eval(1, x)
         if st.std_error > 0 and abs(st.mean - ref) > 4 * st.std_error:
             bad += 1
     assert bad <= 1

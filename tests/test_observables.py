@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from guekit.exact import integrate_real
+from guekit.exact import SIMPSON_INITIAL_PANELS, integrate_real
 from guekit.observables import (
     density,
     density_eval,
@@ -28,15 +28,14 @@ from guekit.observables import (
 # ---------------------------------------------------------------- Wilson loop
 
 def test_wilson_coefficients_small_n():
-    assert wilson_loop(1).coefficients == (Fraction(1),)
-    assert wilson_loop(2).coefficients == (Fraction(1), Fraction(1, 4))
-    assert wilson_loop(3).coefficients == (Fraction(1), Fraction(1, 3), Fraction(1, 54))
+    assert wilson_loop(1) == (Fraction(1),)
+    assert wilson_loop(2) == (Fraction(1), Fraction(1, 4))
+    assert wilson_loop(3) == (Fraction(1), Fraction(1, 3), Fraction(1, 54))
 
 
 def test_wilson_coefficients_match_direct_formula():
     for N in range(1, 20):
-        w = wilson_loop(N)
-        for q, c in enumerate(w.coefficients):
+        for q, c in enumerate(wilson_loop(N)):
             assert c == Fraction(math.comb(N, q + 1), N ** (q + 1) * math.factorial(q))
             assert c > 0
 
@@ -44,30 +43,35 @@ def test_wilson_coefficients_match_direct_formula():
 def test_wilson_rejects_size_zero():
     with pytest.raises(ValueError):
         wilson_loop(0)
+    with pytest.raises(ValueError):
+        wilson_eval(0, 1.0)
+    with pytest.raises(ValueError):
+        wilson_taylor_coefficients(0, 3)
+    with pytest.raises(ValueError):
+        truncation_time(0)
 
 
 def test_coefficient_positivity_up_to_64():
     for N in (32, 64):
-        assert all(c > 0 for c in wilson_loop(N).coefficients)
-        assert all(d > 0 for d in density(N).coefficients)
+        assert all(c > 0 for c in wilson_loop(N))
+        assert all(d > 0 for d in density(N))
 
 
 def test_wilson_eval_limit_cases():
-    assert wilson_eval(wilson_loop(5), 0.0) == 1.0
-    assert wilson_eval(wilson_loop(1), 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert wilson_eval(5, 0.0) == 1.0
+    assert wilson_eval(1, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
     # N=2: exp(-t^2/4)(1 - t^2/4) has a root at t=2
-    assert abs(wilson_eval(wilson_loop(2), 2.0)) < 1e-15
+    assert abs(wilson_eval(2, 2.0)) < 1e-15
     ts = [0.3, 1.1, 2.7]
     for t in ts:
-        assert wilson_eval(wilson_loop(1), t).real == pytest.approx(
+        assert wilson_eval(1, t).real == pytest.approx(
             math.exp(-t * t / 2), rel=1e-14
         )
 
 
 def test_wilson_taylor_matches_moments():
     for N in range(1, 9):
-        w = wilson_loop(N)
-        coeffs = wilson_taylor_coefficients(w, 8)
+        coeffs = wilson_taylor_coefficients(N, 8)
         for l, c in enumerate(coeffs):
             assert c == moment_exact(N, l) / math.factorial(2 * l)
 
@@ -86,10 +90,9 @@ def test_wilson_limit_partial_is_bessel():
 
 
 def test_wilson_limit_partial_approaches_large_n():
-    w = wilson_loop(512)
     for t in [0.5, 1.0, 2.0]:
         got = wilson_limit_partial(t, 80)
-        ref = wilson_eval(w, t)
+        ref = wilson_eval(512, t)
         assert abs(got - ref) < 1e-2
 
 
@@ -102,7 +105,7 @@ def test_wilson_bound_values_and_property():
         t = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
         if abs(t) > 10:
             t *= 10 / abs(t)
-        assert abs(wilson_eval(wilson_loop(N), t)) <= wilson_bound(N, t) * (1 + 1e-12)
+        assert abs(wilson_eval(N, t)) <= wilson_bound(N, t) * (1 + 1e-12)
 
 
 # -------------------------------------------------------------------- density
@@ -126,10 +129,9 @@ def test_density_hermite_reduction_symbolically():
 
 
 def test_density_n1_is_standard_gaussian():
-    d = density(1)
-    assert density_eval(d, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-15)
+    assert density_eval(1, 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), rel=1e-15)
     for lam in [-2.0, -0.5, 0.7, 1.9]:
-        assert density_eval(d, lam) == pytest.approx(
+        assert density_eval(1, lam) == pytest.approx(
             math.exp(-lam * lam / 2) / math.sqrt(2 * math.pi), rel=1e-14
         )
 
@@ -137,40 +139,38 @@ def test_density_n1_is_standard_gaussian():
 def test_density_rejects_size_zero():
     with pytest.raises(ValueError):
         density(0)
+    for N in (0, -1):
+        with pytest.raises(ValueError):
+            density_eval(N, 0.5)
 
 
 def test_density_symmetry():
     for N in [2, 3, 7]:
-        d = density(N)
         for lam in [0.1, 0.9, 1.7, 2.6]:
-            assert abs(density_eval(d, lam) - density_eval(d, -lam)) <= 1e-12
+            assert abs(density_eval(N, lam) - density_eval(N, -lam)) <= 1e-12
 
 
 def test_density_normalization_n2():
-    d = density(2)
-    val = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+    val = integrate_real(lambda x: density_eval(2, x), -12.0, 12.0, 1e-10)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
 def test_density_tail_is_tiny_but_nonnegative():
-    d = density(3)
-    v = density_eval(d, 5.0)
+    v = density_eval(3, 5.0)
     assert 0 < v < 1e-6
 
 
 def test_density_never_dips_below_float_noise():
     # a sum of squared Hermite functions: positive by construction
     for N in (1, 4, 9, 16):
-        d = density(N)
         for k in range(161):
             lam = -4.0 + 0.05 * k
-            assert density_eval(d, lam) > 0
+            assert density_eval(N, lam) > 0
 
 
 def test_density_normalization_extends_to_16():
     for N in (12, 16):
-        d = density(N)
-        val = integrate_real(lambda x: density_eval(d, x), -12.0, 12.0, 1e-10)
+        val = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
         assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -200,14 +200,13 @@ def test_moment_catalan_limit():
 
 def test_moment_table():
     t = moment_table(3, 4)
-    assert t.matrix_size == 3
-    assert t.values[0] == 1
-    assert all(v > 0 for v in t.values)
-    assert t.values == tuple(moment_exact(3, l) for l in range(5))
+    assert t[0] == 1
+    assert all(v > 0 for v in t)
+    assert t == tuple(moment_exact(3, l) for l in range(5))
     scalar = moment_table(1, 5)
     from guekit.exact import double_factorial
 
-    assert scalar.values == tuple(double_factorial(2 * l - 1) for l in range(6))
+    assert scalar == tuple(double_factorial(2 * l - 1) for l in range(6))
 
 
 def test_moment_genus_expansion_examples():
@@ -244,6 +243,20 @@ def test_resolvent_routes_agree():
     assert abs(resolvent_quadrature(40, 1.5) - resolvent_laplace(40, 1.5)) < 1e-6
 
 
+def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
+    # one complex pass, not one per component: only the endpoints shared by
+    # neighbouring initial panels are evaluated twice
+    nodes = []
+
+    def counted(N, t):
+        nodes.append(t)
+        return wilson_eval(N, t)
+
+    monkeypatch.setattr("guekit.observables.wilson_eval", counted)
+    resolvent_laplace(8, 1 + 2j)
+    assert len(nodes) <= len(set(nodes)) + SIMPSON_INITIAL_PANELS - 1
+
+
 def test_resolvent_large_z_leading_term():
     val = resolvent_quadrature(2, 50.0)
     assert abs(50.0 * val - 1.0) < 1e-2
@@ -272,9 +285,8 @@ def test_resolvent_quadrature_domain_checks():
 
 def test_truncation_time_bounds_envelope():
     for N in [1, 4, 8]:
-        w = wilson_loop(N)
-        T = truncation_time(w)
-        total = sum(float(c) * T ** (2 * q) for q, c in enumerate(w.coefficients))
+        T = truncation_time(N)
+        total = sum(float(c) * T ** (2 * q) for q, c in enumerate(wilson_loop(N)))
         assert math.exp(-T * T / (2 * N)) * total < 1e-12
 
 
@@ -286,8 +298,8 @@ def test_density_fourier_check_gaussian_case():
 
 def test_density_fourier_matches_hermite_route():
     assert density_fourier_check(4, 1.0) == pytest.approx(
-        density_eval(density(4), 1.0), abs=1e-8
+        density_eval(4, 1.0), abs=1e-8
     )
     assert density_fourier_check(2, -1.3) == pytest.approx(
-        density_eval(density(2), -1.3), abs=1e-8
+        density_eval(2, -1.3), abs=1e-8
     )
