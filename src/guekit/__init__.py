@@ -31,6 +31,7 @@ from .maps import (
     eulerian_count_rooted,
     harer_zagier_closed,
     harer_zagier_from_counts,
+    harer_zagier_recursion,
     moment_wick,
     rosette_census,
     rosette_count_formula,

@@ -48,9 +48,11 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[tuple[tuple[int, int],
     """All {k_q} with sum q*k_q = g and sum k_q = l - 2g + 1, each once,
     as the sorted pairs (q, k_q) with k_q > 0.
 
-    Enumerates k_q for q = 1..g (q > g is impossible since q*k_q <= g),
-    then fixes k_0 = l - 2g + 1 - sum_{q>=1} k_q, dropping assignments
-    that would force k_0 < 0.
+    Brute-force oracle for partition_term_sum, kept for tests and the
+    benchmark tracer; no command path calls it.  Enumerates k_q for
+    q = 1..g (q > g is impossible since q*k_q <= g), then fixes
+    k_0 = l - 2g + 1 - sum_{q>=1} k_q, dropping assignments that would
+    force k_0 < 0.
     """
     if l < 1:
         raise ValueError(f"enumerate_partition_terms requires l >= 1, got {l}")
@@ -78,14 +80,33 @@ def enumerate_partition_terms(l: int, g: int) -> Iterator[tuple[tuple[int, int],
 
 
 def partition_term_sum(l: int, g: int) -> Fraction:
-    """sum over the terms {k_q} for (l, g) of prod_q 1 / (k_q! (2q+1)^k_q)."""
-    total = Fraction(0)
-    for term in enumerate_partition_terms(l, g):
-        w = Fraction(1)
-        for q, k in term:
-            w /= math.factorial(k) * (2 * q + 1) ** k
-        total += w
-    return total
+    """[x^g] S(x)^n / n!, where S(x) = sum_{q>=0} x^q / (2q+1) and n = l - 2g + 1.
+
+    By the exponential formula this is the sum over the terms {k_q} of
+    enumerate_partition_terms(l, g) of prod_q 1 / (k_q! (2q+1)^k_q); it is
+    0 when n < 0.  S^n comes from J.C.P. Miller's power recurrence
+    p_0 = 1, p_k = (1/k) sum_{j=1..k} ((n+1) j - k) s_j p_{k-j}, run on the
+    integers r_k = p_k k! M^k with M = lcm(1, 3, .., 2g+1): O(g^2) integer
+    steps and one reduction at the end.
+    """
+    if l < 1:
+        raise ValueError(f"partition_term_sum requires l >= 1, got {l}")
+    if g < 0:
+        raise ValueError(f"partition_term_sum requires g >= 0, got {g}")
+    n = l - 2 * g + 1
+    if n < 0:
+        return Fraction(0)
+    M = math.lcm(*range(1, 2 * g + 2, 2))
+    Ms = [M // (2 * j + 1) for j in range(g + 1)]  # M s_j
+    r = [1]
+    for k in range(1, g + 1):
+        total = 0
+        scale = 1  # M^(j-1) (k-1)! / (k-j)!
+        for j in range(1, k + 1):
+            total += ((n + 1) * j - k) * Ms[j] * scale * r[k - j]
+            scale *= M * (k - j)
+        r.append(total)
+    return Fraction(r[g], math.factorial(g) * M**g * math.factorial(n))
 
 
 # Fixed first-stage split; guards against false convergence when the three
@@ -136,10 +157,11 @@ def integrate_real(f: Callable[[float], complex], a: float, b: float, tol: float
     total = 0.0
     step = (b - a) / SIMPSON_INITIAL_PANELS
     eps = tol / SIMPSON_INITIAL_PANELS
-    for k in range(SIMPSON_INITIAL_PANELS):
-        x0 = a + k * step
-        x2 = a + (k + 1) * step if k + 1 < SIMPSON_INITIAL_PANELS else b
+    x0, f0 = a, f(a)
+    for k in range(1, SIMPSON_INITIAL_PANELS + 1):
+        x2 = a + k * step if k < SIMPSON_INITIAL_PANELS else b
         xm = 0.5 * (x0 + x2)
-        f0, f1, f2 = f(x0), f(xm), f(x2)
+        f1, f2 = f(xm), f(x2)
         total += recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps)
+        x0, f0 = x2, f2  # the right end of panel k is the left end of panel k+1
     return total

@@ -109,12 +109,38 @@ def rosette_census(l: int) -> RosetteCensus:
 
 
 def rosette_count_formula(l: int, g: int) -> int:
-    """Closed-form C_g(l) = (2l)!/(l! 4^g) * sum over multiplicity terms."""
+    """Closed-form C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n!, n = l - 2g + 1.
+
+    S(x) = sum_q x^q/(2q+1); the coefficient is partition_term_sum(l, g).
+    """
     if l < 1 or g < 0:
         raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {g})")
     value = Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
     assert value.denominator == 1, f"C_g(l) must be an integer, got {value}"
     return int(value)
+
+
+def harer_zagier_recursion(l_max: int) -> list[list[int]]:
+    """counts[l][g] = C_g(l) for 0 <= l <= l_max, 0 <= g <= l // 2.
+
+    Integer Harer-Zagier recursion, independent of the closed form:
+    (l+1) C_g(l) = 2(2l-1) C_g(l-1) + (l-1)(2l-1)(2l-3) C_{g-1}(l-2),
+    with C_0(0) = 1 and C_g(l) = 0 for g > l // 2.
+    """
+    if l_max < 0:
+        raise ValueError(f"harer_zagier_recursion requires l_max >= 0, got {l_max}")
+    counts = [[1]]
+    for l in range(1, l_max + 1):
+        row = []
+        for g in range(l // 2 + 1):
+            same = counts[l - 1][g] if 2 * g <= l - 1 else 0
+            lower = counts[l - 2][g - 1] if g >= 1 else 0
+            total = 2 * (2 * l - 1) * same + (l - 1) * (2 * l - 1) * (2 * l - 3) * lower
+            count, rest = divmod(total, l + 1)
+            assert rest == 0, f"Harer-Zagier recursion left a remainder at l={l}, g={g}"
+            row.append(count)
+        counts.append(row)
+    return counts
 
 
 def harer_zagier_from_counts(N: int, p: int) -> Fraction:

@@ -189,8 +189,9 @@ def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
 def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
     """Coefficients of N^{-2g} in m_2l, g = 0 .. min(g_max, floor(l/2)).
 
-    Entry g is (2l)!/l! 2^{-2g} * sum over multiplicity assignments of
-    prod_q 1/(k_q! (2q+1)^k_q); all entries are non-negative rationals.
+    Entry g is (2l)!/l! 2^{-2g} * [x^g] S(x)^n / n! with
+    S(x) = sum_q x^q/(2q+1) and n = l - 2g + 1 (partition_term_sum); all
+    entries are non-negative rationals.
     """
     if l < 1:
         raise ValueError(f"moment_genus_expansion requires l >= 1, got {l}")

@@ -24,6 +24,7 @@ from .maps.multigraph import (
 from .maps.rosettes import (
     harer_zagier_closed,
     harer_zagier_from_counts,
+    harer_zagier_recursion,
     moment_wick,
     rosette_census,
     rosette_count_formula,
@@ -44,6 +45,8 @@ DEFAULT_SEED = 20240901
 WICK_L_MAX = 7
 INITIAL_L_MAX = 4
 HZ_P_MAX = 7
+# C_g(l) from the closed form against the Harer-Zagier recursion, l <= this
+HZ_RECURSION_L_MAX = 20
 
 
 def _failure(module, operation, inputs, expected, actual):
@@ -132,6 +135,7 @@ def suite_initial(l_max=None):
 
 
 def suite_hz(p_max=None):
+    l_top = HZ_RECURSION_L_MAX if p_max is None else min(p_max, HZ_RECURSION_L_MAX)
     p_max = _cap(p_max, HZ_P_MAX, "--l-max")
     failures = []
     for N in range(1, 6):
@@ -159,6 +163,14 @@ def suite_hz(p_max=None):
             failures.append(_failure(
                 "map_combinatorics", "rosette_count_formula",
                 {"l": l, "g": 0}, catalan(l), rosette_count_formula(l, 0)))
+    recursion = harer_zagier_recursion(l_top)
+    for l in range(1, l_top + 1):
+        for g, count in enumerate(recursion[l]):
+            formula = rosette_count_formula(l, g)
+            if formula != count:
+                failures.append(_failure(
+                    "map_combinatorics", "rosette_count_formula",
+                    {"l": l, "g": g}, count, formula))
     return failures
 
 

@@ -113,6 +113,26 @@ def test_partition_term_sum_small():
     assert partition_term_sum(2, 1) == Fraction(1, 3)
 
 
+def test_partition_term_sum_equals_enumerated_sum():
+    # the series coefficient against the sum over the enumerated terms,
+    # up to g = l//2 + 1 so that the empty cases (n = 0 and n < 0) are included
+    for l in range(1, 25):
+        for g in range(l // 2 + 2):
+            enumerated = sum(
+                (Fraction(1, math.prod(math.factorial(k) * (2 * q + 1) ** k for q, k in term))
+                 for term in enumerate_partition_terms(l, g)),
+                start=Fraction(0),
+            )
+            assert partition_term_sum(l, g) == enumerated, (l, g)
+
+
+def test_partition_term_sum_validates_arguments():
+    with pytest.raises(ValueError):
+        partition_term_sum(0, 0)
+    with pytest.raises(ValueError):
+        partition_term_sum(3, -1)
+
+
 def test_integrate_constant_and_parabola():
     assert integrate_real(lambda x: 1.0, 0.0, 1.0, 1e-10) == pytest.approx(1.0, abs=1e-12)
     assert integrate_real(lambda x: x * x, -1.0, 1.0, 1e-10) == pytest.approx(2 / 3, abs=1e-10)

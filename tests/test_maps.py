@@ -17,6 +17,7 @@ from guekit.maps import (
     eulerian_count_rooted,
     eulerian_cycles_rooted,
     harer_zagier_closed,
+    harer_zagier_recursion,
     moment_wick,
     rosette_census,
     rosette_count_formula,
@@ -82,6 +83,34 @@ def test_rosette_formula_matches_census():
             assert rosette_count_formula(l, g) == count
     assert rosette_count_formula(2, 1) == 1
     assert rosette_count_formula(6, 2) == rosette_census(6).counts[2]
+
+
+def test_harer_zagier_recursion_matches_census():
+    counts = harer_zagier_recursion(7)
+    assert counts[0] == [1]
+    for l in range(1, 8):
+        assert counts[l] == list(rosette_census(l).counts)
+
+
+def test_rosette_formula_matches_harer_zagier_recursion():
+    counts = harer_zagier_recursion(60)
+    for l in range(1, 61):
+        assert [rosette_count_formula(l, g) for g in range(l // 2 + 1)] == counts[l], l
+
+
+def test_suite_hz_catches_a_wrong_count_beyond_the_census(monkeypatch):
+    import guekit.verify as verify
+
+    def off_by_one(l, g):
+        return rosette_count_formula(l, g) + ((l, g) == (15, 3))
+
+    monkeypatch.setattr(verify, "rosette_count_formula", off_by_one)
+    failures = verify.suite_hz()
+    assert [(f["operation"], f["inputs"]) for f in failures] == [
+        ("rosette_count_formula", {"l": 15, "g": 3})]
+    assert failures[0]["expected"] == str(rosette_count_formula(15, 3))
+    # --l-max lowers the recursion budget with the others
+    assert verify.suite_hz(4) == []
 
 
 def test_rosette_formula_catalan_and_total():

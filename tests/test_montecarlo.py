@@ -137,6 +137,7 @@ def test_estimate_wilson_against_exact_formula():
 
 def test_estimate_wilson_reproducible():
     a = estimate_wilson(4, 0.8, samples=500, seed=77)
+    _eigenvalue_samples.cache_clear()  # the second call must sample again
     b = estimate_wilson(4, 0.8, samples=500, seed=77)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 

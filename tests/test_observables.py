@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from guekit.exact import SIMPSON_INITIAL_PANELS, integrate_real
+from guekit.exact import integrate_real
 from guekit.observables import (
     density,
     density_eval,
@@ -244,8 +244,8 @@ def test_resolvent_routes_agree():
 
 
 def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
-    # one complex pass, not one per component: only the endpoints shared by
-    # neighbouring initial panels are evaluated twice
+    # one complex pass, not one per component, and the endpoints shared by
+    # neighbouring initial panels are evaluated once
     nodes = []
 
     def counted(N, t):
@@ -254,7 +254,7 @@ def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
 
     monkeypatch.setattr("guekit.observables.wilson_eval", counted)
     resolvent_laplace(8, 1 + 2j)
-    assert len(nodes) <= len(set(nodes)) + SIMPSON_INITIAL_PANELS - 1
+    assert len(nodes) == len(set(nodes))
 
 
 def test_resolvent_large_z_leading_term():
