@@ -38,13 +38,6 @@ from .maps import (
     rosette_genus,
     verify_initial_identity,
 )
-from .montecarlo import (
-    SampleStats,
-    estimate_density_histogram,
-    estimate_wilson,
-    sample_gue,
-    zscore,
-)
 from .observables import (
     density,
     density_eval,
@@ -64,3 +57,15 @@ from .observables import (
 from .records import OutputRecord
 
 __version__ = "0.1.0"
+
+# The sampler is the only module that needs numpy; its names load it on
+# first use (PEP 562), so the exact observables start without it.
+_MONTECARLO = frozenset(
+    {"SampleStats", "estimate_density_histogram", "estimate_wilson", "sample_gue", "zscore"})
+
+
+def __getattr__(name):
+    if name in _MONTECARLO:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .exact import catalan, double_factorial
 from .maps.rosettes import harer_zagier_closed, harer_zagier_from_counts, rosette_count_formula
-from .montecarlo import estimate_wilson, zscore
 from .observables import density_eval, moment_exact, wigner_density, wilson_eval, wilson_loop
 from .records import OutputRecord
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -22,6 +22,8 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not math.isfinite(hi - lo):  # nan or inf at either end, or a span past float range
+        raise ValueError(f"grid ends and their difference must be finite, got {lo} and {hi}")
     if steps == 1:
         return [lo]
     return [lo + i * (hi - lo) / (steps - 1) for i in range(steps)]
@@ -79,6 +81,11 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
 
 
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
+    from .montecarlo import estimate_wilson, zscore  # loads numpy
+
+    for t in t_list:
+        if not math.isfinite(t):
+            raise ValueError(f"--t must be finite, got {t}")
     rows = []
     for t in t_list:
         st = estimate_wilson(N, t, samples, seed)
@@ -191,8 +198,12 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)  # the exact c_q pass 4300 digits from N = 801
     text = record.render(args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -23,8 +23,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .exact import binomial, integrate_real, partition_term_sum
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
@@ -49,6 +47,9 @@ def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
 
 
 # Recurrences rescale by this power of two (exact in binary) before they overflow.
+# It also bounds their real argument (u or y^2): up to it, one step grows the
+# state by less than one rescale undoes; beyond it, I and rho_N (at most about
+# exp(-u/2) (1+u)^N and exp(-y^2) (2y^2)^N) are below every float for N < 1e117.
 _RESCALE = 2.0**400
 _LOG_RESCALE = 400 * math.log(2)
 
@@ -82,7 +83,13 @@ def wilson_eval(N: int, t: complex) -> complex:
     """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, at complex t."""
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
-    u = complex(t) ** 2 / N
+    t = complex(t)
+    if t.imag:
+        u = t**2 / N
+    else:  # the bits of complex(t)**2 / N, but overflow gives inf, not OverflowError
+        u = t.real * t.real / N
+        if u > _RESCALE:
+            return 0j  # below the float range
     # a real u runs the same steps in float arithmetic: same bits, less time
     lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
     return cmath.exp(log_scale - u / 2) * lag / N
@@ -145,6 +152,8 @@ def density_eval(N: int, lam: float) -> float:
     if N < 1:
         raise ValueError(f"density_eval requires N >= 1, got {N}")
     y = math.sqrt(N / 2) * lam
+    if y * y > _RESCALE:
+        return 0.0  # below the float range
     prev, cur, log_scale = 0.0, math.pi**-0.25, -y * y / 2
     total = cur * cur
     for k in range(1, N):
@@ -233,6 +242,8 @@ def _gauss_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     Eigendecomposition of the Jacobi matrix stays stable for node counts
     where the classical weight formula (numpy's hermgauss) overflows.
     """
+    import numpy as np
+
     off = np.sqrt(np.arange(1, n) / 2.0)
     jacobi = np.diag(off, 1) + np.diag(off, -1)
     vals, vecs = np.linalg.eigh(jacobi)
@@ -259,6 +270,8 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
         raise ValueError(f"resolvent_quadrature requires Re z >= 1, got {z}")
     if nodes < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {nodes}")
+    import numpy as np
+
     x, gw = _gauss_hermite(nodes)
     scale = math.sqrt(2.0 / N)
     a = x * scale  # A nodes; D nodes are identical

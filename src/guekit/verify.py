@@ -29,7 +29,6 @@ from .maps.rosettes import (
     rosette_census,
     rosette_count_formula,
 )
-from .montecarlo import estimate_density_histogram
 from .observables import (
     density_eval,
     density_fourier_check,
@@ -215,6 +214,8 @@ def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
                 "observables", "density_fourier_check", {"N": N, "lambda": lam},
                 via_hermite, via_fourier))
     if mc:
+        from .montecarlo import estimate_density_histogram  # loads numpy
+
         stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
         width = 6.0 / bins
         bad = 0

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import guekit
 from guekit.cli import (
     cmd_density,
     cmd_harer_zagier,
@@ -235,6 +239,35 @@ def test_main_out_file(tmp_path, capsys):
     assert rec.rows[0] == [0, 2]
 
 
+def test_main_out_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    assert main(["rosettes", "--l", "2", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson", "--N", "3", "--t-min", "nan"],
+    ["wilson", "--N", "3", "--t-max", "inf"],
+    ["wilson", "--N", "3", "--t-min=-1e308", "--t-max", "1e308"],  # span overflows
+    ["density", "--N", "3", "--lambda-min", "inf"],
+    ["density", "--N", "3", "--lambda-max", "nan", "--steps", "1"],
+    ["sample", "--N", "3", "--samples", "100", "--t", "nan"],
+    ["sample", "--N", "3", "--samples", "100", "--t", "1.0", "--t", "inf"],
+])
+def test_main_rejects_non_finite_arguments(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
+def test_main_wilson_underflows_at_huge_t(capsys):
+    code, out = run_main(capsys, ["wilson", "--N", "3", "--t-max", "1e200", "--steps", "2"])
+    assert code == 0
+    assert OutputRecord.from_csv(out).rows == [[0.0, 1.0], [1e200, 0.0]]
+
+
 def test_main_rejects_invalid_n(capsys):
     code = main(["wilson", "--N", "0"])
     assert code == 2
@@ -314,3 +347,48 @@ def test_main_verify_reports_failures(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["status"] == "FAIL"
     assert doc["failures"][0]["module"] == "demo"
+
+
+# ------------------------------------------------------------ import boundary
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from guekit.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # --help
+            return exc.code
+
+for argv in (["wilson", "--N", "3", "--steps", "3"], ["density", "--N", "3", "--steps", "3"],
+             ["moments", "--N", "3"], ["rosettes", "--l", "4"], ["harer-zagier", "--N", "3"],
+             ["--help"]):
+    assert run(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert run(["sample", "--N", "2", "--samples", "100", "--t", "1.0"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_sample_imports_numpy():
+    src = str(Path(guekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_package_serves_the_sampler_names():
+    from guekit import SampleStats, estimate_density_histogram, estimate_wilson, sample_gue, zscore
+    from guekit import montecarlo
+
+    assert SampleStats is montecarlo.SampleStats
+    assert estimate_density_histogram is montecarlo.estimate_density_histogram
+    assert estimate_wilson is montecarlo.estimate_wilson
+    assert sample_gue is montecarlo.sample_gue
+    assert zscore is montecarlo.zscore
+    with pytest.raises(AttributeError):
+        guekit.no_such_name

@@ -120,6 +120,16 @@ def test_density_matches_oracle_at_large_n(N, lams):
             assert 0 <= got < sys.float_info.min, lam
 
 
+@pytest.mark.parametrize("N", [1, 3, 1000])
+@pytest.mark.parametrize("x", [1e10, 1e60, 1e150, 1e200])
+def test_evaluators_underflow_to_zero_at_huge_arguments(N, x):
+    # I(x, N) and rho_N(x) are below every float64 here; 1e60 still runs the
+    # recurrences, the larger arguments are past their bound
+    for arg in (x, -x):
+        assert wilson_eval(N, arg) == 0
+        assert density_eval(N, arg) == 0.0
+
+
 def test_golden_grids_are_no_less_accurate_than_the_ladders():
     ts = [i * 4 / 80 for i in range(81)]
     lams = [-3 + i * 6 / 240 for i in range(241)]
