@@ -109,59 +109,101 @@ def partition_term_sum(l: int, g: int) -> Fraction:
     return Fraction(r[g], math.factorial(g) * M**g * math.factorial(n))
 
 
+def pointwise(fn: Callable[[float], complex], x):
+    """fn at each point of a 1-d float64 array, as an array: for integrands
+    of integrate_real built from scalar math (math.exp, cmath.exp, float
+    powers), whose numpy counterparts can round differently."""
+    import numpy as np
+
+    return np.array([fn(v) for v in x.tolist()])
+
+
 # Fixed first-stage split; guards against false convergence when the three
 # whole-interval probes all land where the integrand is negligible.
 SIMPSON_INITIAL_PANELS = 16
 
 
-def integrate_real(f: Callable[[float], complex], a: float, b: float, tol: float) -> complex:
+def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
     """Adaptive composite Simpson integral of f over [a, b].
 
-    The interval is first cut into SIMPSON_INITIAL_PANELS equal panels,
-    each refined adaptively against its share of the absolute error
-    target tol; raises QuadratureError once the panel budget is spent.
-    f may be real or complex valued: the rule is linear and the error
-    test takes the modulus, so a complex f is integrated in one pass.
+    f takes a float64 array of nodes and returns an array of its values
+    there, real or complex.  The interval is first cut into
+    SIMPSON_INITIAL_PANELS equal panels, each refined adaptively against
+    its share of the absolute error target tol.  The refinement runs
+    breadth first: f is called once on the 33 nodes of the initial panels,
+    then once per level on the quarter points of every panel still open.
+    The accepted panels are then added in tree order (a split panel is the
+    sum of its halves, left + right; the initial panels left to right), so
+    the result has the bits of the depth-first recursion with f called per
+    node.  A complex f is integrated in one pass: its real and imaginary
+    parts run the same rule and the error test takes the modulus.  Raises
+    QuadratureError once the panel budget is spent, or at a node where f
+    is not finite, since no panel holding it can converge.
     """
     if not a < b:
         raise ValueError(f"integrate_real requires a < b, got [{a}, {b}]")
     if not tol > 0:
         raise ValueError(f"integrate_real requires tol > 0, got {tol}")
+    import numpy as np
 
-    panels = [SIMPSON_INITIAL_PANELS]  # mutable counter shared by the recursion
+    parts = []  # np.real, and np.imag for a complex f: one row of values each
 
-    def simpson(x0: float, x2: float, f0: complex, f1: complex, f2: complex) -> complex:
+    def values(x):
+        fx = np.asarray(f(x))
+        if fx.shape != x.shape:
+            raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise QuadratureError(f"integrand is {fx[i]} at x = {float(x[i])!r} on [{a}, {b}]")
+        if not parts:
+            parts.extend((np.real, np.imag) if np.iscomplexobj(fx) else (np.real,))
+        return np.array([part(fx) for part in parts], dtype=float)
+
+    def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
 
-    def recurse(x0: float, x2: float, f0: complex, f1: complex, f2: complex,
-                whole: complex, eps: float) -> complex:
+    n = SIMPSON_INITIAL_PANELS
+    step = (b - a) / n
+    x2 = np.array([a + k * step for k in range(1, n)] + [b])
+    x0 = np.concatenate(([a], x2[:-1]))  # the right end of panel k is the left end of panel k+1
+    fx = values(np.concatenate((x0[:1], x2, 0.5 * (x0 + x2))))
+    f0, f2, f1 = fx[:, :n], fx[:, 1:n + 1], fx[:, n + 1:]
+    whole = simpson(x0, x2, f0, f1, f2)
+    eps = tol / n
+    panels = n
+    levels = []  # per level: the open panels' results, and which of them split
+    while x0.size:
         xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
+        quarters = values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2))))
+        fl, fr = np.split(quarters, 2, axis=1)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        panels[0] += 2
-        if panels[0] > SIMPSON_PANEL_BUDGET:
+        error = np.abs(delta[0]) if len(parts) == 1 else np.hypot(delta[0], delta[1])
+        split = np.flatnonzero(~(error <= 15.0 * eps))
+        levels.append((left + right + delta / 15.0, split))
+        panels += 2 * split.size
+        if panels > SIMPSON_PANEL_BUDGET:
             raise QuadratureError(
                 f"adaptive Simpson exceeded {SIMPSON_PANEL_BUDGET} panels on [{a}, {b}]"
             )
-        half = 0.5 * eps
-        return (recurse(x0, xm, f0, fl, f1, left, half)
-                + recurse(xm, x2, f1, fr, f2, right, half))
-
-    total = 0.0
-    step = (b - a) / SIMPSON_INITIAL_PANELS
-    eps = tol / SIMPSON_INITIAL_PANELS
-    x0, f0 = a, f(a)
-    for k in range(1, SIMPSON_INITIAL_PANELS + 1):
-        x2 = a + k * step if k < SIMPSON_INITIAL_PANELS else b
-        xm = 0.5 * (x0 + x2)
-        f1, f2 = f(xm), f(x2)
-        total += recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps)
-        x0, f0 = x2, f2  # the right end of panel k is the left end of panel k+1
-    return total
+        # the next level's panels: every split panel's left half, then every right half
+        x0 = np.concatenate((x0[split], xm[split]))
+        x2 = np.concatenate((xm[split], x2[split]))
+        f0, f1, f2 = (np.concatenate((u[:, split], v[:, split]), axis=1)
+                      for u, v in ((f0, f1), (fl, fr), (f1, f2)))
+        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
+        eps = 0.5 * eps
+    below = None  # results of the level under the current one
+    for result, split in reversed(levels):
+        if below is not None:
+            result[:, split] = below[:, :split.size] + below[:, split.size:]
+        below = result
+    totals = []
+    for row in below.tolist():
+        total = 0.0
+        for value in row:  # not sum(): from Python 3.12 it compensates, which moves bits
+            total += value
+        totals.append(total)
+    return totals[0] if len(totals) == 1 else complex(*totals)

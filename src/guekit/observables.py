@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial, integrate_real, partition_term_sum
+from .exact import binomial, integrate_real, partition_term_sum, pointwise
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
 # times the (positive-coefficient) polynomial part drops below this.
@@ -52,9 +53,37 @@ def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
 # exp(-u/2) (1+u)^N and exp(-y^2) (2y^2)^N) are below every float for N < 1e117.
 _RESCALE = 2.0**400
 _LOG_RESCALE = 400 * math.log(2)
+# exp of anything below this is subnormal or 0
+_LOG_TINY = math.log(sys.float_info.min)
 
 
-def _laguerre1(n: int, u: complex) -> tuple[complex, float]:
+def _largest(values) -> float:
+    """max |v| over a float64 array of points, NaN skipped; 0 if it is empty."""
+    import numpy as np
+
+    return np.fmax.reduce(abs(values), initial=0.0)
+
+
+def _peak_of(x):
+    """The function a recurrence in x checks its size with: abs for a
+    number, _largest for an array, so one comparison covers every point."""
+    return abs if isinstance(x, (int, float, complex)) else _largest
+
+
+def _rescale_steps(over):
+    """(divisor, log increment) of one rescale: _RESCALE and _LOG_RESCALE
+    where `over` holds, 1 and 0 elsewhere.  `over` is a bool (one point)
+    or a bool array (a point per entry); dividing by 1 and adding 0 leave
+    a value's bits alone, so a point not over is untouched.
+    """
+    if over is True:
+        return _RESCALE, _LOG_RESCALE
+    import numpy as np
+
+    return np.where(over, _RESCALE, 1.0), np.where(over, _LOG_RESCALE, 0.0)
+
+
+def _laguerre1(n: int, u):
     """(L, s) with L exp(s) = L^(1)_n(u), the generalized Laguerre polynomial.
 
     Runs the three-term recurrence (k+1) L_{k+1} = (2k+2-u) L_k - (k+1) L_{k-1}
@@ -62,13 +91,18 @@ def _laguerre1(n: int, u: complex) -> tuple[complex, float]:
     d_{k+1} = d_k - u L_k / (k+1).  Near u = 0 the recurrence has a double
     characteristic root, and the plain form loses about n^2 ulps there; this
     form loses about n.  At u = 0 every step is exact and L_n = n + 1.
+    u is a number or a 1-d float64 array; on an array every step runs
+    elementwise and each point rescales on its own, so a point gets the
+    bits it gets alone.
     """
+    peak = _peak_of(u)
     cur, step, log_scale = 1.0, 1.0, 0.0
     for k in range(n):
-        step -= u * cur / (k + 1)
-        cur += step
-        if abs(cur) > _RESCALE:
-            cur, step, log_scale = cur / _RESCALE, step / _RESCALE, log_scale + _LOG_RESCALE
+        step = step - u * cur / (k + 1)
+        cur = cur + step
+        if peak(cur) > _RESCALE:
+            divisor, grown = _rescale_steps(abs(cur) > _RESCALE)
+            cur, step, log_scale = cur / divisor, step / divisor, log_scale + grown
     return cur, log_scale
 
 
@@ -79,20 +113,57 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
     return _coefficient_ladder(N)
 
 
-def wilson_eval(N: int, t: complex) -> complex:
-    """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, at complex t."""
+def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
+    """exp(log_scale - u/2) lag / N at one point.
+
+    Where exp(log_scale - u/2) would underflow, its square root is
+    multiplied in twice, so the rescaled lag (up to 2^400) can still lift
+    the product into the float range.
+    """
+    x = log_scale - u / 2
+    if x.real < _LOG_TINY:
+        root = cmath.exp(x / 2)
+        return root * (root * lag) / N
+    return cmath.exp(x) * lag / N
+
+
+def wilson_eval(N: int, t):
+    """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N.
+
+    t is a complex number, or a real float64 array (a complex array per
+    point).  An array runs the recurrence once over all its points and
+    gives each the bits of the scalar call; a number never loads numpy.
+    """
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
-    t = complex(t)
-    if t.imag:
-        u = t**2 / N
-    else:  # the bits of complex(t)**2 / N, but overflow gives inf, not OverflowError
-        u = t.real * t.real / N
-        if u > _RESCALE:
-            return 0j  # below the float range
-    # a real u runs the same steps in float arithmetic: same bits, less time
-    lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
-    return cmath.exp(log_scale - u / 2) * lag / N
+    if isinstance(t, (int, float, complex)):
+        t = complex(t)
+        if t.imag:
+            u = t**2 / N
+        else:  # the bits of complex(t)**2 / N, but overflow gives inf, not OverflowError
+            u = t.real * t.real / N
+            if u > _RESCALE:
+                return 0j  # below the float range
+        # a real u runs the same steps in float arithmetic: same bits, less time
+        lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
+        return _wilson_value(N, lag, log_scale, u)
+    import numpy as np
+
+    if np.iscomplexobj(t):
+        raise TypeError("wilson_eval takes complex t as a number, not as an array")
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    with np.errstate(over="ignore"):  # inf, as for a number
+        u = flat * flat / N
+    far = u > _RESCALE  # below the float range: 0, as for a number
+    lag, log_scale = _laguerre1(N - 1, np.where(far, 0.0, u))
+    # _wilson_value at real u, in float: there cmath.exp is (math.exp, 0) and
+    # the complex products and quotient reduce to these float ones
+    x = log_scale - u / 2
+    tiny = x < _LOG_TINY
+    root = pointwise(math.exp, np.where(tiny, x / 2, x))
+    value = root * np.where(tiny, root * lag, lag) / N
+    return np.where(far, 0.0, value).astype(complex).reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -141,30 +212,58 @@ def density(N: int) -> tuple[Fraction, ...]:
     return _coefficient_ladder(N)
 
 
-def density_eval(N: int, lam: float) -> float:
-    """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
+def _hermite_squares(N: int, y):
+    """(total, log_scale) with total exp(2 log_scale) = sum_{k<N} phi_k(y)^2.
 
     The normalized Hermite functions phi_k = cur * exp(log_scale) run by
     phi_k = sqrt(2/k) y phi_{k-1} - sqrt((k-1)/k) phi_{k-2} from
     phi_0 = pi^(-1/4) exp(-y^2/2); the Gaussian factor starts in log_scale,
-    so it cannot underflow, and the sum of squares is positive.
+    so it cannot underflow, and the sum of squares is positive.  y is a
+    number or a 1-d float64 array, run elementwise as in _laguerre1.
     """
-    if N < 1:
-        raise ValueError(f"density_eval requires N >= 1, got {N}")
-    y = math.sqrt(N / 2) * lam
-    if y * y > _RESCALE:
-        return 0.0  # below the float range
+    peak = _peak_of(y)
     prev, cur, log_scale = 0.0, math.pi**-0.25, -y * y / 2
     total = cur * cur
     for k in range(1, N):
         prev, cur = cur, math.sqrt(2 / k) * y * cur - math.sqrt((k - 1) / k) * prev
-        total += cur * cur
-        if total > _RESCALE:
-            prev, cur, total = prev / _RESCALE, cur / _RESCALE, total / _RESCALE**2
-            log_scale += _LOG_RESCALE
+        total = total + cur * cur
+        if peak(total) > _RESCALE:
+            divisor, grown = _rescale_steps(total > _RESCALE)
+            prev, cur, total = prev / divisor, cur / divisor, total / (divisor * divisor)
+            log_scale = log_scale + grown
+    return total, log_scale
+
+
+def _density_value(N: int, total, scale):
+    """sqrt(N/2)/N scale^2 total, for numbers or elementwise for arrays."""
     # scale * (scale * total): scale**2 alone can underflow while total is large
-    scale = math.exp(log_scale)
     return math.sqrt(N / 2) / N * scale * (scale * total)
+
+
+def density_eval(N: int, lam):
+    """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
+
+    lam is a real number or a float64 array; an array runs the recurrence
+    once over all its points and gives each the bits of the scalar call,
+    and a number never loads numpy.
+    """
+    if N < 1:
+        raise ValueError(f"density_eval requires N >= 1, got {N}")
+    if isinstance(lam, (int, float)):
+        y = math.sqrt(N / 2) * lam
+        if y * y > _RESCALE:
+            return 0.0  # below the float range
+        total, log_scale = _hermite_squares(N, y)
+        return _density_value(N, total, math.exp(log_scale))
+    import numpy as np
+
+    lam = np.asarray(lam, dtype=float)
+    y = math.sqrt(N / 2) * lam.ravel()
+    with np.errstate(over="ignore"):
+        far = y * y > _RESCALE  # below the float range: 0, as for a number
+    total, log_scale = _hermite_squares(N, np.where(far, 0.0, y))
+    value = _density_value(N, total, pointwise(math.exp, log_scale))
+    return np.where(far, 0.0, value).reshape(lam.shape)
 
 
 def wigner_density(lam: float) -> float:
@@ -231,8 +330,16 @@ def resolvent_laplace(N: int, z: complex) -> complex:
     z = complex(z)
     if z.real <= 0:
         raise ValueError(f"resolvent_laplace requires Re z > 0, got {z}")
+    import numpy as np
+
     T = truncation_time(N)
-    return integrate_real(lambda t: cmath.exp(-z * t) * wilson_eval(N, t), 0.0, T, 1e-10)
+
+    def integrand(t):
+        # cmath.exp and the product per point: numpy's complex exp rounds differently
+        return np.array([cmath.exp(-z * x) * w
+                         for x, w in zip(t.tolist(), wilson_eval(N, t).tolist())])
+
+    return integrate_real(integrand, 0.0, T, 1e-10)
 
 
 @lru_cache(maxsize=16)
@@ -290,7 +397,8 @@ def density_fourier_check(N: int, lam: float) -> float:
     over [0, T] with T from the Gaussian-decay truncation rule.
     """
     T = truncation_time(N)
-    val = integrate_real(
-        lambda t: math.cos(lam * t) * wilson_eval(N, t).real, 0.0, T, 1e-11
-    )
-    return val / math.pi
+
+    def integrand(t):
+        return pointwise(lambda x: math.cos(lam * x), t) * wilson_eval(N, t).real
+
+    return integrate_real(integrand, 0.0, T, 1e-11) / math.pi

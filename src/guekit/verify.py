@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .exact import catalan, integrate_real
+from .exact import catalan, integrate_real, pointwise
 from .maps.bijection import best_forward, best_inverse, enumerate_maps, spanning_trees
 from .maps.multigraph import (
     directed_double,
@@ -196,13 +196,15 @@ def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
                     "observables", "density_eval", {"N": N, "lambda": lam},
                     "even in lambda", gap))
         for l in range(5):
-            got = integrate_real(lambda x: x ** (2 * l) * density_eval(N, x),
-                                 -12.0, 12.0, 1e-9)
+            got = integrate_real(
+                lambda x: pointwise(lambda v: v ** (2 * l), x) * density_eval(N, x),
+                -12.0, 12.0, 1e-9)
             want = float(moment_exact(N, l))
             if abs(got - want) > 1e-7:
                 failures.append(_failure(
                     "observables", "density moments", {"N": N, "l": l}, want, got))
-        odd = integrate_real(lambda x: x**3 * density_eval(N, x), -12.0, 12.0, 1e-10)
+        odd = integrate_real(lambda x: pointwise(lambda v: v**3, x) * density_eval(N, x),
+                             -12.0, 12.0, 1e-10)
         if abs(odd) > 1e-9:
             failures.append(_failure(
                 "observables", "density moments", {"N": N, "order": 3}, 0.0, odd))

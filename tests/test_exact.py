@@ -1,11 +1,16 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+import guekit.exact
 from guekit.exact import (
+    SIMPSON_INITIAL_PANELS,
+    SIMPSON_PANEL_BUDGET,
     QuadratureError,
     binomial,
     catalan,
@@ -13,6 +18,7 @@ from guekit.exact import (
     enumerate_partition_terms,
     integrate_real,
     partition_term_sum,
+    pointwise,
 )
 
 
@@ -134,13 +140,14 @@ def test_partition_term_sum_validates_arguments():
 
 
 def test_integrate_constant_and_parabola():
-    assert integrate_real(lambda x: 1.0, 0.0, 1.0, 1e-10) == pytest.approx(1.0, abs=1e-12)
+    assert integrate_real(lambda x: np.ones_like(x), 0.0, 1.0, 1e-10) == pytest.approx(
+        1.0, abs=1e-12)
     assert integrate_real(lambda x: x * x, -1.0, 1.0, 1e-10) == pytest.approx(2 / 3, abs=1e-10)
 
 
 def test_integrate_gaussian_normalization():
     val = integrate_real(
-        lambda x: math.exp(-x * x / 2) / math.sqrt(2 * math.pi), -12.0, 12.0, 1e-10
+        lambda x: np.exp(-x * x / 2) / math.sqrt(2 * math.pi), -12.0, 12.0, 1e-10
     )
     assert val == pytest.approx(1.0, abs=1e-9)
 
@@ -154,4 +161,157 @@ def test_integrate_rejects_bad_arguments():
 
 def test_integrate_reports_budget_exhaustion():
     with pytest.raises(QuadratureError):
-        integrate_real(lambda x: math.sin(1e9 * x), 0.0, 1.0, 1e-12)
+        integrate_real(lambda x: np.sin(1e9 * x), 0.0, 1.0, 1e-12)
+
+
+# ------------------------------------------- breadth-first Simpson, bit for bit
+
+def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
+    """The depth-first adaptive Simpson that integrate_real replaced: f is
+    called on one float at a time.  Kept as the oracle for the bits of the
+    breadth-first form.  depths, if given, collects the depth of every
+    panel tested (0 for the initial panels)."""
+    panels = [SIMPSON_INITIAL_PANELS]
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+
+    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        if depths is not None:
+            depths.append(depth)
+        xm = 0.5 * (x0 + x2)
+        xl = 0.5 * (x0 + xm)
+        xr = 0.5 * (xm + x2)
+        fl = f(xl)
+        fr = f(xr)
+        left = simpson(x0, xm, f0, fl, f1)
+        right = simpson(xm, x2, f1, fr, f2)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        panels[0] += 2
+        if panels[0] > budget:
+            raise QuadratureError("budget")
+        half = 0.5 * eps
+        return (recurse(x0, xm, f0, fl, f1, left, half, depth + 1)
+                + recurse(xm, x2, f1, fr, f2, right, half, depth + 1))
+
+    total = 0.0
+    step = (b - a) / SIMPSON_INITIAL_PANELS
+    eps = tol / SIMPSON_INITIAL_PANELS
+    x0, f0 = a, f(a)
+    for k in range(1, SIMPSON_INITIAL_PANELS + 1):
+        x2 = a + k * step if k < SIMPSON_INITIAL_PANELS else b
+        xm = 0.5 * (x0 + x2)
+        f1, f2 = f(xm), f(x2)
+        total += recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps, 0)
+        x0, f0 = x2, f2
+    return total
+
+
+def test_suite_density_integrals_keep_their_bits(monkeypatch):
+    from guekit import verify
+    from guekit.observables import density_eval
+
+    got = []
+
+    def recorded(f, a, b, tol):
+        got.append(integrate_real(f, a, b, tol))
+        return got[-1]
+
+    monkeypatch.setattr(verify, "integrate_real", recorded)
+    assert verify.suite_density(mc=False) == []
+    want = []
+    for N in range(1, 11):
+        want.append(reference_simpson(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10))
+        for l in range(5):
+            want.append(reference_simpson(lambda x: x ** (2 * l) * density_eval(N, x),
+                                          -12.0, 12.0, 1e-9))
+        want.append(reference_simpson(lambda x: x**3 * density_eval(N, x), -12.0, 12.0, 1e-10))
+    assert got == want
+
+
+def test_fourier_points_keep_their_bits():
+    from guekit.observables import density_fourier_check, truncation_time, wilson_eval
+    from guekit.verify import FOURIER_POINTS
+
+    for N, lam in FOURIER_POINTS:
+        want = reference_simpson(lambda t: math.cos(lam * t) * wilson_eval(N, t).real,
+                                 0.0, truncation_time(N), 1e-11) / math.pi
+        assert density_fourier_check(N, lam) == want, (N, lam)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 40, 120])
+def test_resolvent_laplace_keeps_its_bits(N):
+    from guekit.observables import resolvent_laplace, truncation_time, wilson_eval
+
+    T = truncation_time(N)
+    for z in (1, 2, 3 + 1j, 1 + 2j, 1 + 5j):
+        want = reference_simpson(lambda t: cmath.exp(-z * t) * wilson_eval(N, t),
+                                 0.0, T, 1e-10)
+        assert resolvent_laplace(N, z) == want, z
+
+
+def test_integrate_calls_once_per_level():
+    def smooth(x):
+        return math.exp(-x * x) * math.cos(3 * x)
+
+    def peaked(x):
+        return 1.0 / (1e-4 + x * x)
+
+    for g, a, b, tol in [(smooth, -4.0, 4.0, 1e-12), (peaked, -1.0, 2.0, 1e-8),
+                         (lambda x: 1.0, 0.0, 1.0, 1e-10)]:
+        sizes = []
+
+        def counted(x):
+            sizes.append(x.size)
+            return pointwise(g, x)
+
+        scalar_calls = []
+
+        def counted_scalar(x):
+            scalar_calls.append(x)
+            return g(x)
+
+        depths = []
+        want = reference_simpson(counted_scalar, a, b, tol, depths=depths)
+        assert integrate_real(counted, a, b, tol) == want
+        assert sizes[0] == 2 * SIMPSON_INITIAL_PANELS + 1
+        assert len(sizes) == 1 + max(depths) + 1  # the initial nodes, then one call per level
+        assert sum(sizes) == len(scalar_calls)
+
+
+def test_integrate_refuses_with_the_same_budgets(monkeypatch):
+    cases = [(lambda x: math.sin(40 * x), 0.0, 3.0, 1e-10),
+             (lambda x: abs(x - 0.3) ** 0.5, 0.0, 1.0, 1e-9),
+             (lambda x: math.exp(x), 0.0, 1.0, 1e-12)]
+    for g, a, b, tol in cases:
+        depths = []
+        reference_simpson(g, a, b, tol, depths=depths)
+        used = len(depths)  # every panel tested, split or not
+        for budget in (16, 100, used - 1, used, 2 * used):
+            monkeypatch.setattr(guekit.exact, "SIMPSON_PANEL_BUDGET", budget)
+            try:
+                want = reference_simpson(g, a, b, tol, budget=budget)
+            except QuadratureError:
+                assert budget < used
+                with pytest.raises(QuadratureError):
+                    integrate_real(lambda x: pointwise(g, x), a, b, tol)
+            else:
+                assert budget >= used
+                assert integrate_real(lambda x: pointwise(g, x), a, b, tol) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_non_finite_integrand(bad):
+    # no panel holding such a node can converge, so the first level that
+    # meets one names it
+    with pytest.raises(QuadratureError, match="at x = 0.0"):
+        integrate_real(lambda x: np.where(x == 0, bad, 1.0), -1.0, 1.0, 1e-12)
+    with pytest.raises(QuadratureError, match="at x = 0.015625"):  # a quarter point
+        integrate_real(lambda x: np.where(x == 1 / 64, bad, 1.0), 0.0, 1.0, 1e-12)
+
+
+def test_integrate_wants_one_value_per_node():
+    with pytest.raises(ValueError):
+        integrate_real(lambda x: 1.0, 0.0, 1.0, 1e-10)

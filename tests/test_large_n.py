@@ -12,6 +12,7 @@ import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from guekit.exact import integrate_real
@@ -104,6 +105,17 @@ def test_wilson_matches_oracle_at_large_n(N, ts):
         assert abs(wilson_eval(N, t).real - wilson_oracle(N, t)) <= 1e-11, t
 
 
+def test_wilson_keeps_its_digits_where_the_scale_underflows():
+    # exp(log_scale - u/2) is below the float range here while the rescaled
+    # Laguerre value is near 2^400; their product is not
+    for t in [850 + 12.5 * k for k in range(29)]:
+        got, want = wilson_eval(300, t).real, wilson_oracle(300, t)
+        if abs(want) >= sys.float_info.min:
+            assert abs(got - want) <= 1e-12 * abs(want), t
+        else:  # from t = 1025 on, I is below the float range (-1.6e-565 at t = 1200)
+            assert abs(got - want) <= 1e-12 * sys.float_info.min, t
+
+
 @pytest.mark.parametrize("N, lams", [
     (40, [-3.0, -2.2, -1.0, 0.0, 0.31, 1.9999, 2.5, 3.0]),
     (100, [-3.0, -1.3, 0.0, 2.05, 3.0]),
@@ -165,3 +177,32 @@ def test_truncation_time_is_the_first_scanned_t_below_the_envelope(N):
 
     T = truncation_time(N)
     assert log_envelope(T) < math.log(1e-12) <= log_envelope(T - 2.0)
+
+
+def _same_bits(array_values, scalar_values):
+    return all(a == b or (a != a and b != b)  # NaN in, NaN out
+               for a, b in zip(array_values.tolist(), scalar_values, strict=True))
+
+
+# around and past the 2^400 bound on u and y^2, past which the evaluators
+# return 0 without running the recurrence
+_HUGE = [1e59, 1e60, 1e61, 1e62, 1e150, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("N", [1, 8, 300, 1000])
+def test_array_evaluators_give_the_scalar_bits(N):
+    # t up to 1300 and lambda up to 40 take the recurrences through their
+    # rescales at N = 300 and 1000, and the Wilson scale through underflow
+    ts = np.concatenate((np.linspace(0.0, 1300.0, 521), _HUGE, np.negative(_HUGE)))
+    lams = np.concatenate((np.linspace(-40.0, 40.0, 641), _HUGE, np.negative(_HUGE)))
+    assert _same_bits(wilson_eval(N, ts), [wilson_eval(N, t) for t in ts.tolist()])
+    assert _same_bits(density_eval(N, lams), [density_eval(N, lam) for lam in lams.tolist()])
+
+
+def test_array_evaluators_keep_the_shape():
+    grid = np.array([[0.0, 0.5], [1.5, 1e70]])
+    assert density_eval(3, grid).shape == wilson_eval(3, grid).shape == (2, 2)
+    assert wilson_eval(3, grid).dtype == complex
+    assert density_eval(3, np.float64(0.5)) == density_eval(3, 0.5)
+    with pytest.raises(TypeError):
+        wilson_eval(3, np.array([1j]))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from guekit.exact import integrate_real
+from guekit.exact import integrate_real, pointwise
 from guekit.observables import (
     density,
     density_eval,
@@ -178,7 +178,7 @@ def test_wigner_density():
     assert wigner_density(0.0) == pytest.approx(1 / math.pi, rel=1e-15)
     assert wigner_density(2.0) == 0.0
     assert wigner_density(-2.0) == 0.0
-    val = integrate_real(wigner_density, -2.0, 2.0, 1e-10)
+    val = integrate_real(lambda x: pointwise(wigner_density, x), -2.0, 2.0, 1e-10)
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
@@ -249,7 +249,7 @@ def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
     nodes = []
 
     def counted(N, t):
-        nodes.append(t)
+        nodes.extend(t.tolist())
         return wilson_eval(N, t)
 
     monkeypatch.setattr("guekit.observables.wilson_eval", counted)

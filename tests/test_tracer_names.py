@@ -61,3 +61,11 @@ def test_tracer_runs_a_table_command(tmp_path):
 def test_tracer_wraps_the_lazily_imported_sampler(tmp_path):
     called = _called_spans(tmp_path, ["sample", "--N", "2", "--samples", "100", "--t", "1.0"])
     assert "montecarlo.estimate:estimate_wilson" in called
+
+
+def test_tracer_follows_the_array_integrands(tmp_path):
+    # integrate_real hands its integrand arrays of nodes; the tracer's
+    # counting wrapper passes them through
+    called = _called_spans(tmp_path, ["verify", "--suite", "density"])
+    assert "exact.simpson:integrate_real" in called
+    assert "observables.eval:density_eval" in called
