@@ -135,8 +135,10 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
     The accepted panels are then added in tree order (a split panel is the
     sum of its halves, left + right; the initial panels left to right), so
     the result has the bits of the depth-first recursion with f called per
-    node.  A complex f is integrated in one pass: its real and imaginary
-    parts run the same rule and the error test takes the modulus.  Raises
+    node.  The real and imaginary parts of f run the same rule as two rows
+    of floats, and the error test takes the modulus, so a complex f (or
+    one that turns complex at some nodes) is integrated in one pass; the
+    result is complex once any call of f returned a complex array.  Raises
     QuadratureError once the panel budget is spent, or at a node where f
     is not finite, since no panel holding it can converge.
     """
@@ -146,9 +148,10 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         raise ValueError(f"integrate_real requires tol > 0, got {tol}")
     import numpy as np
 
-    parts = []  # np.real, and np.imag for a complex f: one row of values each
+    complex_f = False
 
     def values(x):
+        nonlocal complex_f
         fx = np.asarray(f(x))
         if fx.shape != x.shape:
             raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
@@ -156,9 +159,8 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise QuadratureError(f"integrand is {fx[i]} at x = {float(x[i])!r} on [{a}, {b}]")
-        if not parts:
-            parts.extend((np.real, np.imag) if np.iscomplexobj(fx) else (np.real,))
-        return np.array([part(fx) for part in parts], dtype=float)
+        complex_f = complex_f or np.iscomplexobj(fx)
+        return np.array([fx.real, fx.imag], dtype=float)
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
@@ -180,7 +182,7 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        error = np.abs(delta[0]) if len(parts) == 1 else np.hypot(delta[0], delta[1])
+        error = np.hypot(delta[0], delta[1])  # |delta[0]| exactly where delta[1] is 0
         split = np.flatnonzero(~(error <= 15.0 * eps))
         levels.append((left + right + delta / 15.0, split))
         panels += 2 * split.size
@@ -206,4 +208,4 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         for value in row:  # not sum(): from Python 3.12 it compensates, which moves bits
             total += value
         totals.append(total)
-    return totals[0] if len(totals) == 1 else complex(*totals)
+    return complex(*totals) if complex_f else totals[0]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,8 +53,6 @@ def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
 # exp(-u/2) (1+u)^N and exp(-y^2) (2y^2)^N) are below every float for N < 1e117.
 _RESCALE = 2.0**400
 _LOG_RESCALE = 400 * math.log(2)
-# exp of anything below this is subnormal or 0
-_LOG_TINY = math.log(sys.float_info.min)
 
 
 def _largest(values) -> float:
@@ -64,19 +62,26 @@ def _largest(values) -> float:
     return np.fmax.reduce(abs(values), initial=0.0)
 
 
+def _is_point(x) -> bool:
+    """Whether an evaluator's argument is one number (any numbers.Number,
+    numpy scalars too) rather than an array of points."""
+    return isinstance(x, numbers.Number)
+
+
 def _peak_of(x):
     """The function a recurrence in x checks its size with: abs for a
     number, _largest for an array, so one comparison covers every point."""
-    return abs if isinstance(x, (int, float, complex)) else _largest
+    return abs if _is_point(x) else _largest
 
 
 def _rescale_steps(over):
     """(divisor, log increment) of one rescale: _RESCALE and _LOG_RESCALE
-    where `over` holds, 1 and 0 elsewhere.  `over` is a bool (one point)
-    or a bool array (a point per entry); dividing by 1 and adding 0 leave
-    a value's bits alone, so a point not over is untouched.
+    where `over` holds, 1 and 0 elsewhere.  `over` is a bool, Python's or
+    numpy's (one point, which is over), or a bool array (a point per
+    entry); dividing by 1 and adding 0 leave a value's bits alone, so a
+    point not over is untouched.
     """
-    if over is True:
+    if getattr(over, "ndim", 0) == 0:
         return _RESCALE, _LOG_RESCALE
     import numpy as np
 
@@ -116,27 +121,29 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
 def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
     """exp(log_scale - u/2) lag / N at one point.
 
-    Where exp(log_scale - u/2) would underflow, its square root is
+    Where exp(log_scale - u/2) underflows to 0, its square root is
     multiplied in twice, so the rescaled lag (up to 2^400) can still lift
     the product into the float range.
     """
     x = log_scale - u / 2
-    if x.real < _LOG_TINY:
-        root = cmath.exp(x / 2)
-        return root * (root * lag) / N
-    return cmath.exp(x) * lag / N
+    scale = cmath.exp(x)
+    if scale:
+        return scale * lag / N
+    root = cmath.exp(x / 2)
+    return root * (root * lag) / N
 
 
 def wilson_eval(N: int, t):
     """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N.
 
-    t is a complex number, or a real float64 array (a complex array per
-    point).  An array runs the recurrence once over all its points and
-    gives each the bits of the scalar call; a number never loads numpy.
+    t is a number (any numbers.Number, taken as a complex), or a real
+    float64 array (a complex array per point).  An array runs the
+    recurrence once over all its points and gives each the bits of the
+    scalar call; a number never loads numpy.
     """
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
-    if isinstance(t, (int, float, complex)):
+    if _is_point(t):
         t = complex(t)
         if t.imag:
             u = t**2 / N
@@ -157,13 +164,9 @@ def wilson_eval(N: int, t):
         u = flat * flat / N
     far = u > _RESCALE  # below the float range: 0, as for a number
     lag, log_scale = _laguerre1(N - 1, np.where(far, 0.0, u))
-    # _wilson_value at real u, in float: there cmath.exp is (math.exp, 0) and
-    # the complex products and quotient reduce to these float ones
-    x = log_scale - u / 2
-    tiny = x < _LOG_TINY
-    root = pointwise(math.exp, np.where(tiny, x / 2, x))
-    value = root * np.where(tiny, root * lag, lag) / N
-    return np.where(far, 0.0, value).astype(complex).reshape(t.shape)
+    points = zip(*(np.broadcast_to(v, u.shape).tolist() for v in (lag, log_scale, u)))
+    value = np.array([_wilson_value(N, l, s, v) for l, s, v in points], dtype=complex)
+    return np.where(far, 0.0, value).reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -243,14 +246,15 @@ def _density_value(N: int, total, scale):
 def density_eval(N: int, lam):
     """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
 
-    lam is a real number or a float64 array; an array runs the recurrence
-    once over all its points and gives each the bits of the scalar call,
-    and a number never loads numpy.
+    lam is a real number (any numbers.Number, taken as a float) or a
+    float64 array; an array runs the recurrence once over all its points
+    and gives each the bits of the scalar call, and a number never loads
+    numpy.
     """
     if N < 1:
         raise ValueError(f"density_eval requires N >= 1, got {N}")
-    if isinstance(lam, (int, float)):
-        y = math.sqrt(N / 2) * lam
+    if _is_point(lam):
+        y = math.sqrt(N / 2) * float(lam)
         if y * y > _RESCALE:
             return 0.0  # below the float range
         total, log_scale = _hermite_squares(N, y)

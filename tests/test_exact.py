@@ -312,6 +312,24 @@ def test_integrate_refuses_a_non_finite_integrand(bad):
         integrate_real(lambda x: np.where(x == 1 / 64, bad, 1.0), 0.0, 1.0, 1e-12)
 
 
+def test_integrate_follows_an_integrand_that_turns_complex():
+    # sqrt(-(32x - round(32x))^2) is 0.0 at the 33 initial nodes (x = k/32)
+    # and i|32x - round(32x)| at every later one; its integral is i/4
+    def g(x):
+        return math.exp(x) + (-(32 * x - round(32 * x)) ** 2) ** 0.5
+
+    calls = []
+
+    def f(x):
+        calls.append(pointwise(g, x))
+        return calls[-1]
+
+    got = integrate_real(f, 0.0, 1.0, 1e-10)
+    assert not np.iscomplexobj(calls[0]) and np.iscomplexobj(calls[1])
+    assert got == reference_simpson(g, 0.0, 1.0, 1e-10)
+    assert abs(got - complex(math.e - 1, 0.25)) <= 1e-10
+
+
 def test_integrate_wants_one_value_per_node():
     with pytest.raises(ValueError):
         integrate_real(lambda x: 1.0, 0.0, 1.0, 1e-10)
