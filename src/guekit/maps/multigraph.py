@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from ..exact import binomial
 from .rosettes import moment_wick
@@ -39,6 +40,12 @@ class _DisjointSet:
             return False
         self.parent[ra] = rb
         return True
+
+
+def _joins_all(v: int, edges) -> bool:
+    """Whether the edges (a, b) put all of the vertices 0 .. v-1 in one component."""
+    dsu = _DisjointSet(v)
+    return sum(dsu.union(a, b) for a, b in edges) == v - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,11 +94,7 @@ class Multigraph:
     @property
     def is_connected(self) -> bool:
         """Union-find over edges; every vertex must land in one component."""
-        dsu = _DisjointSet(self.vertex_count)
-        for a, b in self.edges():
-            dsu.union(a, b)
-        root = dsu.find(0)
-        return all(dsu.find(x) == root for x in range(self.vertex_count))
+        return _joins_all(self.vertex_count, self.edges())
 
 
 class Arc(NamedTuple):
@@ -186,9 +189,15 @@ def eulerian_count_normalized(G: Multigraph) -> int:
     This is exactly what the Gaussian derivative operator attached to G
     produces when applied to Tr H^{2l}; see trace_derivative_value for the
     independent certification.
+
+    The all-root count is 2l times the count rooted at arc 0: an Eulerian
+    cycle of di(G) uses every labeled arc exactly once, so rotating it to
+    start at arc r is a bijection between the cycles rooted at arc 0 and
+    those rooted at r.  suite_best and the acceptance tests count from
+    every root, against the BEST bijection.
     """
     D = directed_double(G)
-    total = sum(eulerian_count_rooted(D, r) for r in range(len(D.arcs)))
+    total = len(D.arcs) * eulerian_count_rooted(D, 0) if D.arcs else 0
     div = _symmetry_divisor(G)
     assert total % div == 0, f"labeled count {total} not divisible by symmetry factor {div}"
     return total // div
@@ -209,14 +218,13 @@ def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
     def fill(i: int, left: int, counts: list[int]) -> Iterator[Multigraph]:
         if i == len(slots) - 1:
             counts.append(left)
-            m = [[0] * v for _ in range(v)]
-            for (a, b), k in zip(slots, counts):
-                m[a][b] += k
-                if a != b:
-                    m[b][a] += k
-            g = Multigraph(v, tuple(tuple(row) for row in m))
-            if g.is_connected:
-                yield g
+            if _joins_all(v, [slot for slot, k in zip(slots, counts) if k]):
+                m = [[0] * v for _ in range(v)]
+                for (a, b), k in zip(slots, counts):
+                    m[a][b] += k
+                    if a != b:
+                        m[b][a] += k
+                yield Multigraph(v, tuple(tuple(row) for row in m))
             counts.pop()
             return
         for k in range(left + 1):
@@ -229,23 +237,34 @@ def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
 
 # ------------------------------------------------------ differentiation oracle
 
+@lru_cache(maxsize=None)
+def _trace_power(n: int, l: int) -> Mapping[tuple[tuple[int, int], ...], int]:
+    """Tr H^{2l} over n x n H: sorted tuple of entries (i, j) -> coefficient.
+
+    Read-only, since every caller of one shape shares it.
+    """
+    poly: dict[tuple[tuple[int, int], ...], int] = {}
+    for seq in product(range(n), repeat=2 * l):
+        mono = tuple(sorted((seq[k], seq[(k + 1) % (2 * l)]) for k in range(2 * l)))
+        poly[mono] = poly.get(mono, 0) + 1
+    return MappingProxyType(poly)
+
+
 def trace_derivative_value(G: Multigraph) -> Fraction:
     """Apply G's normalized Gaussian derivative operator to Tr H^{2l} at H = 0.
 
     Fully symbolic: Tr H^{2l} is expanded into monomials over the entries
     H_ij, i, j < |V(G)|, and the single derivatives are applied one by one.
-    Intended for small graphs (l <= 3); the cost is |V|^{2l} monomials.
+    Intended for small graphs (l <= 3).  The expansion costs |V|^{2l}
+    index sequences once per shape (|V|, l), shared by every graph of that
+    shape; the derivatives cost at most one pass over its monomials each.
     """
     n = G.vertex_count
     l = G.edge_count
     if l > 3:
         raise ValueError(f"differentiation oracle supports l <= 3, got {l}")
 
-    poly: dict[tuple[tuple[int, int], ...], int] = {}
-    for seq in product(range(n), repeat=2 * l):
-        mono = tuple(sorted((seq[k], seq[(k + 1) % (2 * l)]) for k in range(2 * l)))
-        poly[mono] = poly.get(mono, 0) + 1
-
+    poly = _trace_power(n, l)
     derivs: list[tuple[int, int]] = []
     for a in range(n):
         derivs.extend([(a, a)] * (2 * G.multiplicity[a][a]))

@@ -99,12 +99,70 @@ class RosetteCensus:
 
 @lru_cache(maxsize=None)
 def rosette_census(l: int) -> RosetteCensus:
-    """Genus histogram over every pairing of 2l darts (brute force)."""
+    """Genus histogram over every pairing of 2l darts (brute force).
+
+    Visits all (2l-1)!! pairings, in the order of _iter_partner_tuples, and
+    counts the faces of each (the cycles of phi(x) = partner[x] + 1 mod 2l)
+    while it pairs darts.  Each unpaired dart ends an open path of phi:
+    start[x] is the first dart of the path ending at x, end[y] the last
+    dart of the path starting at y.  Pairing lo with j adds the arrows
+    lo -> j+1 and j -> lo+1.  An arrow whose target starts the path it
+    leaves closes a face; any other arrow joins two paths, and backtracking
+    restores both entries it changed.  The last pair a < b closes two faces
+    if the path ending at a starts at b+1, else one.
+    """
     if not 1 <= l <= PAIRING_BUDGET:
         raise ValueError(f"census supports 1 <= l <= {PAIRING_BUDGET}, got {l}")
+    n = 2 * l
+    start = list(range(n))
+    end = list(range(n))
+    by_faces = [0] * (l + 2)
+
+    def pair(free: tuple[int, ...], faces: int) -> None:
+        lo = free[0]
+        lo1 = lo + 1  # lo is the smallest unpaired dart, so lo + 1 < n
+        last = len(free) == 4
+        for k in range(1, len(free)):
+            j = free[k]
+            j1 = j + 1 if j + 1 < n else 0
+            f = faces
+            s = start[lo]
+            if s == j1:
+                f += 1
+            else:
+                e = end[j1]
+                end[s] = e
+                start[e] = s
+            s2 = start[j]
+            if s2 == lo1:
+                f += 1
+            else:
+                e2 = end[lo1]
+                end[s2] = e2
+                start[e2] = s2
+            rest = free[1:k] + free[k + 1:]
+            if last:
+                a, b = rest
+                by_faces[f + (2 if start[a] == (b + 1) % n else 1)] += 1
+            else:
+                pair(rest, f)
+            if s2 != lo1:
+                end[s2] = j
+                start[e2] = lo1
+            if s != j1:
+                end[s] = lo
+                start[e] = j1
+
+    if l == 1:
+        by_faces[2] = 1  # the one pairing (0 1): two faces
+    else:
+        pair(tuple(range(n)), 0)
     counts = [0] * (l // 2 + 1)
-    for partner in _iter_partner_tuples(2 * l):
-        counts[_genus(partner)] += 1
+    for faces, count in enumerate(by_faces):
+        if count:
+            genus, odd = divmod(l + 1 - faces, 2)
+            assert not odd and genus >= 0, f"Euler formula violated: l={l}, F={faces}"
+            counts[genus] += count
     return RosetteCensus(l, tuple(counts))
 
 

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -67,6 +69,11 @@ def test_rosette_census_values():
     assert rosette_census(3).counts == (5, 10)
     for l in range(1, 7):
         assert sum(rosette_census(l).counts) == double_factorial(2 * l - 1)
+        # the census counts faces while it pairs; the reference traces them per pairing
+        histogram = [0] * (l // 2 + 1)
+        for p in enumerate_pairings(l):
+            histogram[rosette_genus(p)] += 1
+        assert rosette_census(l).counts == tuple(histogram), l
 
 
 def test_rosette_genus_parity_everywhere():
@@ -188,6 +195,19 @@ def test_enumerate_connected_multigraphs_examples():
     assert len(list(enumerate_connected_multigraphs(3, 2))) == 3
 
 
+def test_enumerate_connected_multigraphs_order():
+    # reference: every fill of the slots (a, b), a <= b, built and then filtered;
+    # count vectors ascend lexicographically, i.e. slot multisets descend
+    for v in range(1, 6):
+        slots = [(a, b) for a in range(v) for b in range(a, v)]
+        for l in range(6):
+            fills = reversed(list(combinations_with_replacement(range(len(slots)), l)))
+            built = (Multigraph.from_edges(v, [slots[i] for i in fill]) for fill in fills)
+            expected = [g.multiplicity for g in built if g.is_connected]
+            got = [g.multiplicity for g in enumerate_connected_multigraphs(v, l)]
+            assert got == expected, (v, l)
+
+
 def test_enumerate_connected_multigraphs_budget():
     with pytest.raises(ValueError):
         list(enumerate_connected_multigraphs(6, 2))
@@ -246,6 +266,23 @@ def test_eulerian_count_normalized_examples():
     assert eulerian_count_normalized(Multigraph.from_edges(2, [(0, 1), (0, 1)])) == 4
     assert eulerian_count_normalized(Multigraph.from_edges(1, [(0, 0), (0, 0)])) == 3
     assert eulerian_count_normalized(Multigraph.from_edges(2, [(0, 0), (0, 1)])) == 4
+
+
+def test_eulerian_count_is_the_same_from_every_root():
+    for v in range(1, 6):
+        for l in range(5):
+            for g in enumerate_connected_multigraphs(v, l):
+                d = directed_double(g)
+                counts = [eulerian_count_rooted(d, r) for r in range(len(d.arcs))]
+                assert len(set(counts)) <= 1, g
+                symmetry = 1
+                for a in range(v):
+                    loops = g.multiplicity[a][a]
+                    symmetry *= 2**loops * math.factorial(loops)
+                    for b in range(a + 1, v):
+                        symmetry *= math.factorial(g.multiplicity[a][b])
+                assert sum(counts) % symmetry == 0, g
+                assert eulerian_count_normalized(g) == sum(counts) // symmetry, g
 
 
 def test_derivative_oracle_certifies_normalized_counts():

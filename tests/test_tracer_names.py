@@ -69,3 +69,11 @@ def test_tracer_follows_the_array_integrands(tmp_path):
     called = _called_spans(tmp_path, ["verify", "--suite", "density"])
     assert "exact.simpson:integrate_real" in called
     assert "observables.eval:density_eval" in called
+
+
+def test_tracer_follows_the_enumeration_oracles(tmp_path):
+    called = _called_spans(tmp_path, ["verify", "--suite", "wick"])
+    assert "rosettes.census:rosette_census" in called
+    called = _called_spans(tmp_path, ["verify", "--suite", "initial"])
+    assert "multigraph.oracle:trace_derivative_value" in called
+    assert "multigraph.eulerian:eulerian_count_rooted" in called
