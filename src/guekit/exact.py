@@ -44,6 +44,13 @@ def catalan(l: int) -> int:
     return binomial(2 * l, l) // (l + 1)
 
 
+def moment_term(l: int, q: int) -> int:
+    """(2l)! / (2^{l-q} q! (l-q)!), the weight of binom(N, q+1) in N^{l+1} m_2l."""
+    if not 0 <= q <= l:
+        raise ValueError(f"moment_term requires 0 <= q <= l, got ({l}, {q})")
+    return math.factorial(2 * l) // (2 ** (l - q) * math.factorial(q) * math.factorial(l - q))
+
+
 def enumerate_partition_terms(l: int, g: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All {k_q} with sum q*k_q = g and sum k_q = l - 2g + 1, each once,
     as the sorted pairs (q, k_q) with k_q > 0.

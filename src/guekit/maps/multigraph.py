@@ -15,7 +15,8 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from ..exact import binomial
+from ..exact import moment_term
+from ..observables import moment_exact
 from .rosettes import moment_wick
 
 MULTIGRAPH_VERTEX_BUDGET = 5
@@ -292,10 +293,6 @@ def trace_derivative_value(G: Multigraph) -> Fraction:
 
 # ----------------------------------------------------------- moment identity
 
-def _initial_rhs_term(l: int, q2: int) -> int:
-    return math.factorial(2 * l) // (2 ** (l - q2) * math.factorial(q2) * math.factorial(l - q2))
-
-
 @lru_cache(maxsize=None)
 def _graph_side_sum(v: int, l: int) -> int:
     return sum(eulerian_count_normalized(G) for G in enumerate_connected_multigraphs(v, l))
@@ -304,10 +301,11 @@ def _graph_side_sum(v: int, l: int) -> int:
 def initial_identity_report(l: int, N: int) -> list[str]:
     """Failure messages for the dual-oracle moment identity; empty means pass.
 
-    Checks, in exact arithmetic, that N^{l+1} m_2l equals the binomial sum
-    over q2, and that for each q2 the normalized Eulerian counts of all
-    connected multigraphs on q2+1 labeled vertices add up to the q2 term
-    (2l)! / (2^{l-q2} q2! (l-q2)!).
+    Checks, in exact arithmetic, that N^{l+1} m_2l from the Wick census
+    equals the binomial sum sum_{q2} binom(N, q2+1) moment_term(l, q2) of
+    moment_exact, and that for each q2 the normalized Eulerian counts of
+    all connected multigraphs on q2+1 labeled vertices add up to the q2
+    term moment_term(l, q2) = (2l)! / (2^{l-q2} q2! (l-q2)!).
     """
     if not 1 <= l <= INITIAL_IDENTITY_EDGE_BUDGET:
         raise ValueError(
@@ -317,12 +315,12 @@ def initial_identity_report(l: int, N: int) -> list[str]:
         raise ValueError(f"identity check requires N >= 1, got {N}")
     failures = []
     lhs = N ** (l + 1) * moment_wick(N, l)
-    rhs = sum(binomial(N, q2 + 1) * _initial_rhs_term(l, q2) for q2 in range(min(l, N - 1) + 1))
+    rhs = N ** (l + 1) * moment_exact(N, l)
     if lhs != rhs:
         failures.append(f"moment side: N^(l+1) m_2l = {lhs} but binomial sum = {rhs}")
     for q2 in range(l + 1):
         graph_sum = _graph_side_sum(q2 + 1, l)
-        expected = _initial_rhs_term(l, q2)
+        expected = moment_term(l, q2)
         if graph_sum != expected:
             failures.append(
                 f"graph side at q2={q2}: Eulerian sum {graph_sum} != {expected}"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from ..exact import double_factorial, partition_term_sum
+from ..exact import binomial, double_factorial, partition_term_sum
 
 # (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
 PAIRING_BUDGET = 8
@@ -201,11 +201,18 @@ def harer_zagier_recursion(l_max: int) -> list[list[int]]:
     return counts
 
 
+def _genus_series(counts, N: int) -> Fraction:
+    """sum_g counts[g] N^{-2g}, as one integer sum over N^{2G}, G the top genus."""
+    total = 0
+    for count in counts:
+        total = total * N * N + count
+    return Fraction(total, N ** (2 * (len(counts) - 1)))
+
+
 def harer_zagier_from_counts(N: int, p: int) -> Fraction:
     """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
-    return sum(
-        Fraction(rosette_count_formula(p, g), N ** (2 * g)) for g in range(p // 2 + 1)
-    ) / double_factorial(2 * p - 1)
+    counts = [rosette_count_formula(p, g) for g in range(p // 2 + 1)]
+    return _genus_series(counts, N) / double_factorial(2 * p - 1)
 
 
 def moment_wick(N: int, l: int) -> Fraction:
@@ -214,45 +221,21 @@ def moment_wick(N: int, l: int) -> Fraction:
         raise ValueError(f"moment_wick requires N >= 1, got {N}")
     if l == 0:
         return Fraction(1)
-    census = rosette_census(l)
-    return sum(
-        (Fraction(c, N ** (2 * g)) for g, c in enumerate(census.counts)),
-        start=Fraction(0),
-    )
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], deg: int) -> list[Fraction]:
-    out = [Fraction(0)] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(min(len(b), deg + 1 - i)):
-            out[i + j] += ai * b[j]
-    return out
+    return _genus_series(rosette_census(l).counts, N)
 
 
 def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
     """Coefficients of x^{p+1}, p = 1 .. p_max, in (1/2)((1+x/N)/(1-x/N))^N - 1/2 - x.
 
-    The ratio has the explicit expansion 1 + sum_{k>=1} 2 (x/N)^k; the
-    N-th power is taken by repeated squaring of truncated series in exact
-    rational arithmetic.
+    With y = x/N, ((1+y)/(1-y))^N = (1 + 2y/(1-y))^N
+    = sum_j binom(N, j) (2y)^j (1-y)^{-j}, and [y^k] (1-y)^{-j} y^j is
+    binom(k-1, j-1); so the coefficient of x^k, k >= 1, is the integer
+    sum_{j=1..min(k,N)} binom(N, j) binom(k-1, j-1) 2^{j-1} over N^k.
     """
     if N < 1 or p_max < 1:
         raise ValueError(f"harer_zagier_closed requires N >= 1, p_max >= 1, got ({N}, {p_max})")
-    deg = p_max + 1
-    ratio = [Fraction(1)] + [Fraction(2, N**k) for k in range(1, deg + 1)]
-    power = [Fraction(1)] + [Fraction(0)] * deg
-    base = ratio
-    n = N
-    while n:
-        if n & 1:
-            power = _series_mul(power, base, deg)
-        n >>= 1
-        if n:
-            base = _series_mul(base, base, deg)
-    series = [c / 2 for c in power]
-    series[0] -= Fraction(1, 2)
-    series[1] -= 1
-    assert series[0] == 0 and series[1] == 0, "constant and linear terms must cancel"
-    return series[2:]
+    return [
+        Fraction(sum(binomial(N, j) * binomial(k - 1, j - 1) << (j - 1)
+                     for j in range(1, min(k, N) + 1)), N**k)
+        for k in range(2, p_max + 2)
+    ]

@@ -21,10 +21,11 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial, integrate_real, partition_term_sum, pointwise
+from .exact import binomial, integrate_real, moment_term, partition_term_sum, pointwise
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
 # times the (positive-coefficient) polynomial part drops below this.
@@ -121,13 +122,14 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
 def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
     """exp(log_scale - u/2) lag / N at one point.
 
-    Where exp(log_scale - u/2) underflows to 0, its square root is
-    multiplied in twice, so the rescaled lag (up to 2^400) can still lift
-    the product into the float range.
+    Where exp(log_scale - u/2) is below the normal float range (subnormal,
+    with few digits left, or 0), its square root is multiplied in twice,
+    so the rescaled lag (up to 2^400) can lift the product back into the
+    float range with its digits.
     """
     x = log_scale - u / 2
     scale = cmath.exp(x)
-    if scale:
+    if abs(scale) >= sys.float_info.min:
         return scale * lag / N
     root = cmath.exp(x / 2)
     return root * (root * lag) / N
@@ -278,19 +280,13 @@ def wigner_density(lam: float) -> float:
 
 
 def moment_exact(N: int, l: int) -> Fraction:
-    """Exact m_2l = sum_{q2} binom(N,q2+1)/(N^{q2+1} q2!) (2l)!/(2^{l-q2}(l-q2)!) N^{q2-l}."""
+    """Exact m_2l = sum_{q2} binom(N, q2+1) moment_term(l, q2) / N^{l+1}."""
     if N < 1:
         raise ValueError(f"moment_exact requires N >= 1, got {N}")
     if l < 0:
         raise ValueError(f"moment_exact requires l >= 0, got {l}")
-    total = Fraction(0)
-    for q2 in range(min(l, N - 1) + 1):
-        total += (
-            Fraction(binomial(N, q2 + 1), N ** (q2 + 1) * math.factorial(q2))
-            * Fraction(math.factorial(2 * l), 2 ** (l - q2) * math.factorial(l - q2))
-            / N ** (l - q2)
-        )
-    return total
+    total = sum(binomial(N, q2 + 1) * moment_term(l, q2) for q2 in range(min(l, N - 1) + 1))
+    return Fraction(total, N ** (l + 1))
 
 
 def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
@@ -373,6 +369,10 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
     240-node rule agrees with resolvent_laplace to 1e-8 at every probed z
     (Re z from 1 to 100, |Im z| up to 20); beyond it the rule degrades
     (4e-3 off at N = 80, z = 1; 2.52 for 0.5000007 at N = 120, z = 1.5).
+    Doubling `nodes` is no error estimate at large Im z: at N = 40,
+    z = 1+5i the 480-node rule is 1.4e-7 off resolvent_laplace while the
+    default rule is 1.0e-11 off, so the difference of the two measures the
+    doubled rule.  At N <= 8 the two rules agree.
     """
     z = complex(z)
     if not 1 <= N <= 40:

@@ -17,6 +17,7 @@ from guekit.exact import (
     double_factorial,
     enumerate_partition_terms,
     integrate_real,
+    moment_term,
     partition_term_sum,
     pointwise,
 )
@@ -84,6 +85,17 @@ def test_double_factorial_links_to_factorial():
 
 def test_catalan_values():
     assert [catalan(l) for l in range(6)] == [1, 1, 2, 5, 14, 42]
+
+
+def test_moment_term_values():
+    # binom(3, q+1) weights: 3 * 3 + 3 * 12 + 12 = 57 = 3^3 m_4(3)
+    assert [moment_term(2, q) for q in range(3)] == [3, 12, 12]
+    for l in range(8):
+        assert moment_term(l, 0) == double_factorial(2 * l - 1)
+        assert moment_term(l, l) == math.factorial(2 * l) // math.factorial(l)
+    for l, q in [(2, 3), (2, -1)]:
+        with pytest.raises(ValueError):
+            moment_term(l, q)
 
 
 def test_partition_terms_examples():

@@ -106,9 +106,11 @@ def test_wilson_matches_oracle_at_large_n(N, ts):
 
 
 def test_wilson_keeps_its_digits_where_the_scale_underflows():
-    # exp(log_scale - u/2) is below the float range here while the rescaled
-    # Laguerre value is near 2^400; their product is not
-    for t in [850 + 12.5 * k for k in range(29)]:
+    # exp(log_scale - u/2) is below the normal float range here while the
+    # rescaled Laguerre value is near 2^400; their product is not.  From
+    # t = 960 to 975 the factor is subnormal but not 0
+    ts = [850 + 12.5 * k for k in range(29)] + [960 + 0.5 * k for k in range(31)]
+    for t in ts:
         got, want = wilson_eval(300, t).real, wilson_oracle(300, t)
         if abs(want) >= sys.float_info.min:
             assert abs(got - want) <= 1e-12 * abs(want), t
@@ -116,16 +118,26 @@ def test_wilson_keeps_its_digits_where_the_scale_underflows():
             assert abs(got - want) <= 1e-12 * sys.float_info.min, t
 
 
+def _mpmath_wilson(N, t):
+    """exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, at complex t in 60-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        u = mpmath.mpc(t) ** 2 / N
+        return complex(mpmath.exp(-u / 2) * mpmath.laguerre(N - 1, 1, u) / N)
+
+
+@pytest.mark.parametrize("N, t", [(300, 962.5), (300, 966.0), (300, 970.0), (300, 972.5),
+                                  (300, 970 + 2j)])
+def test_wilson_keeps_its_digits_where_the_scale_is_subnormal(N, t):
+    # exp(log_scale - u/2) is subnormal here, but not 0; multiplied in
+    # whole, it left 4.5% error at t = 972.5
+    got = wilson_eval(N, t)
+    want = _mpmath_wilson(N, t) if isinstance(t, complex) else wilson_oracle(N, t)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
 @pytest.mark.parametrize("N, t, real, imag", [
-    # exp(log_scale - u/2) is subnormal here, but not 0: the values keep the
-    # bits they had before the underflow split, from t = 966 on with fewer
-    # digits than the oracle's (4.5% off at t = 972.5)
-    (300, 962.5, "-0x1.7445835e2571fp-850", "0x0.0p+0"),
-    (300, 966.0, "-0x1.c4eb145073827p-863", "0x0.0p+0"),
-    (300, 970.0, "-0x1.25888ea3f0268p-877", "0x0.0p+0"),
-    (300, 972.5, "-0x1.0ca668c8d86efp-886", "0x0.0p+0"),
-    (300, 970 + 2j, "-0x1.b030f1986ddbfp-879", "-0x1.139dbf94913e8p-877"),
-    # and away from underflow
+    # away from underflow the split leaves the bits alone
     (8, 1.5, "0x1.d1d941a4dde8cp-3", "0x0.0p+0"),
     (40, 3 + 1j, "-0x1.8716b2182289ap-3", "0x1.42313ff9adde9p-2"),
     (1000, 2500.0, "-0x1.510700f738894p-724", "0x0.0p+0"),

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from guekit.exact import catalan, double_factorial
+from guekit.exact import catalan, double_factorial, moment_term
 from guekit.maps import (
     CombinatorialMap,
     Multigraph,
@@ -19,6 +19,7 @@ from guekit.maps import (
     eulerian_count_rooted,
     eulerian_cycles_rooted,
     harer_zagier_closed,
+    harer_zagier_from_counts,
     harer_zagier_recursion,
     moment_wick,
     rosette_census,
@@ -28,6 +29,7 @@ from guekit.maps import (
     trace_derivative_value,
     verify_initial_identity,
 )
+from guekit.maps.multigraph import _connected_multigraphs
 from guekit.observables import moment_exact
 
 
@@ -153,14 +155,11 @@ def test_harer_zagier_specific_coefficient():
 
 
 def test_harer_zagier_matches_rosette_counts():
-    for N in range(1, 5):
-        coeffs = harer_zagier_closed(N, 6)
-        for p in range(1, 7):
-            rebuilt = sum(
-                Fraction(rosette_count_formula(p, g), N ** (2 * g))
-                for g in range(p // 2 + 1)
-            ) / double_factorial(2 * p - 1)
-            assert coeffs[p - 1] == rebuilt
+    # through the exponential formula for C_g(p), up to the table sizes
+    for N in [*range(1, 9), 40, 100, 300, 1000]:
+        coeffs = harer_zagier_closed(N, 40)
+        for p in range(1, 41):
+            assert coeffs[p - 1] == harer_zagier_from_counts(N, p), (N, p)
 
 
 # ----------------------------------------------------------------- multigraph
@@ -312,6 +311,14 @@ def test_initial_identity_small_range():
     for l in range(1, 4):
         for N in range(1, 5):
             assert verify_initial_identity(l, N)
+
+
+def test_eulerian_identity_holds_at_l5():
+    # the graph side of the identity one edge past INITIAL_IDENTITY_EDGE_BUDGET;
+    # q2 = 5 needs six vertices, past MULTIGRAPH_VERTEX_BUDGET
+    for q2 in range(6):
+        graph_sum = sum(eulerian_count_normalized(G) for G in _connected_multigraphs(q2 + 1, 5))
+        assert graph_sum == moment_term(5, q2), q2
 
 
 def test_initial_identity_budget():

@@ -70,10 +70,12 @@ def test_wilson_eval_limit_cases():
 
 
 def test_wilson_taylor_matches_moments():
-    for N in range(1, 9):
-        coeffs = wilson_taylor_coefficients(N, 8)
+    # up to the moments table sizes; this route multiplies the exp(-t^2/2N)
+    # series into the c_q ladder and shares no sum with moment_exact
+    for N in [*range(1, 9), 40, 1000]:
+        coeffs = wilson_taylor_coefficients(N, 60)
         for l, c in enumerate(coeffs):
-            assert c == moment_exact(N, l) / math.factorial(2 * l)
+            assert c == moment_exact(N, l) / math.factorial(2 * l), (N, l)
 
 
 def test_wilson_limit_partial_basics():

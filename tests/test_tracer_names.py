@@ -56,6 +56,10 @@ def test_tracer_runs_a_table_command(tmp_path):
     called = _called_spans(tmp_path, ["rosettes", "--l", "5"])
     assert "cli.self:cmd_rosettes" in called
     assert "rosettes.closed_form:rosette_count_formula" in called
+    called = _called_spans(tmp_path, ["harer-zagier", "--N", "3", "--p-max", "7"])
+    assert "rosettes.closed_form:harer_zagier_closed" in called
+    called = _called_spans(tmp_path, ["moments", "--N", "4", "--l-max", "8"])
+    assert "observables.moment:moment_exact" in called
 
 
 def test_tracer_wraps_the_lazily_imported_sampler(tmp_path):
