@@ -1,24 +1,23 @@
 """Rotation systems on multigraphs and the Eulerian-cycle correspondence.
 
-Darts are laid out as 2e and 2e+1 for edge id e of the underlying
-multigraph, matching the arc layout of DirectedDouble: the arc along dart
-d exits through d and enters through its partner.  A rooted map plus a
-plane spanning tree determines an Eulerian cycle of di(G) by always
-leaving a vertex on the first unused outgoing dart counterclockwise after
-the reference dart (the tree dart toward the root, or the root dart at
-the root vertex itself); the inverse reads rotations off the order in
-which the cycle exits each vertex and marks each vertex's last exit as
-its tree edge.
+Darts are the arcs of DirectedDouble, 2e and 2e+1 for edge id e of the
+underlying multigraph: the arc along dart d exits through d and enters
+through its partner.  A rooted map plus a plane spanning tree determines
+an Eulerian cycle of di(G) by always leaving a vertex on the first unused
+outgoing dart counterclockwise after the reference dart (the tree dart
+toward the root, or the root dart at the root vertex itself); the inverse
+reads rotations off the order in which the cycle exits each vertex and
+marks each vertex's last exit as its tree edge.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .multigraph import DirectedDouble, Multigraph, _DisjointSet, directed_double
+from .multigraph import DirectedDouble, Multigraph, _joins_all, _out_arcs, directed_double
 
 MAP_DEGREE_BUDGET = 8
 
@@ -68,35 +67,6 @@ class CombinatorialMap:
         ]
         return Multigraph.from_edges(v, edges)
 
-    def _successor(self) -> dict[int, int]:
-        nxt = {}
-        for rot in self.rotation:
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % len(rot)]
-        return nxt
-
-    def face_count(self) -> int:
-        """Cycles of rotation-successor composed with the edge involution."""
-        nxt = self._successor()
-        seen = set()
-        faces = 0
-        for start in range(self.dart_count):
-            if start in seen:
-                continue
-            faces += 1
-            d = start
-            while d not in seen:
-                seen.add(d)
-                d = nxt[self.partner[d]]
-        return faces
-
-    def genus(self) -> int:
-        """From V - E + F = 2 - 2g; requires a connected underlying graph."""
-        v = len(self.rotation)
-        excess = 2 - v + self.edge_count - self.face_count()
-        assert excess >= 0 and excess % 2 == 0, "Euler formula violated"
-        return excess // 2
-
 
 @dataclass(frozen=True, slots=True)
 class EulerianCycle:
@@ -115,14 +85,6 @@ class EulerianCycle:
                 raise ValueError(f"arcs {a} and {b} are not head-to-tail incident")
 
 
-def _darts_by_vertex(G: Multigraph) -> list[list[int]]:
-    darts = [[] for _ in range(G.vertex_count)]
-    for e, (a, b) in enumerate(G.edges()):
-        darts[a].append(2 * e)
-        darts[b].append(2 * e + 1)
-    return darts
-
-
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
     if not seq:
         return seq
@@ -136,43 +98,34 @@ def enumerate_maps(G: Multigraph) -> Iterator[CombinatorialMap]:
     A vertex of degree d contributes (d-1)! cyclic orders, generated with
     the smallest dart held first.
     """
-    darts = _darts_by_vertex(G)
+    D = directed_double(G)
+    darts, _ = _out_arcs(D)
     for ds in darts:
         if len(ds) > MAP_DEGREE_BUDGET:
             raise ValueError(f"map enumeration supports <= {MAP_DEGREE_BUDGET} darts per vertex")
-    return _rotation_systems(G, darts)
+    return _rotation_systems(D, darts)
 
 
-def _rotation_systems(G: Multigraph, darts: list[list[int]]) -> Iterator[CombinatorialMap]:
-    n = 2 * G.edge_count
-    vertex_of = [0] * n
-    for v, ds in enumerate(darts):
-        for d in ds:
-            vertex_of[d] = v
-    partner = [d ^ 1 for d in range(n)]
+def _rotation_systems(D: DirectedDouble, darts: list[list[int]]) -> Iterator[CombinatorialMap]:
+    vertex_of = tuple(arc.tail for arc in D.arcs)
+    partner = tuple(d ^ 1 for d in range(len(D.arcs)))
     choices = [
         [tuple([ds[0], *rest]) for rest in permutations(ds[1:])] if ds else [()]
         for ds in darts
     ]
     for rots in product(*choices):
-        yield CombinatorialMap(tuple(vertex_of), rots, tuple(partner))
+        yield CombinatorialMap(vertex_of, rots, partner)
 
 
 def spanning_trees(G: Multigraph) -> list[frozenset[int]]:
     """Edge-id subsets forming spanning trees (self loops never qualify)."""
-    from itertools import combinations
-
     edges = G.edges()
     non_loops = [e for e, (a, b) in enumerate(edges) if a != b]
     v = G.vertex_count
-    if v == 1:
-        return [frozenset()]
-    trees = []
-    for subset in combinations(non_loops, v - 1):
-        dsu = _DisjointSet(v)
-        if all(dsu.union(*edges[e]) for e in subset):
-            trees.append(frozenset(subset))
-    return trees
+    return [
+        frozenset(subset) for subset in combinations(non_loops, v - 1)
+        if _joins_all(v, [edges[e] for e in subset])
+    ]
 
 
 def _tree_darts_toward(M: CombinatorialMap, T: frozenset[int], root_vertex: int) -> dict[int, int]:
@@ -259,23 +212,16 @@ def best_inverse(c: EulerianCycle, G: Multigraph, root: int
         exit_order[arcs[d].tail].append(d)
 
     rotation = tuple(_canonical_rotation(tuple(order)) for order in exit_order)
-    vertex_of = [0] * len(arcs)
-    for d, arc in enumerate(arcs):
-        vertex_of[d] = arc.tail
+    vertex_of = tuple(arc.tail for arc in arcs)
     partner = tuple(d ^ 1 for d in range(len(arcs)))
 
     root_vertex = arcs[root].tail
     tree = frozenset(
         order[-1] // 2 for v, order in enumerate(exit_order) if v != root_vertex
     )
-    if len(tree) != v_count - 1:
-        raise ValueError("last-exit edges do not form a spanning tree")
-    dsu = _DisjointSet(v_count)
     edges = G.edges()
-    for e in tree:
-        a, b = edges[e]
-        if a == b or not dsu.union(a, b):
-            raise ValueError("last-exit edges do not form a spanning tree")
+    if not _joins_all(v_count, [edges[e] for e in tree]):
+        raise ValueError("last-exit edges do not form a spanning tree")
 
-    M = CombinatorialMap(tuple(vertex_of), rotation, partner)
+    M = CombinatorialMap(vertex_of, rotation, partner)
     return M, tree

@@ -25,28 +25,23 @@ EULERIAN_ARC_BUDGET = 12
 INITIAL_IDENTITY_EDGE_BUDGET = 4
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _joins_all(v: int, edges) -> bool:
     """Whether the edges (a, b) put all of the vertices 0 .. v-1 in one component."""
-    dsu = _DisjointSet(v)
-    return sum(dsu.union(a, b) for a, b in edges) == v - 1
+    parent = list(range(v))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joins = 0
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+    return joins == v - 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,6 +68,8 @@ class Multigraph:
     def from_edges(cls, vertex_count: int, edges) -> "Multigraph":
         m = [[0] * vertex_count for _ in range(vertex_count)]
         for a, b in edges:
+            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+                raise ValueError(f"edge ({a}, {b}) has a vertex outside 0 .. {vertex_count - 1}")
             m[a][b] += 1
             if a != b:
                 m[b][a] += 1
@@ -91,11 +88,6 @@ class Multigraph:
             for b in range(a, v):
                 out.extend([(a, b)] * self.multiplicity[a][b])
         return tuple(out)
-
-    @property
-    def is_connected(self) -> bool:
-        """Union-find over edges; every vertex must land in one component."""
-        return _joins_all(self.vertex_count, self.edges())
 
 
 class Arc(NamedTuple):
@@ -154,23 +146,46 @@ def _out_arcs(D: DirectedDouble) -> tuple[list[list[int]], list[int]]:
     return out, heads
 
 
-def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, ...]]:
-    """Arc sequences starting with `root` using every labeled arc exactly once."""
+def _checked_out_arcs(D: DirectedDouble, root: int) -> tuple[list[list[int]], list[int]]:
+    """_out_arcs(D), once D is within the backtracking budget and root is an arc."""
     n = len(D.arcs)
     if n > EULERIAN_ARC_BUDGET:
         raise ValueError(f"Eulerian backtracking supports <= {EULERIAN_ARC_BUDGET} arcs, got {n}")
     if not 0 <= root < n:
         raise ValueError(f"root arc index {root} out of range")
-    out, heads = _out_arcs(D)
-    return _walks(out, heads, root, D.arcs[root].tail, n)
+    return _out_arcs(D)
+
+
+def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, ...]]:
+    """Arc sequences starting with `root` using every labeled arc exactly once."""
+    out, heads = _checked_out_arcs(D, root)
+    return _walks(out, heads, root, D.arcs[root].tail, len(D.arcs))
 
 
 def eulerian_count_rooted(D: DirectedDouble, root: int) -> int:
     """Number of Eulerian cycles of di(G) rooted at the given arc.
 
-    Zero whenever G is disconnected: no closed walk can reach every arc.
+    The backtracking of eulerian_cycles_rooted, counting the walks instead
+    of yielding them.  Every vertex of di(G) has as many arcs in as out, so
+    a walk that uses every arc ends where it began.  Zero whenever G is
+    disconnected: no walk can reach every arc.
     """
-    return sum(1 for _ in eulerian_cycles_rooted(D, root))
+    out, heads = _checked_out_arcs(D, root)
+    used = [False] * len(D.arcs)
+    used[root] = True
+
+    def count(at: int, left: int) -> int:
+        if not left:
+            return 1
+        total = 0
+        for arc in out[at]:
+            if not used[arc]:
+                used[arc] = True
+                total += count(heads[arc], left - 1)
+                used[arc] = False
+        return total
+
+    return count(heads[root], len(D.arcs) - 1)
 
 
 def _symmetry_divisor(G: Multigraph) -> int:
@@ -219,13 +234,9 @@ def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
     def fill(i: int, left: int, counts: list[int]) -> Iterator[Multigraph]:
         if i == len(slots) - 1:
             counts.append(left)
-            if _joins_all(v, [slot for slot, k in zip(slots, counts) if k]):
-                m = [[0] * v for _ in range(v)]
-                for (a, b), k in zip(slots, counts):
-                    m[a][b] += k
-                    if a != b:
-                        m[b][a] += k
-                yield Multigraph(v, tuple(tuple(row) for row in m))
+            edges = [slot for slot, k in zip(slots, counts) for _ in range(k)]
+            if _joins_all(v, edges):
+                yield Multigraph.from_edges(v, edges)
             counts.pop()
             return
         for k in range(left + 1):

@@ -7,13 +7,13 @@ gamma o alpha, gamma the cyclic step i -> i+1 and alpha the pairing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from ..exact import binomial, double_factorial, partition_term_sum
+from ..exact import binomial, double_factorial
+from ..observables import _genus_coefficient
 
 # (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
 PAIRING_BUDGET = 8
@@ -167,13 +167,10 @@ def rosette_census(l: int) -> RosetteCensus:
 
 
 def rosette_count_formula(l: int, g: int) -> int:
-    """Closed-form C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n!, n = l - 2g + 1.
-
-    S(x) = sum_q x^q/(2q+1); the coefficient is partition_term_sum(l, g).
-    """
+    """Closed-form C_g(l), the coefficient of N^{-2g} in m_2l, as an integer."""
     if l < 1 or g < 0:
         raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {g})")
-    value = Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
+    value = _genus_coefficient(l, g)
     assert value.denominator == 1, f"C_g(l) must be an integer, got {value}"
     return int(value)
 

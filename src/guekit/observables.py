@@ -34,20 +34,6 @@ TAIL_EPSILON = 1e-12
 DEFAULT_RESOLVENT_NODES = 240
 
 
-def _coefficient_ladder(N: int) -> tuple[Fraction, ...]:
-    """Exact c_q = binom(N, q+1) / (N^{q+1} q!) for q = 0 .. N-1.
-
-    Built by the ratio recurrence c_{q+1} = c_q (N-q-1) / (N (q+1)(q+2)),
-    which keeps every intermediate gcd small even at N in the thousands.
-    """
-    coeffs = [Fraction(1)]
-    c = Fraction(1)
-    for q in range(N - 1):
-        c *= Fraction(N - q - 1, N * (q + 1) * (q + 2))
-        coeffs.append(c)
-    return tuple(coeffs)
-
-
 # Recurrences rescale by this power of two (exact in binary) before they overflow.
 # It also bounds their real argument (u or y^2): up to it, one step grows the
 # state by less than one rescale undoes; beyond it, I and rho_N (at most about
@@ -113,10 +99,19 @@ def _laguerre1(n: int, u):
 
 
 def wilson_loop(N: int) -> tuple[Fraction, ...]:
-    """Exact c_q, q = 0 .. N-1, of I(t, N) = exp(-t^2 / 2N) sum_q c_q (-t^2)^q."""
+    """Exact c_q, q = 0 .. N-1, of I(t, N) = exp(-t^2 / 2N) sum_q c_q (-t^2)^q.
+
+    Built by the ratio recurrence c_{q+1} = c_q (N-q-1) / (N (q+1)(q+2)),
+    which keeps every intermediate gcd small even at N in the thousands.
+    """
     if N < 1:
         raise ValueError(f"wilson_loop requires N >= 1, got {N}")
-    return _coefficient_ladder(N)
+    coeffs = [Fraction(1)]
+    c = Fraction(1)
+    for q in range(N - 1):
+        c *= Fraction(N - q - 1, N * (q + 1) * (q + 2))
+        coeffs.append(c)
+    return tuple(coeffs)
 
 
 def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
@@ -211,10 +206,10 @@ def wilson_bound(N: int, t: complex) -> float:
 def density(N: int) -> tuple[Fraction, ...]:
     """Exact c_q, q = 0 .. N-1, of the N x N GUE density
     rho_N(lambda) = sqrt(N/2pi) e^{-N lambda^2/2} sum_q c_q N^q He_2q(sqrt(N) lambda).
+
+    The same c_q as the Wilson loop's.
     """
-    if N < 1:
-        raise ValueError(f"density requires N >= 1, got {N}")
-    return _coefficient_ladder(N)
+    return wilson_loop(N)
 
 
 def _hermite_squares(N: int, y):
@@ -294,18 +289,22 @@ def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
     return tuple(moment_exact(N, l) for l in range(l_max + 1))
 
 
-def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
-    """Coefficients of N^{-2g} in m_2l, g = 0 .. min(g_max, floor(l/2)).
+def _genus_coefficient(l: int, g: int) -> Fraction:
+    """C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n! with S(x) = sum_q x^q/(2q+1)
+    and n = l - 2g + 1 (partition_term_sum): the number of genus-g rosettes
+    with l edges, and the coefficient of N^{-2g} in m_2l."""
+    return Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
 
-    Entry g is (2l)!/l! 2^{-2g} * [x^g] S(x)^n / n! with
-    S(x) = sum_q x^q/(2q+1) and n = l - 2g + 1 (partition_term_sum); all
-    entries are non-negative rationals.
+
+def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
+    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. min(g_max, floor(l/2)).
+
+    All entries are non-negative rationals.
     """
     if l < 1:
         raise ValueError(f"moment_genus_expansion requires l >= 1, got {l}")
     top = l // 2 if g_max is None else min(g_max, l // 2)
-    base = Fraction(math.factorial(2 * l), math.factorial(l))
-    return [base / 4**g * partition_term_sum(l, g) for g in range(top + 1)]
+    return [_genus_coefficient(l, g) for g in range(top + 1)]
 
 
 def truncation_time(N: int) -> float:

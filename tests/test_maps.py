@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -7,6 +8,7 @@ import pytest
 from guekit.exact import catalan, double_factorial, moment_term
 from guekit.maps import (
     CombinatorialMap,
+    EulerianCycle,
     Multigraph,
     Pairing,
     best_forward,
@@ -31,6 +33,45 @@ from guekit.maps import (
 )
 from guekit.maps.multigraph import _connected_multigraphs
 from guekit.observables import moment_exact
+
+
+def _is_connected(g):
+    """Breadth-first search from vertex 0 over the multiplicity matrix."""
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        a = queue.popleft()
+        for b in range(g.vertex_count):
+            if g.multiplicity[a][b] and b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == g.vertex_count
+
+
+def _face_count(m):
+    """Cycles of rotation-successor composed with the edge involution."""
+    nxt = {}
+    for rot in m.rotation:
+        for i, d in enumerate(rot):
+            nxt[d] = rot[(i + 1) % len(rot)]
+    seen = set()
+    faces = 0
+    for start in range(m.dart_count):
+        if start in seen:
+            continue
+        faces += 1
+        d = start
+        while d not in seen:
+            seen.add(d)
+            d = nxt[m.partner[d]]
+    return faces
+
+
+def _map_genus(m):
+    """From V - E + F = 2 - 2g; requires a connected underlying graph."""
+    excess = 2 - len(m.rotation) + m.edge_count - _face_count(m)
+    assert excess >= 0 and excess % 2 == 0, "Euler formula violated"
+    return excess // 2
 
 
 # ------------------------------------------------------------------- pairings
@@ -168,17 +209,21 @@ def test_multigraph_validation_and_properties():
     g = Multigraph.from_edges(2, [(0, 1), (0, 1), (0, 0)])
     assert g.edge_count == 3
     assert g.edges() == ((0, 0), (0, 1), (0, 1))
-    assert g.is_connected
+    assert _is_connected(g)
     with pytest.raises(ValueError):
         Multigraph(2, ((0, 1), (0, 0)))  # asymmetric
     with pytest.raises(ValueError):
         Multigraph(1, ((-1,),))
+    with pytest.raises(ValueError):
+        Multigraph.from_edges(2, [(-1, 0)])  # not read as vertex 1
+    with pytest.raises(ValueError):
+        Multigraph.from_edges(2, [(0, 2)])
 
 
 def test_multigraph_disconnected_flag():
     g = Multigraph.from_edges(2, [(0, 0), (1, 1)])
-    assert not g.is_connected
-    assert not Multigraph.from_edges(3, [(0, 1), (0, 1)]).is_connected
+    assert not _is_connected(g)
+    assert not _is_connected(Multigraph.from_edges(3, [(0, 1), (0, 1)]))
 
 
 def test_enumerate_connected_multigraphs_examples():
@@ -202,7 +247,7 @@ def test_enumerate_connected_multigraphs_order():
         for l in range(6):
             fills = reversed(list(combinations_with_replacement(range(len(slots)), l)))
             built = (Multigraph.from_edges(v, [slots[i] for i in fill]) for fill in fills)
-            expected = [g.multiplicity for g in built if g.is_connected]
+            expected = [g.multiplicity for g in built if _is_connected(g)]
             got = [g.multiplicity for g in enumerate_connected_multigraphs(v, l)]
             assert got == expected, (v, l)
 
@@ -261,6 +306,15 @@ def test_eulerian_budget():
         eulerian_count_rooted(directed_double(g), 0)
 
 
+def test_eulerian_root_must_be_an_arc():
+    d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 0)]))
+    for root in (-1, len(d.arcs)):
+        with pytest.raises(ValueError):
+            eulerian_count_rooted(d, root)
+        with pytest.raises(ValueError):
+            eulerian_cycles_rooted(d, root)
+
+
 def test_eulerian_count_normalized_examples():
     assert eulerian_count_normalized(Multigraph.from_edges(2, [(0, 1), (0, 1)])) == 4
     assert eulerian_count_normalized(Multigraph.from_edges(1, [(0, 0), (0, 0)])) == 3
@@ -274,6 +328,8 @@ def test_eulerian_count_is_the_same_from_every_root():
                 d = directed_double(g)
                 counts = [eulerian_count_rooted(d, r) for r in range(len(d.arcs))]
                 assert len(set(counts)) <= 1, g
+                for r in range(len(d.arcs)):
+                    assert counts[r] == len(set(eulerian_cycles_rooted(d, r))), (g, r)
                 symmetry = 1
                 for a in range(v):
                     loops = g.multiplicity[a][a]
@@ -332,7 +388,7 @@ def test_enumerate_maps_single_edge():
     maps = list(enumerate_maps(Multigraph.from_edges(2, [(0, 1)])))
     assert len(maps) == 1
     assert maps[0].rotation == ((0,), (1,))
-    assert maps[0].genus() == 0
+    assert _map_genus(maps[0]) == 0
 
 
 def test_enumerate_maps_two_loops_resolved_count():
@@ -343,7 +399,7 @@ def test_enumerate_maps_two_loops_resolved_count():
     assert len(maps) == 6
     genus_counts = [0, 0]
     for m in maps:
-        genus_counts[m.genus()] += 1
+        genus_counts[_map_genus(m)] += 1
     assert genus_counts == [4, 2]
     assert [2 * c for c in rosette_census(2).counts] == genus_counts
 
@@ -355,7 +411,7 @@ def test_enumerate_maps_invariants():
     assert len(maps) == 6
     for m in maps:
         assert m.graph() == g
-        assert m.genus() >= 0
+        assert _map_genus(m) >= 0
 
 
 def test_map_validation():
@@ -425,8 +481,6 @@ def test_best_bijection_counting_corollary_small():
 
 
 def test_eulerian_cycle_type_invariants():
-    from guekit.maps import EulerianCycle
-
     g = Multigraph.from_edges(2, [(0, 1), (0, 1)])
     d = directed_double(g)
     EulerianCycle(d, (0, 1, 2, 3))  # (0->1) e0, (1->0) e0, (0->1) e1, (1->0) e1
@@ -442,3 +496,11 @@ def test_best_inverse_rejects_wrong_root():
     cycle = best_forward(m, frozenset({0}), 0)
     with pytest.raises(ValueError):
         best_inverse(cycle, g, 1)
+
+
+def test_best_inverse_rejects_last_exits_that_are_no_spanning_tree():
+    d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
+    # vertex 1 exits last through arc 1, edge 0: a self loop in the graph below
+    cycle = EulerianCycle(d, (0, 3, 2, 1))
+    with pytest.raises(ValueError, match="spanning tree"):
+        best_inverse(cycle, Multigraph.from_edges(2, [(0, 0), (0, 1)]), 0)

@@ -81,3 +81,8 @@ def test_tracer_follows_the_enumeration_oracles(tmp_path):
     called = _called_spans(tmp_path, ["verify", "--suite", "initial"])
     assert "multigraph.oracle:trace_derivative_value" in called
     assert "multigraph.eulerian:eulerian_count_rooted" in called
+    called = _called_spans(tmp_path, ["verify", "--suite", "best"])
+    for span in ["bijection.maps:enumerate_maps", "bijection.trees:spanning_trees",
+                 "bijection.forward:best_forward", "bijection.inverse:best_inverse",
+                 "multigraph.eulerian:eulerian_count_rooted"]:
+        assert span in called, span
