@@ -97,15 +97,13 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
                         ["t", "mean", "std_error", "exact", "zscore"], rows)
 
 
-def cmd_verify(suite: str, l_max: int | None, samples: int, bins: int, seed: int,
-               stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_verify(suite: str, l_max: int | None, samples: int, bins: int, seed: int) -> int:
     failures = run_suite(suite, l_max=l_max, samples=samples, bins=bins, seed=seed)
     if failures:
         print(json.dumps({"suite": suite, "status": "FAIL", "failures": failures},
-                         indent=2), file=stream)
+                         indent=2))
         return 1
-    print(f"PASS {suite}", file=stream)
+    print(f"PASS {suite}")
     return 0
 
 

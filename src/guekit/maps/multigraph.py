@@ -93,24 +93,26 @@ class Multigraph:
 class Arc(NamedTuple):
     tail: int
     head: int
-    edge: int
-    side: int
 
 
 @dataclass(frozen=True, slots=True)
 class DirectedDouble:
-    """Arcs of di(G), listed as arcs[2e + side] for edge id e."""
+    """Arcs of di(G), two per edge of G.edges().
+
+    Edge e = (a, b) gives arcs[2e] = (a, b) and arcs[2e + 1] = (b, a), so
+    arc d runs along edge d // 2 and d ^ 1 is the same edge walked the
+    other way.  A self loop gives two arcs (a, a).
+    """
 
     graph: Multigraph
     arcs: tuple[Arc, ...]
 
 
 def directed_double(G: Multigraph) -> DirectedDouble:
-    """Split each edge {a, b} into arcs (a, b) and (b, a); loops give two (a, a)."""
+    """Split each edge {a, b} into arcs (a, b) and (b, a)."""
     arcs = []
-    for e, (a, b) in enumerate(G.edges()):
-        arcs.append(Arc(a, b, e, 0))
-        arcs.append(Arc(b, a, e, 1))
+    for a, b in G.edges():
+        arcs.extend((Arc(a, b), Arc(b, a)))
     return DirectedDouble(G, tuple(arcs))
 
 

@@ -56,20 +56,20 @@ def _face_count(m):
             nxt[d] = rot[(i + 1) % len(rot)]
     seen = set()
     faces = 0
-    for start in range(m.dart_count):
+    for start in range(len(m.double.arcs)):
         if start in seen:
             continue
         faces += 1
         d = start
         while d not in seen:
             seen.add(d)
-            d = nxt[m.partner[d]]
+            d = nxt[d ^ 1]
     return faces
 
 
 def _map_genus(m):
     """From V - E + F = 2 - 2g; requires a connected underlying graph."""
-    excess = 2 - len(m.rotation) + m.edge_count - _face_count(m)
+    excess = 2 - len(m.rotation) + m.double.graph.edge_count - _face_count(m)
     assert excess >= 0 and excess % 2 == 0, "Euler formula violated"
     return excess // 2
 
@@ -410,15 +410,27 @@ def test_enumerate_maps_invariants():
     # degrees 4 and 2: (4-1)! * (2-1)! rotations
     assert len(maps) == 6
     for m in maps:
-        assert m.graph() == g
+        assert m.double.graph == g
+        assert m.double is maps[0].double
         assert _map_genus(m) >= 0
+        for tree in spanning_trees(g):
+            assert best_forward(m, tree, 0).double is m.double
 
 
 def test_map_validation():
-    with pytest.raises(ValueError):
-        CombinatorialMap((0, 1), ((0, 1), ()), (1, 0))  # dart 1 at wrong vertex
-    with pytest.raises(ValueError):
-        CombinatorialMap((0, 0), ((1, 0),), (1, 0))  # not canonical
+    edge = directed_double(Multigraph.from_edges(2, [(0, 1)]))
+    loop = directed_double(Multigraph.from_edges(1, [(0, 0)]))
+    CombinatorialMap(edge, ((0,), (1,)))
+    with pytest.raises(ValueError, match="lives elsewhere"):
+        CombinatorialMap(edge, ((0, 1), ()))  # dart 1 at wrong vertex
+    with pytest.raises(ValueError, match="linearized"):
+        CombinatorialMap(loop, ((1, 0),))  # not canonical
+    with pytest.raises(ValueError, match="exactly one rotation"):
+        CombinatorialMap(edge, ((0,), (5,)))  # dart outside the double
+    with pytest.raises(ValueError, match="exactly one rotation"):
+        CombinatorialMap(loop, ((0, 0, 1),))  # dart listed twice
+    with pytest.raises(ValueError, match="one rotation per vertex"):
+        CombinatorialMap(edge, ((0,), (1,), ()))  # three rotations, two vertices
 
 
 def test_spanning_trees():
@@ -502,5 +514,21 @@ def test_best_inverse_rejects_last_exits_that_are_no_spanning_tree():
     d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
     # vertex 1 exits last through arc 1, edge 0: a self loop in the graph below
     cycle = EulerianCycle(d, (0, 3, 2, 1))
-    with pytest.raises(ValueError, match="spanning tree"):
+    with pytest.raises(ValueError, match="another graph"):
         best_inverse(cycle, Multigraph.from_edges(2, [(0, 0), (0, 1)]), 0)
+
+
+def test_best_inverse_rejects_a_graph_the_cycle_does_not_walk():
+    d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
+    cycle = EulerianCycle(d, (0, 1, 2, 3))
+    for g in (Multigraph.from_edges(2, [(0, 0), (0, 1)]),  # as many edges
+              Multigraph.from_edges(2, [(0, 1)])):  # fewer edges
+        with pytest.raises(ValueError, match="another graph"):
+            best_inverse(cycle, g, 0)
+
+
+def test_best_inverse_rejects_a_vertex_the_cycle_never_leaves():
+    g = Multigraph.from_edges(2, [(0, 0)])  # vertex 1 has no edge
+    cycle = EulerianCycle(directed_double(g), (0, 1))
+    with pytest.raises(ValueError, match="spanning tree"):
+        best_inverse(cycle, g, 0)
