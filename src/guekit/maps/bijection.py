@@ -12,12 +12,12 @@ edge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .multigraph import DirectedDouble, Multigraph, _joins_all, _out_arcs, directed_double
+from .multigraph import (DirectedDouble, Multigraph, _check_root_arc, _joins_all, _out_arcs,
+                         directed_double)
 
 MAP_DEGREE_BUDGET = 8
 
@@ -90,43 +90,34 @@ def enumerate_maps(G: Multigraph) -> Iterator[CombinatorialMap]:
     return (CombinatorialMap(D, rots) for rots in product(*choices))
 
 
+def _is_spanning_tree(v: int, edges, T) -> bool:
+    """Whether the ids T into `edges` are v-1 edges joining all v vertices in one component."""
+    return (len(T) == v - 1 and all(0 <= e < len(edges) for e in T)
+            and _joins_all(v, [edges[e] for e in T]))
+
+
 def spanning_trees(G: Multigraph) -> list[frozenset[int]]:
     """Edge-id subsets forming spanning trees (self loops never qualify)."""
     edges = G.edges()
-    non_loops = [e for e, (a, b) in enumerate(edges) if a != b]
     v = G.vertex_count
     return [
-        frozenset(subset) for subset in combinations(non_loops, v - 1)
-        if _joins_all(v, [edges[e] for e in subset])
+        frozenset(subset) for subset in combinations(range(len(edges)), v - 1)
+        if _is_spanning_tree(v, edges, subset)
     ]
 
 
 def _tree_darts_toward(M: CombinatorialMap, T: frozenset[int], root_vertex: int) -> dict[int, int]:
     """For each non-root vertex, the dart of its tree edge toward the root."""
     arcs = M.double.arcs
-    v_count = len(M.rotation)
-    if len(T) != v_count - 1:
-        raise ValueError("spanning tree must have exactly v-1 edges")
-    by_vertex: dict[int, list[int]] = {v: [] for v in range(v_count)}
-    for e in T:
-        a, b = arcs[2 * e]
-        if a == b:
-            raise ValueError("a spanning tree cannot contain self loops")
-        by_vertex[a].append(2 * e)
-        by_vertex[b].append(2 * e + 1)
     toward: dict[int, int] = {}
-    seen = {root_vertex}
-    queue = deque([root_vertex])
-    while queue:
-        v = queue.popleft()
-        for d in by_vertex[v]:
+    stack = [root_vertex]
+    while stack:
+        v = stack.pop()
+        for d in M.rotation[v]:
             u = arcs[d].head
-            if u not in seen:
-                seen.add(u)
+            if d // 2 in T and u != root_vertex and u not in toward:
                 toward[u] = d ^ 1
-                queue.append(u)
-    if len(seen) != v_count:
-        raise ValueError("edge subset does not span the graph")
+                stack.append(u)
     return toward
 
 
@@ -138,7 +129,10 @@ def best_forward(M: CombinatorialMap, T: frozenset[int], root: int) -> EulerianC
     toward the root, or the root dart itself at the root vertex); the
     reference dart itself is taken last.
     """
+    _check_root_arc(M.double, root)
     arcs = M.double.arcs
+    if not _is_spanning_tree(len(M.rotation), arcs[::2], T):
+        raise ValueError("edge ids do not form a spanning tree of the map's graph")
     root_vertex = arcs[root].tail
     reference = _tree_darts_toward(M, T, root_vertex)
     reference[root_vertex] = root
@@ -191,8 +185,7 @@ def best_inverse(c: EulerianCycle, G: Multigraph, root: int
     tree = frozenset(
         order[-1] // 2 for v, order in enumerate(exit_order) if v != root_vertex and order
     )
-    edges = G.edges()
-    if not _joins_all(v_count, [edges[e] for e in tree]):
+    if not _is_spanning_tree(v_count, G.edges(), tree):
         raise ValueError("last-exit edges do not form a spanning tree")
 
     rotation = tuple(_canonical_rotation(tuple(order)) for order in exit_order)

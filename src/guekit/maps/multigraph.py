@@ -23,6 +23,7 @@ MULTIGRAPH_VERTEX_BUDGET = 5
 MULTIGRAPH_EDGE_BUDGET = 5
 EULERIAN_ARC_BUDGET = 12
 INITIAL_IDENTITY_EDGE_BUDGET = 4
+DERIVATIVE_EDGE_BUDGET = 3
 
 
 def _joins_all(v: int, edges) -> bool:
@@ -148,13 +149,17 @@ def _out_arcs(D: DirectedDouble) -> tuple[list[list[int]], list[int]]:
     return out, heads
 
 
+def _check_root_arc(D: DirectedDouble, root: int) -> None:
+    if not 0 <= root < len(D.arcs):
+        raise ValueError(f"root arc index {root} out of range")
+
+
 def _checked_out_arcs(D: DirectedDouble, root: int) -> tuple[list[list[int]], list[int]]:
     """_out_arcs(D), once D is within the backtracking budget and root is an arc."""
     n = len(D.arcs)
     if n > EULERIAN_ARC_BUDGET:
         raise ValueError(f"Eulerian backtracking supports <= {EULERIAN_ARC_BUDGET} arcs, got {n}")
-    if not 0 <= root < n:
-        raise ValueError(f"root arc index {root} out of range")
+    _check_root_arc(D, root)
     return _out_arcs(D)
 
 
@@ -269,14 +274,14 @@ def trace_derivative_value(G: Multigraph) -> Fraction:
 
     Fully symbolic: Tr H^{2l} is expanded into monomials over the entries
     H_ij, i, j < |V(G)|, and the single derivatives are applied one by one.
-    Intended for small graphs (l <= 3).  The expansion costs |V|^{2l}
+    Limited to l <= DERIVATIVE_EDGE_BUDGET.  The expansion costs |V|^{2l}
     index sequences once per shape (|V|, l), shared by every graph of that
     shape; the derivatives cost at most one pass over its monomials each.
     """
     n = G.vertex_count
     l = G.edge_count
-    if l > 3:
-        raise ValueError(f"differentiation oracle supports l <= 3, got {l}")
+    if l > DERIVATIVE_EDGE_BUDGET:
+        raise ValueError(f"differentiation oracle supports l <= {DERIVATIVE_EDGE_BUDGET}, got {l}")
 
     poly = _trace_power(n, l)
     derivs: list[tuple[int, int]] = []

@@ -60,6 +60,13 @@ def enumerate_pairings(l: int) -> Iterator[Pairing]:
     return (Pairing(partner) for partner in _iter_partner_tuples(2 * l))
 
 
+def _euler_genus(l: int, faces: int) -> int:
+    """Genus g = (l + 1 - F) / 2 of a one-vertex map with l edges and F faces."""
+    genus, odd = divmod(l + 1 - faces, 2)
+    assert not odd and genus >= 0, f"Euler formula violated: l={l}, F={faces}"
+    return genus
+
+
 def _genus(partner: tuple[int, ...]) -> int:
     """Genus g with F = l + 1 - 2g faces, F the cycles of i -> partner[i] + 1 (mod 2l)."""
     n = len(partner)
@@ -75,9 +82,7 @@ def _genus(partner: tuple[int, ...]) -> int:
             i = partner[i] + 1
             if i == n:
                 i = 0
-    excess = n // 2 + 1 - faces
-    assert excess >= 0 and excess % 2 == 0, f"Euler formula violated: l={n // 2}, F={faces}"
-    return excess // 2
+    return _euler_genus(n // 2, faces)
 
 
 def rosette_genus(p: Pairing) -> int:
@@ -160,9 +165,7 @@ def rosette_census(l: int) -> RosetteCensus:
     counts = [0] * (l // 2 + 1)
     for faces, count in enumerate(by_faces):
         if count:
-            genus, odd = divmod(l + 1 - faces, 2)
-            assert not odd and genus >= 0, f"Euler formula violated: l={l}, F={faces}"
-            counts[genus] += count
+            counts[_euler_genus(l, faces)] += count
     return RosetteCensus(l, tuple(counts))
 
 

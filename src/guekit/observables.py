@@ -296,15 +296,14 @@ def _genus_coefficient(l: int, g: int) -> Fraction:
     return Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
 
 
-def moment_genus_expansion(l: int, g_max: int | None = None) -> list[Fraction]:
-    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. min(g_max, floor(l/2)).
+def moment_genus_expansion(l: int) -> list[Fraction]:
+    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2).
 
     All entries are non-negative rationals.
     """
     if l < 1:
         raise ValueError(f"moment_genus_expansion requires l >= 1, got {l}")
-    top = l // 2 if g_max is None else min(g_max, l // 2)
-    return [_genus_coefficient(l, g) for g in range(top + 1)]
+    return [_genus_coefficient(l, g) for g in range(l // 2 + 1)]
 
 
 def truncation_time(N: int) -> float:

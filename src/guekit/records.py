@@ -41,12 +41,11 @@ def decode_cell(text: str):
         return text
 
 
-def _to_jsonable(value):
+def _encode_fraction(value) -> str:
+    """json.dumps hook: a Fraction becomes its cell text; json rejects anything else."""
     if isinstance(value, Fraction):
         return encode_cell(value)
-    if isinstance(value, (list, tuple)):
-        return [_to_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _from_jsonable(value):
@@ -75,8 +74,7 @@ class OutputRecord:
         buf = io.StringIO()
         buf.write(f"# command: {self.command}\n")
         buf.write("# parameters: "
-                  + json.dumps({k: _to_jsonable(v) for k, v in self.parameters.items()},
-                               sort_keys=True)
+                  + json.dumps(self.parameters, sort_keys=True, default=_encode_fraction)
                   + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
@@ -102,11 +100,12 @@ class OutputRecord:
         return json.dumps(
             {
                 "command": self.command,
-                "parameters": {k: _to_jsonable(v) for k, v in self.parameters.items()},
+                "parameters": self.parameters,
                 "columns": self.columns,
-                "rows": [[_to_jsonable(v) for v in row] for row in self.rows],
+                "rows": self.rows,
             },
             indent=2,
+            default=_encode_fraction,
         )
 
     @classmethod

@@ -14,6 +14,8 @@ import random
 from .exact import catalan, integrate_real, pointwise
 from .maps.bijection import best_forward, best_inverse, enumerate_maps, spanning_trees
 from .maps.multigraph import (
+    DERIVATIVE_EDGE_BUDGET,
+    INITIAL_IDENTITY_EDGE_BUDGET,
     directed_double,
     enumerate_connected_multigraphs,
     eulerian_count_normalized,
@@ -42,7 +44,6 @@ SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 DEFAULT_SEED = 20240901
 
 WICK_L_MAX = 7
-INITIAL_L_MAX = 4
 HZ_P_MAX = 7
 # C_g(l) from the closed form against the Harer-Zagier recursion, l <= this
 HZ_RECURSION_L_MAX = 20
@@ -113,7 +114,7 @@ def suite_best():
 
 
 def suite_initial(l_max=None):
-    l_max = _cap(l_max, INITIAL_L_MAX, "--l-max")
+    l_max = _cap(l_max, INITIAL_IDENTITY_EDGE_BUDGET, "--l-max")
     failures = []
     for l in range(1, l_max + 1):
         for N in range(1, 7):
@@ -121,8 +122,8 @@ def suite_initial(l_max=None):
                 failures.append(_failure(
                     "map_combinatorics", "verify_initial_identity",
                     {"l": l, "N": N}, "exact identity", message))
-    for v in range(1, 5):
-        for l in range(1, 4):
+    for l in range(1, DERIVATIVE_EDGE_BUDGET + 1):
+        for v in range(1, l + 2):  # a connected graph with l edges has <= l + 1 vertices
             for graph in enumerate_connected_multigraphs(v, l):
                 oracle = trace_derivative_value(graph)
                 counted = eulerian_count_normalized(graph)
@@ -149,8 +150,7 @@ def suite_hz(p_max=None):
                 failures.append(_failure(
                     "map_combinatorics", "harer_zagier_closed",
                     {"N": 1, "p": p}, 1, coeffs[p - 1]))
-    census_top = min(p_max, 7)
-    for l in range(1, census_top + 1):
+    for l in range(1, p_max + 1):
         census = rosette_census(l)
         for g, count in enumerate(census.counts):
             formula = rosette_count_formula(l, g)
@@ -195,7 +195,7 @@ def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
                 failures.append(_failure(
                     "observables", "density_eval", {"N": N, "lambda": lam},
                     "even in lambda", gap))
-        for l in range(5):
+        for l in range(1, 5):  # l = 0 is the normalization above
             got = integrate_real(
                 lambda x: pointwise(lambda v: v ** (2 * l), x) * density_eval(N, x),
                 -12.0, 12.0, 1e-9)
@@ -263,7 +263,7 @@ def run_suite(name, l_max=None, samples=4000, bins=40, seed=DEFAULT_SEED):
     if name in ("all", "best"):
         failures += suite_best()
     if name in ("all", "initial"):
-        failures += suite_initial(budget(INITIAL_L_MAX))
+        failures += suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET))
     if name in ("all", "hz"):
         failures += suite_hz(budget(HZ_P_MAX))
     if name in ("all", "density"):

@@ -306,7 +306,7 @@ def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
         return suite
 
     monkeypatch.setattr(verify, "suite_wick", recorder("wick", verify.WICK_L_MAX))
-    monkeypatch.setattr(verify, "suite_initial", recorder("initial", verify.INITIAL_L_MAX))
+    monkeypatch.setattr(verify, "suite_initial", recorder("initial", verify.INITIAL_IDENTITY_EDGE_BUDGET))
     monkeypatch.setattr(verify, "suite_hz", recorder("hz", verify.HZ_P_MAX))
     for name in ("best", "density", "bound"):
         monkeypatch.setattr(verify, f"suite_{name}", lambda *a, **k: [])

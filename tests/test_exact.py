@@ -236,7 +236,7 @@ def test_suite_density_integrals_keep_their_bits(monkeypatch):
     want = []
     for N in range(1, 11):
         want.append(reference_simpson(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10))
-        for l in range(5):
+        for l in range(1, 5):
             want.append(reference_simpson(lambda x: x ** (2 * l) * density_eval(N, x),
                                           -12.0, 12.0, 1e-9))
         want.append(reference_simpson(lambda x: x**3 * density_eval(N, x), -12.0, 12.0, 1e-10))

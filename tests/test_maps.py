@@ -467,6 +467,31 @@ def test_best_forward_double_edge_covers_both_cycles():
     assert len(cycles) == 2
 
 
+@pytest.mark.parametrize("tree, root, reason", [
+    ({3}, 0, "spanning tree"),  # edge id past the last edge
+    ({-1}, 0, "spanning tree"),  # negative edge id
+    ({0}, 5, "root arc"),  # root arc past the last arc
+    ({0}, -1, "root arc"),  # negative root arc
+    (set(), 0, "spanning tree"),  # fewer than v-1 edges
+])
+def test_best_forward_rejects_input_outside_the_single_edge_map(tree, root, reason):
+    (m,) = enumerate_maps(Multigraph.from_edges(2, [(0, 1)]))
+    with pytest.raises(ValueError, match=reason):
+        best_forward(m, frozenset(tree), root)
+
+
+@pytest.mark.parametrize("edges, tree", [
+    ([(0, 0), (0, 1)], {0}),  # edge 0 is a self loop
+    ([(0, 1), (0, 1)], {0, 1}),  # more than v-1 edges
+    ([(0, 1), (0, 1), (1, 2)], {0, 1}),  # v-1 edges that leave vertex 2 out
+])
+def test_best_forward_rejects_edges_that_are_no_spanning_tree(edges, tree):
+    g = Multigraph.from_edges(max(max(e) for e in edges) + 1, edges)
+    m = next(enumerate_maps(g))
+    with pytest.raises(ValueError):
+        best_forward(m, frozenset(tree), 0)
+
+
 def _budget_graphs(max_vertices=3, max_edges=3):
     for v in range(1, max_vertices + 1):
         for l in range(max(1, v - 1), max_edges + 1):
