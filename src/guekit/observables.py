@@ -114,8 +114,9 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
-    """exp(log_scale - u/2) lag / N at one point.
+def _wilson_value(N: int, lag, log_scale, u):
+    """exp(log_scale - u/2) lag / N at one point, or elementwise over real
+    float64 arrays as a complex array with the bits of each point alone.
 
     Where exp(log_scale - u/2) is below the normal float range (subnormal,
     with few digits left, or 0), its square root is multiplied in twice,
@@ -123,11 +124,29 @@ def _wilson_value(N: int, lag, log_scale: float, u) -> complex:
     float range with its digits.
     """
     x = log_scale - u / 2
-    scale = cmath.exp(x)
-    if abs(scale) >= sys.float_info.min:
-        return scale * lag / N
-    root = cmath.exp(x / 2)
-    return root * (root * lag) / N
+    if _is_point(x):
+        scale = cmath.exp(x)
+        if abs(scale) >= sys.float_info.min:
+            return scale * lag / N
+        root = cmath.exp(x / 2)
+        return root * (root * lag) / N
+    import numpy as np
+
+    # math.exp, not numpy's exp, which can round differently; on a real x
+    # up to 708 it has the bits of cmath.exp's real part, whose imaginary
+    # part is 0 (above, cmath.exp rounds exp(x - 1) e instead)
+    scale = pointwise(math.exp, x)
+    product = scale * lag
+    low = ~(scale >= sys.float_info.min)  # NaN too, as for a number
+    root = pointwise(math.exp, x[low] / 2)
+    product[low] = root * (root * np.broadcast_to(lag, x.shape)[low])
+    # Python divides (product + 0j) by N as complex(N, 0.0), so its real
+    # part is (product + 0.0 * 0.0) / N, which turns -0.0 into 0.0, and its
+    # imaginary part (0.0 - product * 0.0) / N, which is NaN with product
+    value = np.empty(x.shape, dtype=complex)
+    value.real = (product + 0.0) / N
+    value.imag = (0.0 - product * 0.0) / N
+    return value
 
 
 def wilson_eval(N: int, t):
@@ -160,10 +179,9 @@ def wilson_eval(N: int, t):
     with np.errstate(over="ignore"):  # inf, as for a number
         u = flat * flat / N
     far = u > _RESCALE  # below the float range: 0, as for a number
-    lag, log_scale = _laguerre1(N - 1, np.where(far, 0.0, u))
-    points = zip(*(np.broadcast_to(v, u.shape).tolist() for v in (lag, log_scale, u)))
-    value = np.array([_wilson_value(N, l, s, v) for l, s, v in points], dtype=complex)
-    return np.where(far, 0.0, value).reshape(t.shape)
+    u = np.where(far, 0.0, u)
+    lag, log_scale = _laguerre1(N - 1, u)
+    return np.where(far, 0.0, _wilson_value(N, lag, log_scale, u)).reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -401,6 +419,6 @@ def density_fourier_check(N: int, lam: float) -> float:
     T = truncation_time(N)
 
     def integrand(t):
-        return pointwise(lambda x: math.cos(lam * x), t) * wilson_eval(N, t).real
+        return pointwise(math.cos, lam * t) * wilson_eval(N, t).real
 
     return integrate_real(integrand, 0.0, T, 1e-11) / math.pi

@@ -183,6 +183,10 @@ FOURIER_POINTS = [
 
 
 def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
+    if mc:  # drawn first, so a usage error in samples or bins comes before the integrals
+        from .montecarlo import estimate_density_histogram  # loads numpy
+
+        stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
     failures = []
     for N in range(1, 11):
         total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
@@ -216,9 +220,6 @@ def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
                 "observables", "density_fourier_check", {"N": N, "lambda": lam},
                 via_hermite, via_fourier))
     if mc:
-        from .montecarlo import estimate_density_histogram  # loads numpy
-
-        stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
         width = 6.0 / bins
         bad = 0
         for j, st in enumerate(stats):
@@ -249,7 +250,102 @@ def suite_bound(seed=DEFAULT_SEED):
     return failures
 
 
+class _Worker:
+    """A forked child process that runs `suites` (name -> callable without
+    arguments) in order and pickles each one's outcome, its failure list or
+    the exception it raised, to a pipe; it stops after the first exception.
+
+    A fork starts with this process's modules, so it imports nothing; the
+    child leaves through os._exit alone, so no cleanup or stream buffer of
+    the parent runs or flushes in it.
+    """
+
+    def __init__(self, suites):
+        import os
+        import pickle
+
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with open(write_fd, "wb") as out:
+                    for suite in suites.values():
+                        try:
+                            outcome = suite()
+                        except Exception as exc:
+                            outcome = exc
+                        out.write(pickle.dumps(outcome))
+                        out.flush()
+                        if isinstance(outcome, Exception):
+                            break
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self._results = open(read_fd, "rb")
+        self._reaped = False
+
+    def receive(self, name):
+        """The outcome of the next suite, `name`; RuntimeError if the worker
+        exited without sending it."""
+        import os
+        import pickle
+
+        try:
+            return pickle.load(self._results)
+        except (EOFError, pickle.UnpicklingError):
+            _, status = os.waitpid(self.pid, 0)
+            self._reaped = True
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(
+                f"verify worker exited with status {code} before reporting suite {name!r}"
+            ) from None
+
+    def close(self):
+        """Kill the worker if it has not been waited for, and wait for it."""
+        import os
+        import signal
+
+        self._results.close()
+        if not self._reaped:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self._reaped = True
+
+
+def _run_all(suites):
+    """The failures of every suite in `suites` (name -> callable), in its
+    order: "density", the one suite that loads numpy, in this process and
+    the pure-Python rest in one forked _Worker beside it.  The first suite
+    in that order to raise raises here, as when the suites run in turn.
+    """
+    worker = _Worker({name: suite for name, suite in suites.items() if name != "density"})
+    try:
+        try:
+            density = suites["density"]()
+        except Exception as exc:  # raised below, unless an earlier suite raised
+            density = exc
+        failures = []
+        for name in suites:
+            outcome = density if name == "density" else worker.receive(name)
+            if isinstance(outcome, Exception):
+                raise outcome
+            failures += outcome
+        return failures
+    finally:
+        worker.close()
+
+
 def run_suite(name, l_max=None, samples=4000, bins=40, seed=DEFAULT_SEED):
+    """The failures of suite `name`; "all" runs every suite, in SUITES
+    order, split over two processes by _run_all (POSIX fork)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
 
@@ -257,17 +353,14 @@ def run_suite(name, l_max=None, samples=4000, bins=40, seed=DEFAULT_SEED):
         # under "all", one --l-max lowers each enumeration budget to at most its own maximum
         return l_max if name != "all" or l_max is None else min(l_max, top)
 
-    failures = []
-    if name in ("all", "wick"):
-        failures += suite_wick(l_max)
-    if name in ("all", "best"):
-        failures += suite_best()
-    if name in ("all", "initial"):
-        failures += suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET))
-    if name in ("all", "hz"):
-        failures += suite_hz(budget(HZ_P_MAX))
-    if name in ("all", "density"):
-        failures += suite_density(samples=samples, bins=bins, seed=seed)
-    if name in ("all", "bound"):
-        failures += suite_bound(seed=seed)
-    return failures
+    suites = {
+        "wick": lambda: suite_wick(l_max),
+        "best": lambda: suite_best(),
+        "initial": lambda: suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET)),
+        "hz": lambda: suite_hz(budget(HZ_P_MAX)),
+        "density": lambda: suite_density(samples=samples, bins=bins, seed=seed),
+        "bound": lambda: suite_bound(seed=seed),
+    }
+    if name != "all":
+        return suites[name]()
+    return _run_all(suites)

@@ -294,15 +294,35 @@ def test_main_verify_budget_cannot_be_raised(capsys):
     assert code == 2
 
 
-def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
-    import guekit.verify as verify
+def _reported(capsys, argv):
+    """(exit code, [(operation, inputs)] of the JSON failure report) of main(argv)."""
+    code, out = run_main(capsys, argv)
+    doc = json.loads(out)
+    return code, [(f["operation"], f["inputs"]) for f in doc["failures"]]
 
-    budgets = []
+
+def _fails_once(operation, **inputs):
+    """A suite that reports one failure naming `operation` and `inputs`."""
+    def suite(*args, **kwargs):
+        return [{"module": "test", "operation": operation, "inputs": inputs,
+                 "expected": "", "actual": ""}]
+    return suite
+
+
+def _assert_no_child_left():
+    # every worker verify forked has been waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
+    # under "all" the enumeration suites run in a forked worker, so each
+    # recorder reports its budget as a failure rather than in a list here
+    import guekit.verify as verify
 
     def recorder(name, top):
         def suite(budget=None, **kwargs):
-            budgets.append((name, verify._cap(budget, top, "--l-max")))
-            return []
+            return _fails_once(name, budget=verify._cap(budget, top, "--l-max"))()
         return suite
 
     monkeypatch.setattr(verify, "suite_wick", recorder("wick", verify.WICK_L_MAX))
@@ -316,11 +336,101 @@ def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
         (["--l-max", "5"], [("wick", 5), ("initial", 4), ("hz", 5)]),
         ([], [("wick", 7), ("initial", 4), ("hz", 7)]),
     ]:
-        budgets.clear()
-        code, out = run_main(capsys, ["verify", "--suite", "all", *flags])
-        assert code == 0 and "PASS all" in out
-        assert budgets == expected
+        code, reported = _reported(capsys, ["verify", "--suite", "all", *flags])
+        assert code == 1
+        assert [(name, inputs["budget"]) for name, inputs in reported] == expected
     assert main(["verify", "--suite", "all", "--l-max", "8"]) == 2
+    _assert_no_child_left()
+
+
+def _stub_suites(monkeypatch, **suites):
+    """Every verify suite passes at once, except those given."""
+    import guekit.verify as verify
+
+    for name in ("wick", "best", "initial", "hz", "density", "bound"):
+        monkeypatch.setattr(verify, f"suite_{name}", suites.get(name, lambda *a, **k: []))
+
+
+def test_main_verify_all_merges_the_worker_failures_in_suite_order(capsys, monkeypatch):
+    # best and bound run in the worker, density here; the report keeps SUITES order
+    _stub_suites(monkeypatch, best=_fails_once("best"), density=_fails_once("density"),
+                 bound=_fails_once("bound"))
+    code, reported = _reported(capsys, ["verify", "--suite", "all"])
+    assert code == 1
+    assert [name for name, _ in reported] == ["best", "density", "bound"]
+    _assert_no_child_left()
+
+
+def test_main_verify_all_reports_a_worker_usage_error(capsys, monkeypatch):
+    def refuses(*args, **kwargs):
+        raise ValueError("hz refuses")
+
+    _stub_suites(monkeypatch, hz=refuses, density=_fails_once("density"))
+    assert main(["verify", "--suite", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: hz refuses\n"
+    assert captured.out == ""
+    _assert_no_child_left()
+
+
+def test_main_verify_all_raises_the_first_error_in_suite_order(capsys, monkeypatch):
+    # wick comes before density, so its error wins even if density raises first
+    def refuses(name):
+        def suite(*args, **kwargs):
+            raise ValueError(f"{name} refuses")
+        return suite
+
+    _stub_suites(monkeypatch, wick=refuses("wick"), density=refuses("density"))
+    assert main(["verify", "--suite", "all"]) == 2
+    assert capsys.readouterr().err == "error: wick refuses\n"
+    _stub_suites(monkeypatch, density=refuses("density"), bound=refuses("bound"))
+    assert main(["verify", "--suite", "all"]) == 2
+    assert capsys.readouterr().err == "error: density refuses\n"
+    _assert_no_child_left()
+
+
+def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
+    def dies(*args, **kwargs):
+        os._exit(1)
+
+    _stub_suites(monkeypatch, best=dies)
+    with pytest.raises(RuntimeError, match="status 1 before reporting suite 'best'"):
+        main(["verify", "--suite", "all"])
+    assert "PASS" not in capsys.readouterr().out
+    _assert_no_child_left()
+
+
+def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
+    import time
+
+    from guekit.exact import QuadratureError
+
+    def diverges(*args, **kwargs):
+        raise QuadratureError("diverges")
+
+    def hangs(*args, **kwargs):
+        time.sleep(60)
+        return []
+
+    _stub_suites(monkeypatch, density=diverges, bound=hangs)
+    start = time.monotonic()
+    with pytest.raises(QuadratureError, match="diverges"):
+        main(["verify", "--suite", "all"])
+    assert time.monotonic() - start < 30  # bound was killed, not waited out
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("flag", [["--samples", "1"], ["--bins", "5"]])
+def test_main_verify_all_refuses_histogram_flags_before_integrating(capsys, monkeypatch, flag):
+    import guekit.verify as verify
+
+    def integrates(*args, **kwargs):
+        raise AssertionError("integrated before the histogram flags were checked")
+
+    monkeypatch.setattr(verify, "integrate_real", integrates)
+    assert main(["verify", "--suite", "all", *flag]) == 2
+    assert capsys.readouterr().err.startswith("error: need at least")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("N", ["0", "-1"])

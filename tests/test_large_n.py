@@ -209,9 +209,22 @@ def test_truncation_time_is_the_first_scanned_t_below_the_envelope(N):
     assert log_envelope(T) < math.log(1e-12) <= log_envelope(T - 2.0)
 
 
+def _bits(z):
+    # float.hex tells -0.0 from 0.0, and a NaN part from a number
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
 def _same_bits(array_values, scalar_values):
-    return all(a == b or (a != a and b != b)  # NaN in, NaN out
+    return all(_bits(a) == _bits(b)
                for a, b in zip(array_values.tolist(), scalar_values, strict=True))
+
+
+def test_same_bits_is_strict():
+    assert _same_bits(np.array([complex(math.nan, math.nan)]), [complex(math.nan, math.nan)])
+    assert not _same_bits(np.array([complex(math.nan, 0.0)]), [complex(math.nan, math.nan)])
+    assert not _same_bits(np.array([-0.0]), [0.0])
+    assert not _same_bits(np.array([0j]), [complex(0.0, -0.0)])
 
 
 # around and past the 2^400 bound on u and y^2, past which the evaluators

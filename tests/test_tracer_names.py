@@ -75,6 +75,14 @@ def test_tracer_follows_the_array_integrands(tmp_path):
     assert "observables.eval:density_eval" in called
 
 
+def test_tracer_keeps_the_spans_of_verify_all(tmp_path):
+    # "all" forks a worker for the enumeration suites; it leaves without
+    # running the tracer's exit hook, so the spans file is the parent's
+    called = _called_spans(tmp_path, ["verify", "--suite", "all"])
+    assert "verify.density:suite_density" in called
+    assert "exact.simpson:integrate_real" in called
+
+
 def test_tracer_follows_the_enumeration_oracles(tmp_path):
     called = _called_spans(tmp_path, ["verify", "--suite", "wick"])
     assert "rosettes.census:rosette_census" in called
