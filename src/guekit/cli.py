@@ -80,12 +80,74 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 
 
+def _share_cpus() -> list[int | None]:
+    """The CPU of each share of a `sample` run: two from this process's
+    affinity mask, or [None], one share on the mask as it is, when numpy
+    has loaded already (its BLAS thread pool is sized and running), when
+    os.sched_setaffinity is missing or when the mask has fewer than two
+    CPUs."""
+    import os
+
+    if "numpy" in sys.modules or not hasattr(os, "sched_setaffinity"):
+        return [None]
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    return cpus if len(cpus) == 2 else [None]
+
+
+def _eigenvalue_share(N: int, seed: int, start: int, stop: int, cpu: int | None):
+    """montecarlo.eigenvalue_range(N, seed, start, stop), drawn with this
+    process pinned to `cpu` (None: not pinned) until it is done.
+
+    The pin comes before numpy loads, because OpenBLAS sizes its thread
+    pool from the affinity mask then: one CPU, one BLAS thread, and no
+    second thread spinning on a core the other share needs.
+    """
+    import os
+
+    mask = None
+    if cpu is not None:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+    try:
+        from .montecarlo import eigenvalue_range  # loads numpy
+
+        return eigenvalue_range(N, seed, start, stop)
+    finally:
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+
+
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
-    from .montecarlo import estimate_wilson, zscore  # loads numpy
+    from functools import partial
+
+    from .worker import Worker
 
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
+    # the estimators' own checks, made here before any process is forked
+    if samples < 100:
+        raise ValueError(f"need at least 100 samples, got {samples}")
+    if N < 1:
+        raise ValueError(f"GUE sampling requires N >= 1, got {N}")
+    # Samples are split into one range per CPU: this process draws the
+    # first, a forked worker each other one.  A sample's bits depend only
+    # on (seed, index), so the assembled array is the one-process array.
+    cpus = _share_cpus()
+    bounds = [samples * k // len(cpus) for k in range(len(cpus) + 1)]
+    shares = [partial(_eigenvalue_share, N, seed, start, stop, cpu)
+              for cpu, start, stop in zip(cpus, bounds, bounds[1:])]
+    workers = [Worker({f"the eigenvalues of samples {start} .. {stop - 1}": share})
+               for share, start, stop in zip(shares[1:], bounds[1:], bounds[2:])]
+    try:
+        parts = [shares[0]()] + [worker.receive() for worker in workers]
+    finally:
+        for worker in workers:
+            worker.close()
+
+    from .montecarlo import estimate_wilson, hand_over, zscore
+
+    hand_over(N, samples, seed, parts)
     rows = []
     for t in t_list:
         st = estimate_wilson(N, t, samples, seed)

@@ -2,7 +2,8 @@
 
 Sample s of a run is drawn from the counter-based Philox stream whose
 128-bit key is the pair (seed, s), so every sample depends only on
-(seed, s) and results do not depend on how samples are scheduled.
+(seed, s) and results do not depend on how samples are scheduled, nor on
+which process draws them.
 Samples are built in batches that share one generator, whose state is
 reset to counter 0 and key (seed, s) before sample s draws; streams and
 matrices therefore do not depend on the batch size either.
@@ -13,6 +14,14 @@ for H_ab.
 
 Entry variances follow the weight exp(-(N/2) Tr H^2): diagonal entries
 have variance 1/N and off-diagonal entries have <|H_ab|^2> = 1/N.
+
+`guekit sample` splits its samples into two index ranges.  It draws the
+first itself and a worker process draws the second; each pins itself to
+one CPU before numpy loads, so OpenBLAS gives it one thread.  It hands
+the array put together in index order to the estimators (hand_over).  It
+draws every sample itself when numpy has loaded before it starts (as for
+library callers and tests), when os.sched_setaffinity is missing or when
+its affinity mask holds fewer than two CPUs.
 """
 
 from __future__ import annotations
@@ -89,16 +98,47 @@ def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
     return _gue_batch(N, seed, index, index + 1)[0]
 
 
+def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """(stop - start, N) eigenvalues of samples start .. stop-1 of the stream
+    started by `seed`; LAPACK eigvalsh batched over samples.
+
+    No sample's bits depend on its batch, so the rows of any split of a
+    range, put together in index order, are those of the whole range.
+    """
+    batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
+    out = np.empty((stop - start, N))
+    for lo in range(start, stop, batch):
+        hi = min(lo + batch, stop)
+        out[lo - start:hi - start] = np.linalg.eigvalsh(_gue_batch(N, seed, lo, hi))
+    return out
+
+
+# The eigenvalues a caller drew itself for one (N, samples, seed) key, kept
+# until the next cold _eigenvalue_samples call with that key takes them.
+_handed_over: dict[tuple[int, int, int], np.ndarray] = {}
+
+
+def hand_over(N: int, samples: int, seed: int, parts: list[np.ndarray]) -> None:
+    """Make the estimators read, for (N, samples, seed), the eigenvalues in
+    `parts` instead of drawing them: eigenvalue_range over consecutive
+    ranges that cover samples 0 .. samples-1, in index order.
+
+    `guekit sample` draws the ranges in two processes.
+    """
+    _handed_over.clear()
+    _handed_over[N, samples, seed % 2**64] = np.concatenate(parts)
+    _eigenvalue_samples.cache_clear()
+
+
 @lru_cache(maxsize=1)  # every caller reads one (N, samples, seed) per run
 def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
-    """(samples, N) eigenvalue array; LAPACK eigvalsh batched over samples."""
+    """(samples, N) eigenvalue array: the one handed over for this key, or
+    eigenvalue_range over 0 .. samples."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
-    batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
-    out = np.empty((samples, N))
-    for start in range(0, samples, batch):
-        stop = min(start + batch, samples)
-        out[start:stop] = np.linalg.eigvalsh(_gue_batch(N, seed, start, stop))
+    out = _handed_over.pop((N, samples, seed), None)
+    if out is None:
+        out = eigenvalue_range(N, seed, 0, samples)
     out.setflags(write=False)
     return out
 

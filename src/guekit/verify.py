@@ -250,83 +250,16 @@ def suite_bound(seed=DEFAULT_SEED):
     return failures
 
 
-class _Worker:
-    """A forked child process that runs `suites` (name -> callable without
-    arguments) in order and pickles each one's outcome, its failure list or
-    the exception it raised, to a pipe; it stops after the first exception.
-
-    A fork starts with this process's modules, so it imports nothing; the
-    child leaves through os._exit alone, so no cleanup or stream buffer of
-    the parent runs or flushes in it.
-    """
-
-    def __init__(self, suites):
-        import os
-        import pickle
-
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
-                    for suite in suites.values():
-                        try:
-                            outcome = suite()
-                        except Exception as exc:
-                            outcome = exc
-                        out.write(pickle.dumps(outcome))
-                        out.flush()
-                        if isinstance(outcome, Exception):
-                            break
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self._results = open(read_fd, "rb")
-        self._reaped = False
-
-    def receive(self, name):
-        """The outcome of the next suite, `name`; RuntimeError if the worker
-        exited without sending it."""
-        import os
-        import pickle
-
-        try:
-            return pickle.load(self._results)
-        except (EOFError, pickle.UnpicklingError):
-            _, status = os.waitpid(self.pid, 0)
-            self._reaped = True
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(
-                f"verify worker exited with status {code} before reporting suite {name!r}"
-            ) from None
-
-    def close(self):
-        """Kill the worker if it has not been waited for, and wait for it."""
-        import os
-        import signal
-
-        self._results.close()
-        if not self._reaped:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self._reaped = True
-
-
 def _run_all(suites):
     """The failures of every suite in `suites` (name -> callable), in its
     order: "density", the one suite that loads numpy, in this process and
-    the pure-Python rest in one forked _Worker beside it.  The first suite
+    the pure-Python rest in one forked Worker beside it.  The first suite
     in that order to raise raises here, as when the suites run in turn.
     """
-    worker = _Worker({name: suite for name, suite in suites.items() if name != "density"})
+    from .worker import Worker
+
+    worker = Worker({f"suite {name!r}": suite
+                     for name, suite in suites.items() if name != "density"})
     try:
         try:
             density = suites["density"]()
@@ -334,7 +267,7 @@ def _run_all(suites):
             density = exc
         failures = []
         for name in suites:
-            outcome = density if name == "density" else worker.receive(name)
+            outcome = density if name == "density" else worker.receive()
             if isinstance(outcome, Exception):
                 raise outcome
             failures += outcome

@@ -310,7 +310,7 @@ def _fails_once(operation, **inputs):
 
 
 def _assert_no_child_left():
-    # every worker verify forked has been waited for
+    # every worker verify or sample forked has been waited for
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -433,6 +433,90 @@ def test_main_verify_all_refuses_histogram_flags_before_integrating(capsys, monk
     _assert_no_child_left()
 
 
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="sample splits only where CPU affinity can be set")
+# This process's affinity mask before any test ran: a `sample` run in this
+# process, split or not, must leave it as it was.
+MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _split_sample(monkeypatch):
+    """Make `sample` split its samples over two processes although numpy
+    has loaded here: both shares pinned to one CPU of this process's mask."""
+    import guekit.cli as cli
+
+    cpu = min(MASK)
+    monkeypatch.setattr(cli, "_share_cpus", lambda: [cpu, cpu])
+
+
+@needs_affinity
+def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
+    # 101 samples: this process draws 0 .. 49, the worker 50 .. 100
+    import guekit.cli as cli
+
+    argv = ["sample", "--N", "3", "--samples", "101", "--seed", "5"]
+    code, one_share = run_main(capsys, argv)
+    assert code == 0
+    _split_sample(monkeypatch)
+    drawn_here = []
+    share = cli._eigenvalue_share
+
+    def recorded(N, seed, start, stop, cpu):
+        drawn_here.append((start, stop))  # lost in the worker, which is a fork
+        return share(N, seed, start, stop, cpu)
+
+    monkeypatch.setattr(cli, "_eigenvalue_share", recorded)
+    code, split = run_main(capsys, argv)
+    assert code == 0
+    assert drawn_here == [(0, 50)]
+    assert split == one_share
+    _assert_no_child_left()
+    assert os.sched_getaffinity(0) == MASK
+
+
+@needs_affinity
+@pytest.mark.parametrize("flags, error", [
+    (["--N", "0"], "GUE sampling requires N >= 1, got 0"),
+    (["--N", "3", "--samples", "99"], "need at least 100 samples, got 99"),
+    (["--N", "0", "--samples", "99"], "need at least 100 samples, got 99"),
+    (["--N", "3", "--t", "nan"], "--t must be finite, got nan"),
+])
+def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags, error):
+    _split_sample(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("forked before the flags were checked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["sample", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    _assert_no_child_left()
+    assert os.sched_getaffinity(0) == MASK
+
+
+@needs_affinity
+def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
+    import guekit.cli as cli
+
+    _split_sample(monkeypatch)
+    share = cli._eigenvalue_share
+
+    def dies_in_worker(N, seed, start, stop, cpu):
+        if start > 0:
+            os._exit(1)
+        return share(N, seed, start, stop, cpu)
+
+    monkeypatch.setattr(cli, "_eigenvalue_share", dies_in_worker)
+    with pytest.raises(RuntimeError,
+                       match=r"status 1 before reporting the eigenvalues of samples 50 \.\. 100"):
+        main(["sample", "--N", "3", "--samples", "101"])
+    assert capsys.readouterr().out == ""
+    _assert_no_child_left()
+    assert os.sched_getaffinity(0) == MASK
+
+
 @pytest.mark.parametrize("N", ["0", "-1"])
 @pytest.mark.parametrize("command", ["wilson", "density", "moments", "harer-zagier", "sample"])
 def test_main_rejects_matrix_size_below_one(capsys, command, N):
@@ -487,6 +571,37 @@ def test_only_sample_imports_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+_FORK_PROBE = """
+import contextlib, io, os, sys
+from guekit.cli import main
+
+numpy_at_fork = []
+fork = os.fork
+
+def recorded_fork():
+    numpy_at_fork.append("numpy" in sys.modules)
+    return fork()
+
+os.fork = recorded_fork
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sample", "--N", "2", "--samples", "100", "--t", "1.0"]) == 0
+assert numpy_at_fork == [False], numpy_at_fork
+assert os.sched_getaffinity(0) == set(map(int, sys.argv[1:]))
+"""
+
+
+@needs_affinity
+@pytest.mark.skipif(MASK is not None and len(MASK) < 2, reason="splits only with two CPUs")
+def test_fresh_sample_forks_its_worker_before_numpy_loads():
+    # forked after numpy, the worker would inherit a BLAS pool sized for the whole mask
+    src = str(Path(guekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", _FORK_PROBE, *map(str, MASK)], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
