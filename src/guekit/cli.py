@@ -16,7 +16,7 @@ from .exact import catalan, double_factorial
 from .maps.rosettes import harer_zagier_closed, harer_zagier_from_counts, rosette_count_formula
 from .observables import density_eval, moment_exact, wigner_density, wilson_eval, wilson_loop
 from .records import OutputRecord
-from .verify import DEFAULT_SEED, SUITES, run_suite
+from .verify import DEFAULT_SEED, HISTOGRAM_BINS, HISTOGRAM_SAMPLES, SUITES, run_suite
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -50,6 +50,10 @@ def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRec
 def cmd_moments(N: int, l_max: int) -> OutputRecord:
     if l_max < 0:
         raise ValueError("l-max must be >= 0")
+    try:  # m_2l is nondecreasing in l >= 1 (m_2 = 1, Lyapunov), so the last one decides
+        float(moment_exact(N, l_max))
+    except OverflowError:
+        raise ValueError(f"--l-max {l_max} takes m_2l past float range at N = {N}") from None
     rows = []
     for l in range(l_max + 1):
         m = moment_exact(N, l)
@@ -223,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--l-max", type=int, default=None,
                    help="lower (never raise) the enumeration budget")
-    p.add_argument("--samples", type=int, default=4000)
-    p.add_argument("--bins", type=int, default=40)
+    p.add_argument("--samples", type=int, default=HISTOGRAM_SAMPLES)
+    p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
@@ -254,8 +258,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # the exact c_q pass 4300 digits from N = 801
     text = record.render(args.format)
     if args.out:
         try:

@@ -116,9 +116,9 @@ def partition_term_sum(l: int, g: int) -> Fraction:
     return Fraction(r[g], math.factorial(g) * M**g * math.factorial(n))
 
 
-def pointwise(fn: Callable[[float], complex], x):
+def pointwise(fn: Callable[[float], float], x):
     """fn at each point of a 1-d float64 array, as an array: for integrands
-    of integrate_real built from scalar math (math.exp, cmath.exp, float
+    of integrate_real built from scalar math (math.exp, math.cos, float
     powers), whose numpy counterparts can round differently."""
     import numpy as np
 
@@ -130,11 +130,12 @@ def pointwise(fn: Callable[[float], complex], x):
 SIMPSON_INITIAL_PANELS = 16
 
 
-def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
-    """Adaptive composite Simpson integral of f over [a, b].
+def integrate_real(f: Callable, a: float, b: float, tol: float) -> float:
+    """Adaptive composite Simpson integral of a real f over [a, b].
 
-    f takes a float64 array of nodes and returns an array of its values
-    there, real or complex.  The interval is first cut into
+    f takes a float64 array of nodes and returns an array of its real
+    values there; a complex array raises TypeError (integrate the real and
+    imaginary parts apart).  The interval is first cut into
     SIMPSON_INITIAL_PANELS equal panels, each refined adaptively against
     its share of the absolute error target tol.  The refinement runs
     breadth first: f is called once on the 33 nodes of the initial panels,
@@ -142,12 +143,8 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
     The accepted panels are then added in tree order (a split panel is the
     sum of its halves, left + right; the initial panels left to right), so
     the result has the bits of the depth-first recursion with f called per
-    node.  The real and imaginary parts of f run the same rule as two rows
-    of floats, and the error test takes the modulus, so a complex f (or
-    one that turns complex at some nodes) is integrated in one pass; the
-    result is complex once any call of f returned a complex array.  Raises
-    QuadratureError once the panel budget is spent, or at a node where f
-    is not finite, since no panel holding it can converge.
+    node.  Raises QuadratureError once the panel budget is spent, or at a
+    node where f is not finite, since no panel holding it can converge.
     """
     if not a < b:
         raise ValueError(f"integrate_real requires a < b, got [{a}, {b}]")
@@ -155,19 +152,17 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         raise ValueError(f"integrate_real requires tol > 0, got {tol}")
     import numpy as np
 
-    complex_f = False
-
     def values(x):
-        nonlocal complex_f
         fx = np.asarray(f(x))
         if fx.shape != x.shape:
             raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+        if np.iscomplexobj(fx):
+            raise TypeError("complex integrand: integrate its real and imaginary parts apart")
         bad = ~np.isfinite(fx)
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise QuadratureError(f"integrand is {fx[i]} at x = {float(x[i])!r} on [{a}, {b}]")
-        complex_f = complex_f or np.iscomplexobj(fx)
-        return np.array([fx.real, fx.imag], dtype=float)
+        return np.array(fx, dtype=float)
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
@@ -177,20 +172,18 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
     x2 = np.array([a + k * step for k in range(1, n)] + [b])
     x0 = np.concatenate(([a], x2[:-1]))  # the right end of panel k is the left end of panel k+1
     fx = values(np.concatenate((x0[:1], x2, 0.5 * (x0 + x2))))
-    f0, f2, f1 = fx[:, :n], fx[:, 1:n + 1], fx[:, n + 1:]
+    f0, f2, f1 = fx[:n], fx[1:n + 1], fx[n + 1:]
     whole = simpson(x0, x2, f0, f1, f2)
     eps = tol / n
     panels = n
     levels = []  # per level: the open panels' results, and which of them split
     while x0.size:
         xm = 0.5 * (x0 + x2)
-        quarters = values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2))))
-        fl, fr = np.split(quarters, 2, axis=1)
+        fl, fr = np.split(values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        error = np.hypot(delta[0], delta[1])  # |delta[0]| exactly where delta[1] is 0
-        split = np.flatnonzero(~(error <= 15.0 * eps))
+        split = np.flatnonzero(~(abs(delta) <= 15.0 * eps))
         levels.append((left + right + delta / 15.0, split))
         panels += 2 * split.size
         if panels > SIMPSON_PANEL_BUDGET:
@@ -200,19 +193,16 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> complex:
         # the next level's panels: every split panel's left half, then every right half
         x0 = np.concatenate((x0[split], xm[split]))
         x2 = np.concatenate((xm[split], x2[split]))
-        f0, f1, f2 = (np.concatenate((u[:, split], v[:, split]), axis=1)
+        f0, f1, f2 = (np.concatenate((u[split], v[split]))
                       for u, v in ((f0, f1), (fl, fr), (f1, f2)))
-        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
+        whole = np.concatenate((left[split], right[split]))
         eps = 0.5 * eps
     below = None  # results of the level under the current one
     for result, split in reversed(levels):
         if below is not None:
-            result[:, split] = below[:, :split.size] + below[:, split.size:]
+            result[split] = below[:split.size] + below[split.size:]
         below = result
-    totals = []
-    for row in below.tolist():
-        total = 0.0
-        for value in row:  # not sum(): from Python 3.12 it compensates, which moves bits
-            total += value
-        totals.append(total)
-    return complex(*totals) if complex_f else totals[0]
+    total = 0.0
+    for value in below.tolist():  # not sum(): from Python 3.12 it compensates, which moves bits
+        total += value
+    return total

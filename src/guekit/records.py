@@ -2,9 +2,9 @@
 
 Rationals render as "p/q" (bare "p" when q = 1), floats as Python's
 shortest round-trip repr, so parsing an emitted file reproduces the
-in-memory record: floats bit-equal, rationals numerically equal.  CSV
-files carry the command name and parameters in two leading '#' comment
-lines, which numpy.loadtxt and pandas skip natively.
+in-memory record: floats bit-equal, rationals numerically equal, at any
+number of digits.  CSV files carry the command name and parameters in two
+leading '#' comment lines, which numpy.loadtxt and pandas skip natively.
 """
 
 from __future__ import annotations
@@ -13,11 +13,28 @@ import csv
 import io
 import json
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+$")
 _FRACTION_RE = re.compile(r"[+-]?\d+/\d+$")
+
+
+@contextmanager
+def _any_int_digits():
+    """Python's int-to-str digit limit (4300 by default) lifted for the
+    body and restored after it: the exact c_q pass 4300 digits from N = 801."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def encode_cell(value) -> str:
@@ -70,6 +87,7 @@ class OutputRecord:
             if len(row) != len(self.columns):
                 raise ValueError("row arity must match the header")
 
+    @_any_int_digits()
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write(f"# command: {self.command}\n")
@@ -83,6 +101,7 @@ class OutputRecord:
         return buf.getvalue()
 
     @classmethod
+    @_any_int_digits()
     def from_csv(cls, text: str) -> "OutputRecord":
         lines = text.splitlines()
         if len(lines) < 3 or not lines[0].startswith("# command: ") \
@@ -96,6 +115,7 @@ class OutputRecord:
         rows = [[decode_cell(cell) for cell in row] for row in reader if row]
         return cls(command, params, columns, rows)
 
+    @_any_int_digits()
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -109,6 +129,7 @@ class OutputRecord:
         )
 
     @classmethod
+    @_any_int_digits()
     def from_json(cls, text: str) -> "OutputRecord":
         doc = json.loads(text)
         return cls(

@@ -42,6 +42,8 @@ from .observables import (
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 
 DEFAULT_SEED = 20240901
+HISTOGRAM_SAMPLES = 4000  # the density suite's Monte Carlo histogram of rho_8 on [-3, 3]
+HISTOGRAM_BINS = 40
 
 WICK_L_MAX = 7
 HZ_P_MAX = 7
@@ -182,11 +184,11 @@ FOURIER_POINTS = [
 ]
 
 
-def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
-    if mc:  # drawn first, so a usage error in samples or bins comes before the integrals
-        from .montecarlo import estimate_density_histogram  # loads numpy
+def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_SEED):
+    # drawn first, so a usage error in samples or bins comes before the integrals
+    from .montecarlo import estimate_density_histogram  # loads numpy
 
-        stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
+    stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
     failures = []
     for N in range(1, 11):
         total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
@@ -219,18 +221,17 @@ def suite_density(samples=4000, bins=40, seed=DEFAULT_SEED, mc=True):
             failures.append(_failure(
                 "observables", "density_fourier_check", {"N": N, "lambda": lam},
                 via_hermite, via_fourier))
-    if mc:
-        width = 6.0 / bins
-        bad = 0
-        for j, st in enumerate(stats):
-            center = -3.0 + (j + 0.5) * width
-            if st.std_error > 0 and abs(st.mean - density_eval(8, center)) > 4 * st.std_error:
-                bad += 1
-        if bad > 0.05 * bins:
-            failures.append(_failure(
-                "montecarlo", "estimate_density_histogram",
-                {"N": 8, "samples": samples, "bins": bins, "seed": seed},
-                "within 4 std errors in >= 95% of bins", f"{bad} outliers"))
+    width = 6.0 / bins
+    bad = 0
+    for j, st in enumerate(stats):
+        center = -3.0 + (j + 0.5) * width
+        if st.std_error > 0 and abs(st.mean - density_eval(8, center)) > 4 * st.std_error:
+            bad += 1
+    if bad > 0.05 * bins:
+        failures.append(_failure(
+            "montecarlo", "estimate_density_histogram",
+            {"N": 8, "samples": samples, "bins": bins, "seed": seed},
+            "within 4 std errors in >= 95% of bins", f"{bad} outliers"))
     return failures
 
 
@@ -276,7 +277,8 @@ def _run_all(suites):
         worker.close()
 
 
-def run_suite(name, l_max=None, samples=4000, bins=40, seed=DEFAULT_SEED):
+def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
+              seed=DEFAULT_SEED):
     """The failures of suite `name`; "all" runs every suite, in SUITES
     order, split over two processes by _run_all (POSIX fork)."""
     if name not in SUITES:

@@ -214,6 +214,48 @@ def test_main_wilson_prints_coefficients_past_the_int_digit_limit(capsys):
     assert [row[0] for row in rec.rows] == [0.0, 4.0]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for argv in (["moments", "--N", "3", "--l-max", "3"],
+                     ["wilson", "--N", "820", "--steps", "2", "--format", "json"]):
+            assert run_main(capsys, argv)[0] == 0
+            assert sys.get_int_max_str_digits() == 4300, argv
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+_PARSE_PROBE = """
+import sys
+from guekit.observables import wilson_loop
+from guekit.records import OutputRecord
+
+csv_path, json_path = sys.argv[1:]
+want = list(wilson_loop(820))
+assert OutputRecord.from_csv(open(csv_path).read()).parameters["coefficients"] == want
+assert OutputRecord.from_json(open(json_path).read()).parameters["coefficients"] == want
+assert sys.get_int_max_str_digits() == 4300
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+def test_fresh_process_parses_coefficients_past_the_int_digit_limit(tmp_path):
+    paths = [tmp_path / "wilson.csv", tmp_path / "wilson.json"]
+    for path in paths:
+        argv = ["wilson", "--N", "820", "--steps", "2", "--format", path.suffix[1:]]
+        assert main([*argv, "--out", str(path)]) == 0
+    src = str(Path(guekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="4300", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", _PARSE_PROBE, *map(str, paths)], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_main_density_at_n40_is_positive(capsys):
     code, out = run_main(capsys, ["density", "--N", "40"])
     assert code == 0
@@ -260,6 +302,19 @@ def test_main_rejects_non_finite_arguments(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("N, l_max, code", [(1, 151, 2), (3, 184, 2), (8, 224, 2),
+                                            (1, 150, 0), (3, 183, 0), (8, 223, 0)])
+def test_main_moments_refuses_a_float_column_that_overflows(capsys, N, l_max, code):
+    # m_2l grows with l, so the float of m_{2 l_max} decides before any row is built
+    assert main(["moments", "--N", str(N), "--l-max", str(l_max)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error: --l-max")
+        assert captured.out == ""
+    else:
+        assert math.isfinite(OutputRecord.from_csv(captured.out).rows[-1][2])
 
 
 def test_main_wilson_underflows_at_huge_t(capsys):

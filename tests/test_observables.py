@@ -246,17 +246,24 @@ def test_resolvent_routes_agree():
 
 
 def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
-    # one complex pass, not one per component, and the endpoints shared by
-    # neighbouring initial panels are evaluated once
-    nodes = []
+    # each part is one integrate_real pass, and within a pass the endpoints
+    # shared by neighbouring initial panels are evaluated once
+    passes = []
+
+    def integrates(f, a, b, tol):
+        passes.append([])
+        return integrate_real(f, a, b, tol)
 
     def counted(N, t):
-        nodes.extend(t.tolist())
+        passes[-1].extend(t.tolist())
         return wilson_eval(N, t)
 
+    monkeypatch.setattr("guekit.observables.integrate_real", integrates)
     monkeypatch.setattr("guekit.observables.wilson_eval", counted)
     resolvent_laplace(8, 1 + 2j)
-    assert len(nodes) == len(set(nodes))
+    assert len(passes) == 2
+    for nodes in passes:
+        assert nodes and len(nodes) == len(set(nodes))
 
 
 def test_resolvent_large_z_leading_term():
