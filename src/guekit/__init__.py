@@ -14,39 +14,18 @@ from .exact import (
     enumerate_partition_terms,
     integrate_real,
 )
-from .maps import (
-    CombinatorialMap,
-    DirectedDouble,
-    EulerianCycle,
-    Multigraph,
-    Pairing,
-    RosetteCensus,
-    best_forward,
-    best_inverse,
-    directed_double,
-    enumerate_connected_multigraphs,
-    enumerate_maps,
-    enumerate_pairings,
-    eulerian_count_normalized,
-    eulerian_count_rooted,
-    harer_zagier_closed,
-    harer_zagier_from_counts,
-    harer_zagier_recursion,
-    moment_wick,
-    rosette_census,
-    rosette_count_formula,
-    rosette_genus,
-    verify_initial_identity,
-)
 from .observables import (
     density,
     density_eval,
     density_fourier_check,
+    harer_zagier_closed,
+    harer_zagier_from_counts,
     moment_exact,
     moment_genus_expansion,
     moment_table,
     resolvent_laplace,
     resolvent_quadrature,
+    rosette_count_formula,
     wigner_density,
     wilson_bound,
     wilson_eval,
@@ -58,14 +37,25 @@ from .records import OutputRecord
 
 __version__ = "0.1.0"
 
-# The sampler is the only module that needs numpy; its names load it on
-# first use (PEP 562), so the exact observables start without it.
-_MONTECARLO = frozenset(
-    {"SampleStats", "estimate_density_histogram", "estimate_wilson", "sample_gue", "zscore"})
+# Names of the sampler, which loads numpy, and of the enumeration oracles
+# in guekit.maps, which no table command runs, resolve on first use
+# (PEP 562): name -> the submodule that defines it.  The exact observables,
+# the closed forms among them, and the records load with the package.
+_LAZY = {
+    **dict.fromkeys(("SampleStats", "estimate_density_histogram", "estimate_wilson",
+                     "sample_gue", "zscore"), "montecarlo"),
+    **dict.fromkeys(("CombinatorialMap", "DirectedDouble", "EulerianCycle", "Multigraph",
+                     "Pairing", "RosetteCensus", "best_forward", "best_inverse",
+                     "directed_double", "enumerate_connected_multigraphs", "enumerate_maps",
+                     "enumerate_pairings", "eulerian_count_normalized",
+                     "eulerian_count_rooted", "harer_zagier_recursion", "moment_wick",
+                     "rosette_census", "rosette_genus", "verify_initial_identity"), "maps"),
+}
 
 
 def __getattr__(name):
-    if name in _MONTECARLO:
-        from . import montecarlo
-        return getattr(montecarlo, name)
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

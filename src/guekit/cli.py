@@ -10,11 +10,20 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .exact import catalan, double_factorial
-from .maps.rosettes import harer_zagier_closed, harer_zagier_from_counts, rosette_count_formula
-from .observables import density_eval, moment_exact, wigner_density, wilson_eval, wilson_loop
+from .observables import (
+    density_eval,
+    harer_zagier_closed,
+    harer_zagier_from_counts,
+    moment_exact,
+    rosette_count_formula,
+    wigner_density,
+    wilson_eval,
+    wilson_loop,
+)
 from .records import OutputRecord
 from .verify import DEFAULT_SEED, HISTOGRAM_BINS, HISTOGRAM_SAMPLES, SUITES, run_suite
 
@@ -90,8 +99,6 @@ def _share_cpus() -> list[int | None]:
     has loaded already (its BLAS thread pool is sized and running), when
     os.sched_setaffinity is missing or when the mask has fewer than two
     CPUs."""
-    import os
-
     if "numpy" in sys.modules or not hasattr(os, "sched_setaffinity"):
         return [None]
     cpus = sorted(os.sched_getaffinity(0))[:2]
@@ -106,8 +113,6 @@ def _eigenvalue_share(N: int, seed: int, start: int, stop: int, cpu: int | None)
     pool from the affinity mask then: one CPU, one BLAS thread, and no
     second thread spinning on a core the other share needs.
     """
-    import os
-
     mask = None
     if cpu is not None:
         mask = os.sched_getaffinity(0)
@@ -271,5 +276,28 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """main() as the whole process: the `guekit` script and `python -m
+    guekit.cli` leave through here.  Once stdout and stderr are flushed,
+    os._exit ends the process without tearing the interpreter down (module
+    clean-up, a garbage collection over every object), which has no output
+    to make; where a flush fails, sys.exit reports it at shutdown as
+    before.  An argparse exit (--help, a usage error) leaves the same way
+    with its status."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a failed, closed or missing stream: exit as before, and let
+        # the interpreter's own flush report the error
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -12,8 +12,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from ..exact import binomial, double_factorial
-from ..observables import _genus_coefficient
+from ..exact import double_factorial
+# the closed forms live beside C_g(l) in observables; they are served here too
+from ..observables import (  # noqa: F401
+    _genus_series,
+    harer_zagier_closed,
+    harer_zagier_from_counts,
+    rosette_count_formula,
+)
 
 # (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
 PAIRING_BUDGET = 8
@@ -169,15 +175,6 @@ def rosette_census(l: int) -> RosetteCensus:
     return RosetteCensus(l, tuple(counts))
 
 
-def rosette_count_formula(l: int, g: int) -> int:
-    """Closed-form C_g(l), the coefficient of N^{-2g} in m_2l, as an integer."""
-    if l < 1 or g < 0:
-        raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {g})")
-    value = _genus_coefficient(l, g)
-    assert value.denominator == 1, f"C_g(l) must be an integer, got {value}"
-    return int(value)
-
-
 def harer_zagier_recursion(l_max: int) -> list[list[int]]:
     """counts[l][g] = C_g(l) for 0 <= l <= l_max, 0 <= g <= l // 2.
 
@@ -201,20 +198,6 @@ def harer_zagier_recursion(l_max: int) -> list[list[int]]:
     return counts
 
 
-def _genus_series(counts, N: int) -> Fraction:
-    """sum_g counts[g] N^{-2g}, as one integer sum over N^{2G}, G the top genus."""
-    total = 0
-    for count in counts:
-        total = total * N * N + count
-    return Fraction(total, N ** (2 * (len(counts) - 1)))
-
-
-def harer_zagier_from_counts(N: int, p: int) -> Fraction:
-    """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
-    counts = [rosette_count_formula(p, g) for g in range(p // 2 + 1)]
-    return _genus_series(counts, N) / double_factorial(2 * p - 1)
-
-
 def moment_wick(N: int, l: int) -> Fraction:
     """Wick oracle for m_2l: sum over all pairings of N^(-2 genus)."""
     if N < 1:
@@ -222,20 +205,3 @@ def moment_wick(N: int, l: int) -> Fraction:
     if l == 0:
         return Fraction(1)
     return _genus_series(rosette_census(l).counts, N)
-
-
-def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
-    """Coefficients of x^{p+1}, p = 1 .. p_max, in (1/2)((1+x/N)/(1-x/N))^N - 1/2 - x.
-
-    With y = x/N, ((1+y)/(1-y))^N = (1 + 2y/(1-y))^N
-    = sum_j binom(N, j) (2y)^j (1-y)^{-j}, and [y^k] (1-y)^{-j} y^j is
-    binom(k-1, j-1); so the coefficient of x^k, k >= 1, is the integer
-    sum_{j=1..min(k,N)} binom(N, j) binom(k-1, j-1) 2^{j-1} over N^k.
-    """
-    if N < 1 or p_max < 1:
-        raise ValueError(f"harer_zagier_closed requires N >= 1, p_max >= 1, got ({N}, {p_max})")
-    return [
-        Fraction(sum(binomial(N, j) * binomial(k - 1, j - 1) << (j - 1)
-                     for j in range(1, min(k, N) + 1)), N**k)
-        for k in range(2, p_max + 2)
-    ]

@@ -25,7 +25,14 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import binomial, integrate_real, moment_term, partition_term_sum, pointwise
+from .exact import (
+    binomial,
+    double_factorial,
+    integrate_real,
+    moment_term,
+    partition_term_sum,
+    pointwise,
+)
 
 # Fourier/Laplace integrals over t are truncated once the Gaussian factor
 # times the (positive-coefficient) polynomial part drops below this.
@@ -324,6 +331,46 @@ def moment_genus_expansion(l: int) -> list[Fraction]:
     return [_genus_coefficient(l, g) for g in range(l // 2 + 1)]
 
 
+def rosette_count_formula(l: int, g: int) -> int:
+    """Closed-form C_g(l), the coefficient of N^{-2g} in m_2l, as an integer."""
+    if l < 1 or g < 0:
+        raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {g})")
+    value = _genus_coefficient(l, g)
+    assert value.denominator == 1, f"C_g(l) must be an integer, got {value}"
+    return int(value)
+
+
+def _genus_series(counts, N: int) -> Fraction:
+    """sum_g counts[g] N^{-2g}, as one integer sum over N^{2G}, G the top genus."""
+    total = 0
+    for count in counts:
+        total = total * N * N + count
+    return Fraction(total, N ** (2 * (len(counts) - 1)))
+
+
+def harer_zagier_from_counts(N: int, p: int) -> Fraction:
+    """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
+    counts = [rosette_count_formula(p, g) for g in range(p // 2 + 1)]
+    return _genus_series(counts, N) / double_factorial(2 * p - 1)
+
+
+def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
+    """Coefficients of x^{p+1}, p = 1 .. p_max, in (1/2)((1+x/N)/(1-x/N))^N - 1/2 - x.
+
+    With y = x/N, ((1+y)/(1-y))^N = (1 + 2y/(1-y))^N
+    = sum_j binom(N, j) (2y)^j (1-y)^{-j}, and [y^k] (1-y)^{-j} y^j is
+    binom(k-1, j-1); so the coefficient of x^k, k >= 1, is the integer
+    sum_{j=1..min(k,N)} binom(N, j) binom(k-1, j-1) 2^{j-1} over N^k.
+    """
+    if N < 1 or p_max < 1:
+        raise ValueError(f"harer_zagier_closed requires N >= 1, p_max >= 1, got ({N}, {p_max})")
+    return [
+        Fraction(sum(binomial(N, j) * binomial(k - 1, j - 1) << (j - 1)
+                     for j in range(1, min(k, N) + 1)), N**k)
+        for k in range(2, p_max + 2)
+    ]
+
+
 def truncation_time(N: int) -> float:
     """Smallest scanned T with the Gaussian-times-polynomial envelope < 1e-12.
 
@@ -388,10 +435,11 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
     240-node rule agrees with resolvent_laplace to 1e-8 at every probed z
     (Re z from 1 to 100, |Im z| up to 20); beyond it the rule degrades
     (4e-3 off at N = 80, z = 1; 2.52 for 0.5000007 at N = 120, z = 1.5).
-    Doubling `nodes` is no error estimate at large Im z: at N = 40,
-    z = 1+5i the 480-node rule is 1.4e-7 off resolvent_laplace while the
-    default rule is 1.0e-11 off, so the difference of the two measures the
-    doubled rule.  At N <= 8 the two rules agree.
+    Doubling `nodes` is no error estimate past small N: the doubled rule
+    can be the worse one, so the difference of the two measures it, not
+    the default rule.  At z = 1+5i the 480-node rule is 5.0e-10 off
+    resolvent_laplace at N = 36 and 1.4e-7 at N = 40, where the default
+    rule is 4.6e-11 and 1.3e-11 off; at N <= 20 the two rules agree.
     """
     z = complex(z)
     if not 1 <= N <= 40:

@@ -15,7 +15,6 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+$")
@@ -73,19 +72,30 @@ def _from_jsonable(value):
     return value
 
 
-@dataclass
 class OutputRecord:
-    """One command invocation: parameters plus a column-named table."""
+    """One command invocation: parameters plus a column-named table.
 
-    command: str
-    parameters: dict
-    columns: list[str]
-    rows: list[list] = field(default_factory=list)
+    The constructor, equality and repr of a dataclass, written out: the
+    dataclasses module would load inspect on every table command."""
 
-    def __post_init__(self):
+    def __init__(self, command: str, parameters: dict, columns: list[str],
+                 rows: list[list] | None = None):
+        self.command = command
+        self.parameters = parameters
+        self.columns = columns
+        self.rows = [] if rows is None else rows
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("row arity must match the header")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return (f"OutputRecord(command={self.command!r}, parameters={self.parameters!r}, "
+                f"columns={self.columns!r}, rows={self.rows!r})")
 
     @_any_int_digits()
     def to_csv(self) -> str:

@@ -12,32 +12,20 @@ import math
 import random
 
 from .exact import catalan, integrate_real, pointwise
-from .maps.bijection import best_forward, best_inverse, enumerate_maps, spanning_trees
-from .maps.multigraph import (
-    DERIVATIVE_EDGE_BUDGET,
-    INITIAL_IDENTITY_EDGE_BUDGET,
-    directed_double,
-    enumerate_connected_multigraphs,
-    eulerian_count_normalized,
-    eulerian_count_rooted,
-    initial_identity_report,
-    trace_derivative_value,
-)
-from .maps.rosettes import (
-    harer_zagier_closed,
-    harer_zagier_from_counts,
-    harer_zagier_recursion,
-    moment_wick,
-    rosette_census,
-    rosette_count_formula,
-)
 from .observables import (
     density_eval,
     density_fourier_check,
+    harer_zagier_closed,
+    harer_zagier_from_counts,
     moment_exact,
+    rosette_count_formula,
     wilson_bound,
     wilson_eval,
 )
+
+# The enumeration oracles of guekit.maps are imported inside the suites that
+# run them, so the table commands, which import this module for its
+# constants, do not load them.
 
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 
@@ -72,6 +60,8 @@ def _cap(requested, default, flag):
 
 
 def suite_wick(l_max=None):
+    from .maps.rosettes import moment_wick
+
     l_max = _cap(l_max, WICK_L_MAX, "--l-max")
     failures = []
     for l in range(l_max + 1):
@@ -85,6 +75,13 @@ def suite_wick(l_max=None):
 
 
 def suite_best():
+    from .maps.bijection import best_forward, best_inverse, enumerate_maps, spanning_trees
+    from .maps.multigraph import (
+        directed_double,
+        enumerate_connected_multigraphs,
+        eulerian_count_rooted,
+    )
+
     failures = []
     for v in range(1, 4):
         for l in range(max(1, v - 1), 4):
@@ -116,6 +113,15 @@ def suite_best():
 
 
 def suite_initial(l_max=None):
+    from .maps.multigraph import (
+        DERIVATIVE_EDGE_BUDGET,
+        INITIAL_IDENTITY_EDGE_BUDGET,
+        enumerate_connected_multigraphs,
+        eulerian_count_normalized,
+        initial_identity_report,
+        trace_derivative_value,
+    )
+
     l_max = _cap(l_max, INITIAL_IDENTITY_EDGE_BUDGET, "--l-max")
     failures = []
     for l in range(1, l_max + 1):
@@ -137,6 +143,9 @@ def suite_initial(l_max=None):
 
 
 def suite_hz(p_max=None):
+    # the closed forms stay this module's globals, which a test may replace
+    from .maps.rosettes import harer_zagier_recursion, rosette_census
+
     l_top = HZ_RECURSION_L_MAX if p_max is None else min(p_max, HZ_RECURSION_L_MAX)
     p_max = _cap(p_max, HZ_P_MAX, "--l-max")
     failures = []
@@ -288,10 +297,15 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
         # under "all", one --l-max lowers each enumeration budget to at most its own maximum
         return l_max if name != "all" or l_max is None else min(l_max, top)
 
+    def initial():
+        from .maps.multigraph import INITIAL_IDENTITY_EDGE_BUDGET
+
+        return suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET))
+
     suites = {
         "wick": lambda: suite_wick(l_max),
         "best": lambda: suite_best(),
-        "initial": lambda: suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET)),
+        "initial": initial,
         "hz": lambda: suite_hz(budget(HZ_P_MAX)),
         "density": lambda: suite_density(samples=samples, bins=bins, seed=seed),
         "bound": lambda: suite_bound(seed=seed),

@@ -20,10 +20,10 @@ class Worker:
     exception.
 
     A fork starts with this process's modules, so the worker imports
-    nothing of its own; the child leaves through os._exit alone, so no
-    cleanup or stream buffer of the parent runs or flushes in it.  Call
-    close() on every path, which kills the child if need be and waits for
-    it.
+    only what its tasks import; the child leaves through os._exit alone,
+    so no cleanup or stream buffer of the parent runs or flushes in it.
+    Call close() on every path, which kills the child if need be and
+    waits for it.
     """
 
     def __init__(self, tasks):

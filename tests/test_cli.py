@@ -66,6 +66,16 @@ def test_record_rejects_ragged_rows():
         OutputRecord("demo", {}, ["a"], [[1, 2]])
 
 
+def test_record_keeps_the_dataclass_interface():
+    first, second = OutputRecord("demo", {}, ["x"]), OutputRecord("demo", {}, ["x"])
+    assert first.rows == [] and first.rows is not second.rows
+    assert first == second and first != OutputRecord("demo", {}, ["y"])
+    assert first != ("demo", {}, ["x"], [])
+    record = OutputRecord(command="demo", parameters={"N": 2}, columns=["x"], rows=[[1]])
+    assert repr(record) == ("OutputRecord(command='demo', parameters={'N': 2}, "
+                            "columns=['x'], rows=[[1]])")
+
+
 def test_round_trip_on_random_tables():
     import random
 
@@ -374,6 +384,7 @@ def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
     # under "all" the enumeration suites run in a forked worker, so each
     # recorder reports its budget as a failure rather than in a list here
     import guekit.verify as verify
+    from guekit.maps.multigraph import INITIAL_IDENTITY_EDGE_BUDGET
 
     def recorder(name, top):
         def suite(budget=None, **kwargs):
@@ -381,7 +392,7 @@ def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
         return suite
 
     monkeypatch.setattr(verify, "suite_wick", recorder("wick", verify.WICK_L_MAX))
-    monkeypatch.setattr(verify, "suite_initial", recorder("initial", verify.INITIAL_IDENTITY_EDGE_BUDGET))
+    monkeypatch.setattr(verify, "suite_initial", recorder("initial", INITIAL_IDENTITY_EDGE_BUDGET))
     monkeypatch.setattr(verify, "suite_hz", recorder("hz", verify.HZ_P_MAX))
     for name in ("best", "density", "bound"):
         monkeypatch.setattr(verify, f"suite_{name}", lambda *a, **k: [])
@@ -600,8 +611,12 @@ def test_main_verify_reports_failures(capsys, monkeypatch):
 
 # ------------------------------------------------------------ import boundary
 
-_NUMPY_PROBE = """
-import contextlib, io, sys
+# A fresh interpreter that runs the table commands in-process; `bare` holds
+# the modules it had loaded before guekit.
+_TABLE_PROBE = """
+import sys
+bare = set(sys.modules)
+import contextlib, io
 from guekit.cli import main
 
 def run(argv):
@@ -611,9 +626,13 @@ def run(argv):
         except SystemExit as exc:  # --help
             return exc.code
 
-for argv in (["wilson", "--N", "3", "--steps", "3"], ["density", "--N", "3", "--steps", "3"],
-             ["moments", "--N", "3"], ["rosettes", "--l", "4"], ["harer-zagier", "--N", "3"],
-             ["--help"]):
+TABLES = (["wilson", "--N", "3", "--steps", "3"], ["density", "--N", "3", "--steps", "3"],
+          ["moments", "--N", "3"], ["rosettes", "--l", "4"], ["harer-zagier", "--N", "3"],
+          ["--help"])
+"""
+
+_NUMPY_PROBE = _TABLE_PROBE + """
+for argv in TABLES:
     assert run(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
 assert run(["sample", "--N", "2", "--samples", "100", "--t", "1.0"]) == 0
@@ -628,6 +647,39 @@ def test_only_sample_imports_numpy():
     result = subprocess.run([sys.executable, "-c", _NUMPY_PROBE], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def _fresh(args, stdout=subprocess.PIPE, env=None):
+    """This Python run on `args` in a new process that imports guekit from
+    this checkout; `env` adds variables to the environment (None removes one)."""
+    src = str(Path(guekit.__file__).resolve().parent.parent)
+    environ = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for name, value in (env or {}).items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run([sys.executable, *args], env=environ, stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+# dataclasses and inspect count only where the bare interpreter lacks them
+_IMPORT_PROBE = _TABLE_PROBE + """
+unneeded = {"numpy", "pickle", "guekit.montecarlo", "guekit.worker"}
+unneeded |= {"dataclasses", "inspect"} - bare
+for argv in TABLES:
+    assert run(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules
+                    if m in unneeded or m == "guekit.maps" or m.startswith("guekit.maps."))
+    assert loaded == [], (argv, loaded)
+"""
+
+
+def test_table_commands_load_only_their_modules():
+    # neither the enumeration oracles, the sampler and its worker, nor what they import
+    result = _fresh(["-c", _IMPORT_PROBE])
+    assert result.returncode == 0, result.stderr.decode()
 
 
 _FORK_PROBE = """
@@ -672,3 +724,90 @@ def test_package_serves_the_sampler_names():
     assert zscore is montecarlo.zscore
     with pytest.raises(AttributeError):
         guekit.no_such_name
+
+
+def test_package_serves_the_oracle_names_and_the_closed_forms_once():
+    import guekit.maps as maps
+    import guekit.maps.rosettes as rosettes
+    import guekit.observables as observables
+
+    for name in ("rosette_count_formula", "harer_zagier_closed", "harer_zagier_from_counts"):
+        defined = getattr(observables, name)
+        assert getattr(guekit, name) is getattr(maps, name) is getattr(rosettes, name) is defined
+    for name in maps.__all__:  # a name the package serves is the maps one
+        if hasattr(guekit, name):
+            assert getattr(guekit, name) is getattr(maps, name), name
+    assert guekit.rosette_census is rosettes.rosette_census
+    assert guekit.Multigraph is maps.Multigraph
+
+
+# -------------------------------------------------------------- process exit
+
+# `python -m guekit.cli ARGS` with os._exit checked: it leaves with status 3
+# if a forked worker is still running or unwaited for, and the process
+# leaves with status 4 if the CLI ends any way but through os._exit.
+_EXIT_PROBE = """
+import os, runpy
+
+_exit = os._exit
+
+def exit_with_no_child_left(code):
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child process at all
+        _exit(code)
+    _exit(3)
+
+os._exit = exit_with_no_child_left
+try:
+    runpy.run_module("guekit.cli", run_name="__main__", alter_sys=True)
+finally:
+    _exit(4)
+"""
+
+
+@pytest.mark.parametrize("argv, stdout_start", [
+    (["verify", "--suite", "all"], b"PASS all\n"),
+    (["sample", "--N", "2", "--samples", "100", "--t", "1.0"], b"# command: sample\n"),
+    (["rosettes", "--l", "4"], b"# command: rosettes\n"),
+    (["--help"], b"usage: guekit"),
+])
+def test_fresh_cli_leaves_through_os_exit_with_no_child_left(argv, stdout_start):
+    result = _fresh(["-c", _EXIT_PROBE, *argv])
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.startswith(stdout_start)
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--N", "x"],  # argparse
+    ["rosettes", "--l", "0"],  # a command's ValueError
+    ["verify", "--suite", "hz", "--l-max", "8"],
+])
+def test_fresh_cli_usage_error_exits_2(argv):
+    result = _fresh(["-c", _EXIT_PROBE, *argv])
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"error: " in result.stderr.splitlines()[-1]
+
+
+def test_fresh_cli_writes_the_whole_table_to_out_file(tmp_path):
+    argv = ["density", "--N", "8", "--lambda-min", "-3", "--lambda-max", "3", "--steps", "241"]
+    target = tmp_path / "density.csv"
+    result = _fresh(["-c", _EXIT_PROBE, *argv, "--out", str(target)])
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b""
+    assert target.read_bytes() == (Path(__file__).parent / "golden" / "density.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["moments", "--N", "3"], ["verify", "--suite", "hz"]])
+@pytest.mark.parametrize("unbuffered, code", [("1", 1), (None, 120)])
+def test_fresh_cli_reports_a_full_stdout(argv, unbuffered, code):
+    # unbuffered, the write in main raises (a traceback, status 1); buffered,
+    # the flush before os._exit fails, and sys.exit leaves the error to the
+    # interpreter's own flush at shutdown (status 120)
+    with open("/dev/full", "w") as full:
+        result = _fresh(["-m", "guekit.cli", *argv], stdout=full,
+                        env={"PYTHONUNBUFFERED": unbuffered})
+    assert result.returncode == code
+    assert b"No space left on device" in result.stderr

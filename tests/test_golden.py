@@ -62,6 +62,12 @@ def _fresh_stdout(argv, one_cpu):
     return result.stdout
 
 
+@pytest.mark.parametrize("name", sorted(n for n in COMMANDS if not n.startswith("sample")))
+def test_table_golden_output_from_a_fresh_process(name):
+    # `python -m guekit.cli` leaves through os._exit once stdout is flushed
+    assert _fresh_stdout(COMMANDS[name], one_cpu=False) == (GOLDEN / name).read_bytes()
+
+
 @pytest.mark.parametrize("one_cpu", [False, pytest.param(True, marks=needs_affinity)])
 @pytest.mark.parametrize("name", ["sample.csv", "sample-n32.csv", "sample-n64.csv"])
 def test_sample_golden_output_from_a_fresh_process(name, one_cpu):
