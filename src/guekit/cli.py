@@ -71,9 +71,16 @@ def cmd_moments(N: int, l_max: int) -> OutputRecord:
                         ["l", "moment", "moment_float", "catalan"], rows)
 
 
+# The largest `rosettes --l`: l = 120 takes about 0.5 s from a fresh
+# process, l = 160 about 2 s and l = 240 over 20 s.
+ROSETTES_L_BUDGET = 120
+
+
 def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
     if l < 1:
         raise ValueError("l must be >= 1")
+    if l > ROSETTES_L_BUDGET:
+        raise ValueError(f"--l {l} is past the budget of l <= {ROSETTES_L_BUDGET}")
     params = {"l": l}
     if genus is not None:
         params["g"] = genus
@@ -93,43 +100,18 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 
 
-def _share_cpus() -> list[int | None]:
-    """The CPU of each share of a `sample` run: two from this process's
-    affinity mask, or [None], one share on the mask as it is, when numpy
-    has loaded already (its BLAS thread pool is sized and running), when
-    os.sched_setaffinity is missing or when the mask has fewer than two
-    CPUs."""
-    if "numpy" in sys.modules or not hasattr(os, "sched_setaffinity"):
-        return [None]
-    cpus = sorted(os.sched_getaffinity(0))[:2]
-    return cpus if len(cpus) == 2 else [None]
+def _eigenvalues(N: int, seed: int, start: int, stop: int):
+    """montecarlo.eigenvalue_range(N, seed, start, stop), imported here so
+    that numpy loads after worker.run_beside has pinned this process."""
+    from .montecarlo import eigenvalue_range
 
-
-def _eigenvalue_share(N: int, seed: int, start: int, stop: int, cpu: int | None):
-    """montecarlo.eigenvalue_range(N, seed, start, stop), drawn with this
-    process pinned to `cpu` (None: not pinned) until it is done.
-
-    The pin comes before numpy loads, because OpenBLAS sizes its thread
-    pool from the affinity mask then: one CPU, one BLAS thread, and no
-    second thread spinning on a core the other share needs.
-    """
-    mask = None
-    if cpu is not None:
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-    try:
-        from .montecarlo import eigenvalue_range  # loads numpy
-
-        return eigenvalue_range(N, seed, start, stop)
-    finally:
-        if mask is not None:
-            os.sched_setaffinity(0, mask)
+    return eigenvalue_range(N, seed, start, stop)
 
 
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
     from functools import partial
 
-    from .worker import Worker
+    from .worker import run_beside
 
     for t in t_list:
         if not math.isfinite(t):
@@ -139,20 +121,13 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
         raise ValueError(f"need at least 100 samples, got {samples}")
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
-    # Samples are split into one range per CPU: this process draws the
-    # first, a forked worker each other one.  A sample's bits depend only
-    # on (seed, index), so the assembled array is the one-process array.
-    cpus = _share_cpus()
-    bounds = [samples * k // len(cpus) for k in range(len(cpus) + 1)]
-    shares = [partial(_eigenvalue_share, N, seed, start, stop, cpu)
-              for cpu, start, stop in zip(cpus, bounds, bounds[1:])]
-    workers = [Worker({f"the eigenvalues of samples {start} .. {stop - 1}": share})
-               for share, start, stop in zip(shares[1:], bounds[1:], bounds[2:])]
-    try:
-        parts = [shares[0]()] + [worker.receive() for worker in workers]
-    finally:
-        for worker in workers:
-            worker.close()
+    # This process draws the first half and a forked child the second, or
+    # this process both in turn.  A sample's bits depend only on (seed,
+    # index), so the assembled array is the one-process array.
+    halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
+              partial(_eigenvalues, N, seed, start, stop)
+              for start, stop in ((0, samples // 2), (samples // 2, samples))}
+    parts = run_beside(halves, here=next(iter(halves)))
 
     from .montecarlo import estimate_wilson, hand_over, zscore
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
@@ -237,21 +237,10 @@ def enumerate_connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
 
 def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
     slots = [(a, b) for a in range(v) for b in range(a, v)]
-
-    def fill(i: int, left: int, counts: list[int]) -> Iterator[Multigraph]:
-        if i == len(slots) - 1:
-            counts.append(left)
-            edges = [slot for slot, k in zip(slots, counts) for _ in range(k)]
-            if _joins_all(v, edges):
-                yield Multigraph.from_edges(v, edges)
-            counts.pop()
-            return
-        for k in range(left + 1):
-            counts.append(k)
-            yield from fill(i + 1, left - k, counts)
-            counts.pop()
-
-    yield from fill(0, l, [])
+    # edge multisets in descending order, i.e. slot counts ascending lexicographically
+    for edges in reversed(list(combinations_with_replacement(slots, l))):
+        if _joins_all(v, edges):
+            yield Multigraph.from_edges(v, edges)
 
 
 # ------------------------------------------------------ differentiation oracle

@@ -15,13 +15,14 @@ for H_ab.
 Entry variances follow the weight exp(-(N/2) Tr H^2): diagonal entries
 have variance 1/N and off-diagonal entries have <|H_ab|^2> = 1/N.
 
-`guekit sample` splits its samples into two index ranges.  It draws the
-first itself and a worker process draws the second; each pins itself to
-one CPU before numpy loads, so OpenBLAS gives it one thread.  It hands
-the array put together in index order to the estimators (hand_over).  It
-draws every sample itself when numpy has loaded before it starts (as for
-library callers and tests), when os.sched_setaffinity is missing or when
-its affinity mask holds fewer than two CPUs.
+`guekit sample` splits its samples into two index ranges and draws them
+through worker.run_beside: the first in its own process and the second in
+a forked child, each pinned to one CPU before numpy loads, so OpenBLAS
+gives it one thread; or both in turn in its own process, where numpy has
+loaded before it starts (as for library callers and tests), where
+os.sched_setaffinity is missing or where its affinity mask holds fewer
+than two CPUs.  It hands the array put together in index order to the
+estimators (hand_over).
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def hand_over(N: int, samples: int, seed: int, parts: list[np.ndarray]) -> None:
     `parts` instead of drawing them: eigenvalue_range over consecutive
     ranges that cover samples 0 .. samples-1, in index order.
 
-    `guekit sample` draws the ranges in two processes.
+    `guekit sample` draws its two halves through worker.run_beside.
     """
     _handed_over.clear()
     _handed_over[N, samples, seed % 2**64] = np.concatenate(parts)

@@ -260,36 +260,13 @@ def suite_bound(seed=DEFAULT_SEED):
     return failures
 
 
-def _run_all(suites):
-    """The failures of every suite in `suites` (name -> callable), in its
-    order: "density", the one suite that loads numpy, in this process and
-    the pure-Python rest in one forked Worker beside it.  The first suite
-    in that order to raise raises here, as when the suites run in turn.
-    """
-    from .worker import Worker
-
-    worker = Worker({f"suite {name!r}": suite
-                     for name, suite in suites.items() if name != "density"})
-    try:
-        try:
-            density = suites["density"]()
-        except Exception as exc:  # raised below, unless an earlier suite raised
-            density = exc
-        failures = []
-        for name in suites:
-            outcome = density if name == "density" else worker.receive()
-            if isinstance(outcome, Exception):
-                raise outcome
-            failures += outcome
-        return failures
-    finally:
-        worker.close()
-
-
 def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
               seed=DEFAULT_SEED):
-    """The failures of suite `name`; "all" runs every suite, in SUITES
-    order, split over two processes by _run_all (POSIX fork)."""
+    """The failures of suite `name`.  "all" gives those of every suite, in
+    SUITES order, through worker.run_beside: "density", the one suite that
+    loads numpy, in this process and the pure-Python rest in a forked
+    child beside it, or every suite here in turn where numpy has loaded
+    already or no two CPUs can be pinned."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
 
@@ -312,4 +289,8 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
     }
     if name != "all":
         return suites[name]()
-    return _run_all(suites)
+    from .worker import run_beside
+
+    outcomes = run_beside({f"suite {each!r}": suite for each, suite in suites.items()},
+                          here="suite 'density'")
+    return [failure for failures in outcomes for failure in failures]

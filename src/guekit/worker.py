@@ -1,9 +1,10 @@
-"""A forked worker process that runs tasks and sends their outcomes back
-through a pipe (POSIX fork).
+"""The two-core split of `verify --suite all` and `sample`: tasks run in
+this process and in one forked child (POSIX fork), each pinned to its own
+CPU before any task loads numpy, or all in this process where a split
+cannot help.
 
-`verify --suite all` runs its pure-Python suites in one; `sample` draws
-half of its samples in one.  Callers import this module on those paths
-only, so the table commands never load pickle.
+Callers import this module on those paths only, so the table commands
+never load pickle.
 """
 
 from __future__ import annotations
@@ -11,35 +12,57 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 
 
-class Worker:
-    """A forked child process that runs `tasks` (description -> callable
-    without arguments) in order and pickles each one's outcome, its result
-    or the exception it raised, to a pipe; it stops after the first
-    exception.
+def _split_cpus() -> list[int] | None:
+    """Two CPUs of this process's affinity mask, one per process of a
+    split, or None where a split cannot help: numpy has loaded already
+    (its BLAS thread pool is sized and running), os.sched_setaffinity is
+    missing, or the mask holds fewer than two CPUs."""
+    if "numpy" in sys.modules or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    return cpus if len(cpus) == 2 else None
 
-    A fork starts with this process's modules, so the worker imports
-    only what its tasks import; the child leaves through os._exit alone,
-    so no cleanup or stream buffer of the parent runs or flushes in it.
-    Call close() on every path, which kills the child if need be and
-    waits for it.
+
+def run_beside(tasks, here):
+    """The results of `tasks` (description -> callable without arguments),
+    in task order.  The first task in that order to raise raises here, as
+    when the tasks run in turn, which they do in this process if
+    _split_cpus() finds no split.
+
+    Otherwise task `here` runs in this process and the others, in order,
+    in a forked child; each process is pinned to one CPU first, so numpy,
+    loaded by a task, sizes OpenBLAS for one thread.  The child starts
+    with this process's modules, pickles each outcome, the result or the
+    exception raised, to a pipe, stops after the first exception and
+    leaves through os._exit alone, so no cleanup or stream buffer of this
+    process runs or flushes in it.  A child that exits before reporting a
+    task is a RuntimeError naming it.  The child is killed if need be and
+    waited for, and this process's affinity mask restored, on every path.
     """
-
-    def __init__(self, tasks):
+    cpus = _split_cpus()
+    if cpus is None:
+        return [task() for task in tasks.values()]
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpus[1]})  # the child's CPU, which the fork inherits
+    try:
         read_fd, write_fd = os.pipe()
         try:
-            self.pid = os.fork()
+            pid = os.fork()
         except OSError:
             os.close(read_fd)
             os.close(write_fd)
             raise
-        if self.pid == 0:
+        if pid == 0:
             status = 1
             try:
                 os.close(read_fd)
                 with open(write_fd, "wb") as out:
-                    for task in tasks.values():
+                    for what, task in tasks.items():
+                        if what == here:
+                            continue
                         try:
                             outcome = task()
                         except Exception as exc:
@@ -52,31 +75,34 @@ class Worker:
             finally:
                 os._exit(status)
         os.close(write_fd)
-        self._pending = iter(tasks)  # descriptions of the outcomes not yet received
-        self._results = open(read_fd, "rb")
-        self._reaped = False
-
-    def receive(self):
-        """The result of the next task.  Raises the exception the task
-        raised, or RuntimeError naming the task if the worker exited
-        without reporting it."""
-        what = next(self._pending)
+        reaped = False
         try:
-            outcome = pickle.load(self._results)
-        except (EOFError, pickle.UnpicklingError):
-            _, status = os.waitpid(self.pid, 0)
-            self._reaped = True
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(
-                f"worker exited with status {code} before reporting {what}") from None
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def close(self):
-        """Kill the worker if it has not been waited for, and wait for it."""
-        self._results.close()
-        if not self._reaped:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self._reaped = True
+            with open(read_fd, "rb") as received:
+                os.sched_setaffinity(0, {cpus[0]})
+                try:
+                    mine = tasks[here]()
+                except Exception as exc:  # raised below, unless an earlier task raised
+                    mine = exc
+                results = []
+                for what in tasks:
+                    if what == here:
+                        outcome = mine
+                    else:
+                        try:
+                            outcome = pickle.load(received)
+                        except (EOFError, pickle.UnpicklingError):
+                            _, status = os.waitpid(pid, 0)
+                            reaped = True
+                            code = os.waitstatus_to_exitcode(status)
+                            raise RuntimeError(f"worker exited with status {code} "
+                                               f"before reporting {what}") from None
+                    if isinstance(outcome, Exception):
+                        raise outcome
+                    results.append(outcome)
+                return results
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    finally:
+        os.sched_setaffinity(0, mask)

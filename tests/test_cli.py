@@ -327,6 +327,24 @@ def test_main_moments_refuses_a_float_column_that_overflows(capsys, N, l_max, co
         assert math.isfinite(OutputRecord.from_csv(captured.out).rows[-1][2])
 
 
+@pytest.mark.parametrize("genus", [[], ["--g", "0"]])
+def test_main_rosettes_refuses_an_l_past_its_budget(capsys, monkeypatch, genus):
+    import guekit.cli as cli
+
+    def counts(*args):
+        raise AssertionError("counted before the budget was checked")
+
+    monkeypatch.setattr(cli, "rosette_count_formula", counts)
+    assert main(["rosettes", "--l", str(cli.ROSETTES_L_BUDGET + 1), *genus]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --l {cli.ROSETTES_L_BUDGET + 1} is past the budget of l <= 120\n"
+    assert captured.out == ""
+    monkeypatch.undo()
+    code, out = run_main(capsys, ["rosettes", "--l", str(cli.ROSETTES_L_BUDGET), *genus])
+    assert code == 0
+    assert OutputRecord.from_csv(out).parameters["l"] == cli.ROSETTES_L_BUDGET
+
+
 def test_main_wilson_underflows_at_huge_t(capsys):
     code, out = run_main(capsys, ["wilson", "--N", "3", "--t-max", "1e200", "--steps", "2"])
     assert code == 0
@@ -380,11 +398,30 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="runs split only where CPU affinity can be set")
+# This process's affinity mask before any test ran: a `verify` or `sample`
+# run in this process, split or not, must leave it as it was.
+MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+def _force_split(monkeypatch):
+    """Make worker.run_beside split its tasks over two processes although
+    numpy has loaded here: both pinned to one CPU of this process's mask."""
+    import guekit.worker as worker
+
+    cpu = min(MASK)
+    monkeypatch.setattr(worker, "_split_cpus", lambda: [cpu, cpu])
+
+
+@needs_affinity
 def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
     # under "all" the enumeration suites run in a forked worker, so each
     # recorder reports its budget as a failure rather than in a list here
     import guekit.verify as verify
     from guekit.maps.multigraph import INITIAL_IDENTITY_EDGE_BUDGET
+
+    _force_split(monkeypatch)
 
     def recorder(name, top):
         def suite(budget=None, **kwargs):
@@ -417,8 +454,10 @@ def _stub_suites(monkeypatch, **suites):
         monkeypatch.setattr(verify, f"suite_{name}", suites.get(name, lambda *a, **k: []))
 
 
+@needs_affinity
 def test_main_verify_all_merges_the_worker_failures_in_suite_order(capsys, monkeypatch):
     # best and bound run in the worker, density here; the report keeps SUITES order
+    _force_split(monkeypatch)
     _stub_suites(monkeypatch, best=_fails_once("best"), density=_fails_once("density"),
                  bound=_fails_once("bound"))
     code, reported = _reported(capsys, ["verify", "--suite", "all"])
@@ -427,7 +466,10 @@ def test_main_verify_all_merges_the_worker_failures_in_suite_order(capsys, monke
     _assert_no_child_left()
 
 
+@needs_affinity
 def test_main_verify_all_reports_a_worker_usage_error(capsys, monkeypatch):
+    _force_split(monkeypatch)
+
     def refuses(*args, **kwargs):
         raise ValueError("hz refuses")
 
@@ -439,8 +481,11 @@ def test_main_verify_all_reports_a_worker_usage_error(capsys, monkeypatch):
     _assert_no_child_left()
 
 
+@needs_affinity
 def test_main_verify_all_raises_the_first_error_in_suite_order(capsys, monkeypatch):
     # wick comes before density, so its error wins even if density raises first
+    _force_split(monkeypatch)
+
     def refuses(name):
         def suite(*args, **kwargs):
             raise ValueError(f"{name} refuses")
@@ -455,7 +500,10 @@ def test_main_verify_all_raises_the_first_error_in_suite_order(capsys, monkeypat
     _assert_no_child_left()
 
 
+@needs_affinity
 def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
+    _force_split(monkeypatch)
+
     def dies(*args, **kwargs):
         os._exit(1)
 
@@ -466,10 +514,13 @@ def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
     _assert_no_child_left()
 
 
+@needs_affinity
 def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
     import time
 
     from guekit.exact import QuadratureError
+
+    _force_split(monkeypatch)
 
     def diverges(*args, **kwargs):
         raise QuadratureError("diverges")
@@ -486,9 +537,12 @@ def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
     _assert_no_child_left()
 
 
+@needs_affinity
 @pytest.mark.parametrize("flag", [["--samples", "1"], ["--bins", "5"]])
 def test_main_verify_all_refuses_histogram_flags_before_integrating(capsys, monkeypatch, flag):
     import guekit.verify as verify
+
+    _force_split(monkeypatch)
 
     def integrates(*args, **kwargs):
         raise AssertionError("integrated before the histogram flags were checked")
@@ -499,20 +553,82 @@ def test_main_verify_all_refuses_histogram_flags_before_integrating(capsys, monk
     _assert_no_child_left()
 
 
-needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                                    reason="sample splits only where CPU affinity can be set")
-# This process's affinity mask before any test ran: a `sample` run in this
-# process, split or not, must leave it as it was.
-MASK = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+def _refuses(name):
+    """A suite that raises a ValueError naming `name`."""
+    def suite(*args, **kwargs):
+        raise ValueError(f"{name} refuses")
+    return suite
 
 
-def _split_sample(monkeypatch):
-    """Make `sample` split its samples over two processes although numpy
-    has loaded here: both shares pinned to one CPU of this process's mask."""
-    import guekit.cli as cli
+@needs_affinity
+def test_verify_all_runs_in_turn_once_numpy_has_loaded(monkeypatch):
+    # numpy has loaded in this process, as for a library caller, so "all"
+    # runs every suite here, in SUITES order, and reports and raises as the
+    # forced split does
+    import numpy  # noqa: F401
 
-    cpu = min(MASK)
-    monkeypatch.setattr(cli, "_share_cpus", lambda: [cpu, cpu])
+    import guekit.verify as verify
+
+    def outcomes():
+        _stub_suites(monkeypatch, best=_fails_once("best"), density=_fails_once("density"),
+                     bound=_fails_once("bound"))
+        failures = [failure["operation"] for failure in verify.run_suite("all")]
+        errors = []
+        for raising in [("wick", "density"), ("density", "bound"), ("hz",)]:
+            _stub_suites(monkeypatch, **{name: _refuses(name) for name in raising})
+            with pytest.raises(ValueError) as exc:
+                verify.run_suite("all")
+            errors.append(str(exc.value))
+        return failures, errors
+
+    def no_fork():
+        raise AssertionError("forked with numpy loaded")
+
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", no_fork)
+    in_turn = outcomes()
+    assert os.sched_getaffinity(0) == MASK
+    monkeypatch.setattr(os, "fork", fork)
+    _force_split(monkeypatch)
+    assert outcomes() == in_turn == (["best", "density", "bound"],
+                                     ["wick refuses", "density refuses", "hz refuses"])
+    _assert_no_child_left()
+
+
+@needs_affinity
+def test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path(monkeypatch):
+    import time
+
+    from guekit.worker import run_beside
+
+    _force_split(monkeypatch)
+
+    def where():
+        return os.getpid(), os.sched_getaffinity(0)
+
+    # results in task order: "b" here, "a" and "c" in the child
+    child, here, child_again = run_beside({"a": where, "b": where, "c": where}, here="b")
+    assert here == (os.getpid(), {min(MASK)})
+    assert child == child_again and child[0] != os.getpid() and child[1] == {min(MASK)}
+    assert os.sched_getaffinity(0) == MASK
+
+    def hangs():
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="here refuses"):
+        run_beside({"here": _refuses("here"), "there": hangs}, here="here")
+    assert time.monotonic() - start < 30  # the child was killed, not waited out
+    assert os.sched_getaffinity(0) == MASK
+    _assert_no_child_left()
+
+    def dies():
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match="worker exited with status 3 before reporting there"):
+        run_beside({"here": list, "there": dies}, here="here")
+    assert os.sched_getaffinity(0) == MASK
+    _assert_no_child_left()
 
 
 @needs_affinity
@@ -523,15 +639,15 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
     argv = ["sample", "--N", "3", "--samples", "101", "--seed", "5"]
     code, one_share = run_main(capsys, argv)
     assert code == 0
-    _split_sample(monkeypatch)
+    _force_split(monkeypatch)
     drawn_here = []
-    share = cli._eigenvalue_share
+    draw = cli._eigenvalues
 
-    def recorded(N, seed, start, stop, cpu):
+    def recorded(N, seed, start, stop):
         drawn_here.append((start, stop))  # lost in the worker, which is a fork
-        return share(N, seed, start, stop, cpu)
+        return draw(N, seed, start, stop)
 
-    monkeypatch.setattr(cli, "_eigenvalue_share", recorded)
+    monkeypatch.setattr(cli, "_eigenvalues", recorded)
     code, split = run_main(capsys, argv)
     assert code == 0
     assert drawn_here == [(0, 50)]
@@ -548,7 +664,7 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
     (["--N", "3", "--t", "nan"], "--t must be finite, got nan"),
 ])
 def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags, error):
-    _split_sample(monkeypatch)
+    _force_split(monkeypatch)
 
     def no_fork():
         raise AssertionError("forked before the flags were checked")
@@ -566,15 +682,15 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
 def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
     import guekit.cli as cli
 
-    _split_sample(monkeypatch)
-    share = cli._eigenvalue_share
+    _force_split(monkeypatch)
+    draw = cli._eigenvalues
 
-    def dies_in_worker(N, seed, start, stop, cpu):
+    def dies_in_worker(N, seed, start, stop):
         if start > 0:
             os._exit(1)
-        return share(N, seed, start, stop, cpu)
+        return draw(N, seed, start, stop)
 
-    monkeypatch.setattr(cli, "_eigenvalue_share", dies_in_worker)
+    monkeypatch.setattr(cli, "_eigenvalues", dies_in_worker)
     with pytest.raises(RuntimeError,
                        match=r"status 1 before reporting the eigenvalues of samples 50 \.\. 100"):
         main(["sample", "--N", "3", "--samples", "101"])
@@ -682,35 +798,74 @@ def test_table_commands_load_only_their_modules():
     assert result.returncode == 0, result.stderr.decode()
 
 
+# A fresh interpreter that runs the command in argv[1] in-process and
+# checks the split: one fork, before numpy loads; the child pinned to one
+# CPU, this process to another when it loads numpy; the mask in argv[2:]
+# restored and no child left.  It prints the command's stdout.
 _FORK_PROBE = """
 import contextlib, io, os, sys
 from guekit.cli import main
 
-numpy_at_fork = []
+numpy_at_fork, masks_at_numpy = [], []
 fork = os.fork
+read_fd, write_fd = os.pipe()
 
 def recorded_fork():
     numpy_at_fork.append("numpy" in sys.modules)
-    return fork()
+    pid = fork()
+    if pid == 0:  # the child's mask, before it runs a task
+        os.write(write_fd, " ".join(map(str, sorted(os.sched_getaffinity(0)))).encode() + b"\\n")
+    return pid
+
+class NumpyLoads:  # asked for numpy until it has loaded
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            masks_at_numpy.append(sorted(os.sched_getaffinity(0)))
 
 os.fork = recorded_fork
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["sample", "--N", "2", "--samples", "100", "--t", "1.0"]) == 0
+sys.meta_path.insert(0, NumpyLoads())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(sys.argv[1].split()) == 0
+os.close(write_fd)
+with open(read_fd) as fh:
+    child_masks = [list(map(int, line.split())) for line in fh.read().splitlines()]
 assert numpy_at_fork == [False], numpy_at_fork
-assert os.sched_getaffinity(0) == set(map(int, sys.argv[1:]))
+assert len(child_masks) == 1 and len(child_masks[0]) == 1, child_masks
+assert len(masks_at_numpy) == 1 and len(masks_at_numpy[0]) == 1, masks_at_numpy
+assert child_masks != masks_at_numpy, (child_masks, masks_at_numpy)
+assert os.sched_getaffinity(0) == set(map(int, sys.argv[2:]))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:  # every child has been waited for
+    pass
+else:
+    raise AssertionError("a forked child is left")
+print(out.getvalue(), end="")
 """
 
 
-@needs_affinity
-@pytest.mark.skipif(MASK is not None and len(MASK) < 2, reason="splits only with two CPUs")
+def _fresh_split(command):
+    """stdout of the split probe run on `command` in a new process."""
+    result = _fresh(["-c", _FORK_PROBE, command, *map(str, MASK)])
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout
+
+
+needs_two_cpus = pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(MASK) < 2,
+                                    reason="splits only with two CPUs")
+
+
+@needs_two_cpus
 def test_fresh_sample_forks_its_worker_before_numpy_loads():
     # forked after numpy, the worker would inherit a BLAS pool sized for the whole mask
-    src = str(Path(guekit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", _FORK_PROBE, *map(str, MASK)], env=env,
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    out = _fresh_split("sample --N 2 --samples 100 --t 1.0")
+    assert out.startswith(b"# command: sample\n")
+
+
+@needs_two_cpus
+def test_fresh_verify_all_forks_its_worker_before_numpy_loads():
+    assert _fresh_split("verify --suite all") == b"PASS all\n"
 
 
 def test_package_serves_the_sampler_names():

@@ -76,11 +76,13 @@ def test_tracer_follows_the_array_integrands(tmp_path):
 
 
 def test_tracer_keeps_the_spans_of_verify_all(tmp_path):
-    # "all" forks a worker for the enumeration suites; it leaves without
-    # running the tracer's exit hook, so the spans file is the parent's
+    # the tracer loads numpy before main, so "all" runs every suite in
+    # this one process, in turn, and the spans file holds all six
     called = _called_spans(tmp_path, ["verify", "--suite", "all"])
-    assert "verify.density:suite_density" in called
+    for suite in ("wick", "best", "initial", "hz", "density", "bound"):
+        assert f"verify.{suite}:suite_{suite}" in called, suite
     assert "exact.simpson:integrate_real" in called
+    assert "rosettes.census:rosette_census" in called
 
 
 def test_tracer_follows_the_enumeration_oracles(tmp_path):
