@@ -37,10 +37,11 @@ from .records import OutputRecord
 
 __version__ = "0.1.0"
 
-# Names of the sampler, which loads numpy, and of the enumeration oracles
-# in guekit.maps, which no table command runs, resolve on first use
-# (PEP 562): name -> the submodule that defines it.  The exact observables,
-# the closed forms among them, and the records load with the package.
+# Names of the sampler and of the enumeration oracles in guekit.maps,
+# which no table command runs, resolve on first use (PEP 562): name -> the
+# submodule that defines it.  The sampler's names load numpy on their
+# first draw, not on import.  The exact observables, the closed forms
+# among them, and the records load with the package.
 _LAZY = {
     **dict.fromkeys(("SampleStats", "estimate_density_histogram", "estimate_wilson",
                      "sample_gue", "zscore"), "montecarlo"),

@@ -93,45 +93,37 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
     return OutputRecord("rosettes", params, ["g", "count"], rows)
 
 
+# The largest `harer-zagier --p-max`: p = 100 takes about 1.5 s from a
+# fresh process at N = 3 and at N = 1000, p = 120 about 6 s.
+HARER_ZAGIER_P_BUDGET = 100
+
+
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
+    if p_max > HARER_ZAGIER_P_BUDGET:
+        raise ValueError(f"--p-max {p_max} is past the budget of p-max <= {HARER_ZAGIER_P_BUDGET}")
     coeffs = harer_zagier_closed(N, p_max)
     rows = [[p, coeffs[p - 1], harer_zagier_from_counts(N, p)] for p in range(1, p_max + 1)]
     return OutputRecord("harer-zagier", {"N": N, "p_max": p_max},
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 
 
-def _eigenvalues(N: int, seed: int, start: int, stop: int):
-    """montecarlo.eigenvalue_range(N, seed, start, stop), imported here so
-    that numpy loads after worker.run_beside has pinned this process."""
-    from .montecarlo import eigenvalue_range
-
-    return eigenvalue_range(N, seed, start, stop)
+# The largest max(N, 32)^3 x samples of `sample`.  Its eigvalsh work grows
+# as N^3 x samples; below N = 32 the per-sample Philox set-up and assembly
+# set the cost, and N^3 alone would let N = 1 through with 2^29 samples.
+# N = 32 with 16384 samples and N = 64 with 2048 take about 2 s from a
+# fresh process, N = 128 with 2000 samples about 4 s.
+SAMPLE_WORK_BUDGET = 2**29
 
 
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
-    from functools import partial
-
-    from .worker import run_beside
-
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
-    # the estimators' own checks, made here before any process is forked
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    if N < 1:
-        raise ValueError(f"GUE sampling requires N >= 1, got {N}")
-    # This process draws the first half and a forked child the second, or
-    # this process both in turn.  A sample's bits depend only on (seed,
-    # index), so the assembled array is the one-process array.
-    halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
-              partial(_eigenvalues, N, seed, start, stop)
-              for start, stop in ((0, samples // 2), (samples // 2, samples))}
-    parts = run_beside(halves, here=next(iter(halves)))
+    if max(N, 32) ** 3 * samples > SAMPLE_WORK_BUDGET:
+        raise ValueError(f"--N {N} with --samples {samples} is past the budget of "
+                         f"max(N, 32)^3 x samples <= {SAMPLE_WORK_BUDGET}")
+    from .montecarlo import estimate_wilson, zscore
 
-    from .montecarlo import estimate_wilson, hand_over, zscore
-
-    hand_over(N, samples, seed, parts)
     rows = []
     for t in t_list:
         st = estimate_wilson(N, t, samples, seed)

@@ -15,23 +15,24 @@ for H_ab.
 Entry variances follow the weight exp(-(N/2) Tr H^2): diagonal entries
 have variance 1/N and off-diagonal entries have <|H_ab|^2> = 1/N.
 
-`guekit sample` splits its samples into two index ranges and draws them
-through worker.run_beside: the first in its own process and the second in
-a forked child, each pinned to one CPU before numpy loads, so OpenBLAS
-gives it one thread; or both in turn in its own process, where numpy has
-loaded before it starts (as for library callers and tests), where
-os.sched_setaffinity is missing or where its affinity mask holds fewer
-than two CPUs.  It hands the array put together in index order to the
-estimators (hand_over).
+The estimators draw their samples in two index ranges through
+worker.run_beside: the first in this process and the second in a forked
+child, each pinned to one CPU before numpy loads, so OpenBLAS gives it
+one thread; or both in turn in this process, where numpy has loaded
+before the draw (a caller that loaded it, in-process tests, any later
+draw in the process), where os.sched_setaffinity is missing or where the
+affinity mask holds fewer than two CPUs (the pinned density suite of
+`verify --suite all`).  So this module imports numpy only inside the
+functions that build arrays, and the estimators only after the draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-import numpy as np
+from .worker import run_beside
 
 # A batch holds at most _EIG_BATCH matrices and _BATCH_ENTRIES entries.
 _EIG_BATCH = 512
@@ -60,6 +61,8 @@ def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     (seed, s) fills the full 2x64-bit Philox key, so distinct samples get
     disjoint streams no matter how many blocks each one consumes.
     """
+    import numpy as np
+
     B, count = stop - start, N * N
     m = (count + 1) // 2
     u = np.empty((B, 2 * m))
@@ -106,6 +109,8 @@ def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     No sample's bits depend on its batch, so the rows of any split of a
     range, put together in index order, are those of the whole range.
     """
+    import numpy as np
+
     batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
     out = np.empty((stop - start, N))
     for lo in range(start, stop, batch):
@@ -114,40 +119,29 @@ def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-# The eigenvalues a caller drew itself for one (N, samples, seed) key, kept
-# until the next cold _eigenvalue_samples call with that key takes them.
-_handed_over: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def hand_over(N: int, samples: int, seed: int, parts: list[np.ndarray]) -> None:
-    """Make the estimators read, for (N, samples, seed), the eigenvalues in
-    `parts` instead of drawing them: eigenvalue_range over consecutive
-    ranges that cover samples 0 .. samples-1, in index order.
-
-    `guekit sample` draws its two halves through worker.run_beside.
-    """
-    _handed_over.clear()
-    _handed_over[N, samples, seed % 2**64] = np.concatenate(parts)
-    _eigenvalue_samples.cache_clear()
-
-
 @lru_cache(maxsize=1)  # every caller reads one (N, samples, seed) per run
 def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
-    """(samples, N) eigenvalue array: the one handed over for this key, or
-    eigenvalue_range over 0 .. samples."""
+    """(samples, N) eigenvalue array: eigenvalue_range over the first and
+    the second half of 0 .. samples-1 through worker.run_beside, put
+    together in index order.  A sample's bits depend only on (seed,
+    index), so the array is the one-process array."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
-    out = _handed_over.pop((N, samples, seed), None)
-    if out is None:
-        out = eigenvalue_range(N, seed, 0, samples)
+    halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
+              partial(eigenvalue_range, N, seed, start, stop)
+              for start, stop in ((0, samples // 2), (samples // 2, samples))}
+    parts = run_beside(halves, here=next(iter(halves)))
+    import numpy as np  # only now: run_beside splits only before numpy loads
+
+    out = np.concatenate(parts)
     out.setflags(write=False)
     return out
 
 
 def _stats(values: np.ndarray) -> SampleStats:
     n = len(values)
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1)) if n > 1 else 0.0
+    mean = float(values.mean())
+    sd = float(values.std(ddof=1)) if n > 1 else 0.0
     return SampleStats(mean, sd / math.sqrt(n), n)
 
 
@@ -161,6 +155,8 @@ def estimate_wilson(N: int, t: float, samples: int, seed: int) -> SampleStats:
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     eigs = _eigenvalue_samples(N, samples, seed % 2**64)
+    import numpy as np  # after the draw, which splits only before numpy loads
+
     values = np.exp(1j * t * eigs).mean(axis=1)
     im = _stats(values.imag)
     if im.std_error > 0 and abs(im.mean) > 5 * im.std_error:
@@ -187,6 +183,8 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
     if samples < 2:
         raise ValueError("need at least two samples")
     eigs = _eigenvalue_samples(N, samples, seed % 2**64)
+    import numpy as np  # after the draw, which splits only before numpy loads
+
     width = (hi - lo) / bins
     x = (eigs - lo) / width
     inside = (x >= 0) & (x < bins)

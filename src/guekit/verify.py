@@ -194,8 +194,9 @@ FOURIER_POINTS = [
 
 
 def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_SEED):
-    # drawn first, so a usage error in samples or bins comes before the integrals
-    from .montecarlo import estimate_density_histogram  # loads numpy
+    # drawn first: a usage error in samples or bins comes before the integrals,
+    # and the draw splits over two processes before they load numpy
+    from .montecarlo import estimate_density_histogram
 
     stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
     failures = []

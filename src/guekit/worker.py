@@ -1,7 +1,7 @@
-"""The two-core split of `verify --suite all` and `sample`: tasks run in
-this process and in one forked child (POSIX fork), each pinned to its own
-CPU before any task loads numpy, or all in this process where a split
-cannot help.
+"""The two-core split of `verify --suite all` and of the sampler's draw
+(`sample`, `verify --suite density`): tasks run in this process and in
+one forked child (POSIX fork), each pinned to its own CPU before any task
+loads numpy, or all in this process where a split cannot help.
 
 Callers import this module on those paths only, so the table commands
 never load pickle.

@@ -345,6 +345,25 @@ def test_main_rosettes_refuses_an_l_past_its_budget(capsys, monkeypatch, genus):
     assert OutputRecord.from_csv(out).parameters["l"] == cli.ROSETTES_L_BUDGET
 
 
+def test_main_harer_zagier_refuses_a_p_max_past_its_budget(capsys, monkeypatch):
+    import guekit.cli as cli
+
+    def series(*args):
+        raise AssertionError("summed before the budget was checked")
+
+    monkeypatch.setattr(cli, "harer_zagier_closed", series)
+    p_max = cli.HARER_ZAGIER_P_BUDGET + 1
+    assert main(["harer-zagier", "--N", "3", "--p-max", str(p_max)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --p-max {p_max} is past the budget of p-max <= 100\n"
+    assert captured.out == ""
+    monkeypatch.undo()
+    code, out = run_main(capsys, ["harer-zagier", "--N", "3",
+                                  "--p-max", str(cli.HARER_ZAGIER_P_BUDGET)])
+    assert code == 0
+    assert OutputRecord.from_csv(out).rows[-1][0] == cli.HARER_ZAGIER_P_BUDGET
+
+
 def test_main_wilson_underflows_at_huge_t(capsys):
     code, out = run_main(capsys, ["wilson", "--N", "3", "--t-max", "1e200", "--steps", "2"])
     assert code == 0
@@ -634,20 +653,21 @@ def test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path(monkeypa
 @needs_affinity
 def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
     # 101 samples: this process draws 0 .. 49, the worker 50 .. 100
-    import guekit.cli as cli
+    import guekit.montecarlo as montecarlo
 
     argv = ["sample", "--N", "3", "--samples", "101", "--seed", "5"]
     code, one_share = run_main(capsys, argv)
     assert code == 0
     _force_split(monkeypatch)
     drawn_here = []
-    draw = cli._eigenvalues
+    draw = montecarlo.eigenvalue_range
 
     def recorded(N, seed, start, stop):
         drawn_here.append((start, stop))  # lost in the worker, which is a fork
         return draw(N, seed, start, stop)
 
-    monkeypatch.setattr(cli, "_eigenvalues", recorded)
+    monkeypatch.setattr(montecarlo, "eigenvalue_range", recorded)
+    montecarlo._eigenvalue_samples.cache_clear()  # the run above holds this key
     code, split = run_main(capsys, argv)
     assert code == 0
     assert drawn_here == [(0, 50)]
@@ -662,6 +682,10 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
     (["--N", "3", "--samples", "99"], "need at least 100 samples, got 99"),
     (["--N", "0", "--samples", "99"], "need at least 100 samples, got 99"),
     (["--N", "3", "--t", "nan"], "--t must be finite, got nan"),
+    (["--N", "64", "--samples", "2049"], "--N 64 with --samples 2049 is past the budget "
+                                         "of max(N, 32)^3 x samples <= 536870912"),
+    (["--N", "1", "--samples", "16385"], "--N 1 with --samples 16385 is past the budget "
+                                         "of max(N, 32)^3 x samples <= 536870912"),
 ])
 def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags, error):
     _force_split(monkeypatch)
@@ -678,19 +702,30 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
     assert os.sched_getaffinity(0) == MASK
 
 
-@needs_affinity
-def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
+def test_main_sample_runs_the_last_shape_inside_its_budget(capsys):
+    # N counts as at least 32 in the budget, so N = 1 takes as many samples as N = 32
     import guekit.cli as cli
 
+    samples = cli.SAMPLE_WORK_BUDGET // 32**3
+    code, out = run_main(capsys, ["sample", "--N", "1", "--samples", str(samples), "--t", "1.0"])
+    assert code == 0
+    assert OutputRecord.from_csv(out).parameters["samples"] == samples == 16384
+
+
+@needs_affinity
+def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
+    import guekit.montecarlo as montecarlo
+
     _force_split(monkeypatch)
-    draw = cli._eigenvalues
+    draw = montecarlo.eigenvalue_range
 
     def dies_in_worker(N, seed, start, stop):
         if start > 0:
             os._exit(1)
         return draw(N, seed, start, stop)
 
-    monkeypatch.setattr(cli, "_eigenvalues", dies_in_worker)
+    monkeypatch.setattr(montecarlo, "eigenvalue_range", dies_in_worker)
+    montecarlo._eigenvalue_samples.cache_clear()  # an earlier run may hold this key
     with pytest.raises(RuntimeError,
                        match=r"status 1 before reporting the eigenvalues of samples 50 \.\. 100"):
         main(["sample", "--N", "3", "--samples", "101"])
@@ -751,6 +786,8 @@ _NUMPY_PROBE = _TABLE_PROBE + """
 for argv in TABLES:
     assert run(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+import guekit.montecarlo
+assert "numpy" not in sys.modules
 assert run(["sample", "--N", "2", "--samples", "100", "--t", "1.0"]) == 0
 assert "numpy" in sys.modules
 """
@@ -866,6 +903,12 @@ def test_fresh_sample_forks_its_worker_before_numpy_loads():
 @needs_two_cpus
 def test_fresh_verify_all_forks_its_worker_before_numpy_loads():
     assert _fresh_split("verify --suite all") == b"PASS all\n"
+
+
+@needs_two_cpus
+def test_fresh_verify_density_forks_its_worker_before_numpy_loads():
+    # the suite's histogram draws its samples through the sampler's split
+    assert _fresh_split("verify --suite density") == b"PASS density\n"
 
 
 def test_package_serves_the_sampler_names():
