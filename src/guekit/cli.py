@@ -25,7 +25,34 @@ from .observables import (
     wilson_loop,
 )
 from .records import OutputRecord
-from .verify import DEFAULT_SEED, HISTOGRAM_BINS, HISTOGRAM_SAMPLES, SUITES, run_suite
+from .verify import (
+    DEFAULT_SEED,
+    HISTOGRAM_BINS,
+    HISTOGRAM_SAMPLES,
+    SAMPLE_WORK_BUDGET,
+    SUITES,
+    run_suite,
+    sample_limit,
+)
+
+
+# The largest `wilson --N`: the table's parameters carry the exact ladder,
+# O(N^2 log N) bytes, and CPython's str(int) is quadratic.  From a fresh
+# process `wilson --N N --steps 3` takes about 0.3 s at N = 1000, 0.7 s at
+# 1500 and 1.8 s at 2000 (6 s at 3000).
+WILSON_LADDER_N_BUDGET = 2000
+# The largest max(N, 32) x steps of `wilson` and `density`: each grid point
+# runs N Python steps, and below N = 32 the per-point overhead sets the
+# cost (about 10 us a point at N = 1).  From a fresh process N = 1000 with
+# 4194 steps takes about 0.9 s, and N = 32 with 131072 steps about 1.2 s
+# (`wilson`) and 2.2 s (`density`).
+GRID_WORK_BUDGET = 2**22
+
+
+def _check_grid_work(N: int, steps: int) -> None:
+    if max(N, 32) * steps > GRID_WORK_BUDGET:
+        raise ValueError(f"--N {N} with --steps {steps} is past the budget of "
+                         f"max(N, 32) x steps <= {GRID_WORK_BUDGET}")
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -39,6 +66,10 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
+    if N > WILSON_LADDER_N_BUDGET:
+        raise ValueError(f"--N {N} is past the budget of N <= {WILSON_LADDER_N_BUDGET} "
+                         "for the exact ladder")
+    _check_grid_work(N, steps)
     params = {
         "N": N, "t_min": t_min, "t_max": t_max, "steps": steps,
         "coefficients": list(wilson_loop(N)),
@@ -48,6 +79,7 @@ def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
 
 
 def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRecord:
+    _check_grid_work(N, steps)
     rows = [
         [lam, density_eval(N, lam), wigner_density(lam)]
         for lam in _grid(lam_min, lam_max, steps)
@@ -107,26 +139,17 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 
 
-# The largest max(N, 32)^3 x samples of `sample`.  Its eigvalsh work grows
-# as N^3 x samples; below N = 32 the per-sample Philox set-up and assembly
-# set the cost, and N^3 alone would let N = 1 through with 2^29 samples.
-# N = 32 with 16384 samples and N = 64 with 2048 take about 2 s from a
-# fresh process, N = 128 with 2000 samples about 4 s.
-SAMPLE_WORK_BUDGET = 2**29
-
-
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
-    if max(N, 32) ** 3 * samples > SAMPLE_WORK_BUDGET:
+    if samples > sample_limit(N):
         raise ValueError(f"--N {N} with --samples {samples} is past the budget of "
                          f"max(N, 32)^3 x samples <= {SAMPLE_WORK_BUDGET}")
     from .montecarlo import estimate_wilson, zscore
 
     rows = []
-    for t in t_list:
-        st = estimate_wilson(N, t, samples, seed)
+    for t, st in zip(t_list, estimate_wilson(N, t_list, samples, seed)):
         exact = wilson_eval(N, t).real
         z = zscore(st, exact) if st.std_error > 0 else 0.0
         rows.append([t, st.mean, st.std_error, exact, z])

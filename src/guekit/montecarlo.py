@@ -16,22 +16,25 @@ Entry variances follow the weight exp(-(N/2) Tr H^2): diagonal entries
 have variance 1/N and off-diagonal entries have <|H_ab|^2> = 1/N.
 
 The estimators draw their samples in two index ranges through
-worker.run_beside: the first in this process and the second in a forked
-child, each pinned to one CPU before numpy loads, so OpenBLAS gives it
-one thread; or both in turn in this process, where numpy has loaded
-before the draw (a caller that loaded it, in-process tests, any later
-draw in the process), where os.sched_setaffinity is missing or where the
-affinity mask holds fewer than two CPUs (the pinned density suite of
-`verify --suite all`).  So this module imports numpy only inside the
-functions that build arrays, and the estimators only after the draw.
+worker.run_beside, and each range reduces its own rows (a Wilson loop
+row mean per t, a histogram row of counts) before it is handed back: the
+first range in this process and the second in a forked child, each
+pinned to one CPU before numpy loads, so OpenBLAS gives it one thread;
+or both in turn in this process, where numpy has loaded before the draw
+(a caller that loaded it, in-process tests, any later draw in the
+process), where os.sched_setaffinity is missing or where the affinity
+mask holds fewer than two CPUs (the pinned density suite of `verify
+--suite all`).  No eigenvalue array outlives the range that drew it.  So
+this module imports numpy only inside the functions that build or reduce
+arrays, and the parent's side of a draw only after run_beside returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
+from .observables import _is_point
 from .worker import run_beside
 
 # A batch holds at most _EIG_BATCH matrices and _BATCH_ENTRIES entries.
@@ -119,23 +122,23 @@ def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)  # every caller reads one (N, samples, seed) per run
-def _eigenvalue_samples(N: int, samples: int, seed: int) -> np.ndarray:
-    """(samples, N) eigenvalue array: eigenvalue_range over the first and
-    the second half of 0 .. samples-1 through worker.run_beside, put
-    together in index order.  A sample's bits depend only on (seed,
-    index), so the array is the one-process array."""
+def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
+    """reduce(eigs) for the (rows, N) eigenvalues of each half of samples
+    0 .. samples-1, [0, samples//2) and [samples//2, samples), each half in
+    its own process of worker.run_beside; the two results put together
+    along their first axis, in index order.  A sample's bits depend only
+    on (seed, index), and `reduce` reduces each row on its own, so the
+    result is the one-process result; no eigenvalue array outlives its
+    half."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
     halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
-              partial(eigenvalue_range, N, seed, start, stop)
+              lambda start=start, stop=stop: reduce(eigenvalue_range(N, seed % 2**64, start, stop))
               for start, stop in ((0, samples // 2), (samples // 2, samples))}
     parts = run_beside(halves, here=next(iter(halves)))
     import numpy as np  # only now: run_beside splits only before numpy loads
 
-    out = np.concatenate(parts)
-    out.setflags(write=False)
-    return out
+    return np.concatenate(parts)
 
 
 def _stats(values: np.ndarray) -> SampleStats:
@@ -145,25 +148,34 @@ def _stats(values: np.ndarray) -> SampleStats:
     return SampleStats(mean, sd / math.sqrt(n), n)
 
 
-def estimate_wilson(N: int, t: float, samples: int, seed: int) -> SampleStats:
+def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
+                   seed: int) -> SampleStats | list[SampleStats]:
     """Mean and standard error of (1/N) sum_k exp(it lambda_k) over samples.
 
-    The real part is reported; the imaginary part must vanish within five
-    standard errors (it does in distribution, since -H and H are equally
-    likely).
+    `t` is one number, for one SampleStats, or a sequence of them, for a
+    list of SampleStats in its order from one draw: each half of the
+    samples reduces its rows to their means at every t.  The real part is
+    reported; the imaginary part must vanish within five standard errors
+    (it does in distribution, since -H and H are equally likely).
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    eigs = _eigenvalue_samples(N, samples, seed % 2**64)
-    import numpy as np  # after the draw, which splits only before numpy loads
+    ts = [t] if _is_point(t) else list(t)
 
-    values = np.exp(1j * t * eigs).mean(axis=1)
-    im = _stats(values.imag)
-    if im.std_error > 0 and abs(im.mean) > 5 * im.std_error:
-        raise RuntimeError(
-            f"imaginary part {im.mean} inconsistent with zero at {im.std_error} std error"
-        )
-    return _stats(values.real)
+    def row_means(eigs):
+        import numpy as np
+
+        return np.stack([np.exp(1j * each * eigs).mean(axis=1) for each in ts], axis=1)
+
+    stats = []
+    for values in _reduced_rows(N, samples, seed, row_means).T:
+        im = _stats(values.imag)
+        if im.std_error > 0 and abs(im.mean) > 5 * im.std_error:
+            raise RuntimeError(
+                f"imaginary part {im.mean} inconsistent with zero at {im.std_error} std error"
+            )
+        stats.append(_stats(values.real))
+    return stats[0] if _is_point(t) else stats
 
 
 def estimate_density_histogram(N: int, samples: int, bins: int,
@@ -173,7 +185,8 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
 
     Bin j of the result estimates the average of rho_N over the j-th of
     `bins` equal subdivisions of lam_range; counts are normalized by
-    samples * N * bin_width.
+    samples * N * bin_width.  Each half of the samples counts its own
+    rows, a (rows, bins) array.
     """
     lo, hi = lam_range
     if bins < 10:
@@ -182,16 +195,17 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
         raise ValueError(f"empty range [{lo}, {hi}]")
     if samples < 2:
         raise ValueError("need at least two samples")
-    eigs = _eigenvalue_samples(N, samples, seed % 2**64)
-    import numpy as np  # after the draw, which splits only before numpy loads
-
     width = (hi - lo) / bins
-    x = (eigs - lo) / width
-    inside = (x >= 0) & (x < bins)
-    rows = np.broadcast_to(np.arange(samples)[:, None], eigs.shape)
-    counts = np.zeros((samples, bins))
-    np.add.at(counts, (rows[inside], x[inside].astype(int)), 1.0)
-    per_sample = counts / (N * width)
+
+    def row_counts(eigs):
+        import numpy as np
+
+        x = (eigs - lo) / width
+        inside = (x >= 0) & (x < bins)
+        cells = np.nonzero(inside)[0] * bins + x[inside].astype(int)
+        return np.bincount(cells, minlength=len(eigs) * bins).reshape(len(eigs), bins)
+
+    per_sample = _reduced_rows(N, samples, seed, row_counts) / (N * width)
     means = per_sample.mean(axis=0)
     sds = per_sample.std(axis=0, ddof=1)
     root = math.sqrt(samples)

@@ -32,6 +32,24 @@ SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 DEFAULT_SEED = 20240901
 HISTOGRAM_SAMPLES = 4000  # the density suite's Monte Carlo histogram of rho_8 on [-3, 3]
 HISTOGRAM_BINS = 40
+# The largest samples x bins of the histogram, which holds a (samples, bins)
+# array of counts and one of densities; 16384 x 40 is inside.
+HISTOGRAM_CELL_BUDGET = 2**20
+
+# The largest max(N, 32)^3 x samples of a draw: `sample`'s, and the density
+# suite's at N = 8.  Its eigvalsh work grows as N^3 x samples; below N = 32
+# the per-sample Philox set-up and assembly set the cost, and N^3 alone
+# would let N = 1 through with 2^29 samples.  N = 32 with 16384 samples and
+# N = 64 with 2048 take about 2 s from a fresh process, N = 128 with 2000
+# samples about 4 s.
+SAMPLE_WORK_BUDGET = 2**29
+
+
+def sample_limit(N: int) -> int:
+    """The most samples a draw at N may take: max(N, 32)^3 x samples <=
+    SAMPLE_WORK_BUDGET."""
+    return SAMPLE_WORK_BUDGET // max(N, 32) ** 3
+
 
 WICK_L_MAX = 7
 HZ_P_MAX = 7
@@ -270,6 +288,13 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
     already or no two CPUs can be pinned."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name in ("all", "density"):  # the suites that draw, checked before any fork
+        if samples > sample_limit(8):
+            raise ValueError(f"--samples {samples} is past the budget of "
+                             f"max(N, 32)^3 x samples <= {SAMPLE_WORK_BUDGET} at N = 8")
+        if samples > 0 and samples * bins > HISTOGRAM_CELL_BUDGET:
+            raise ValueError(f"--samples {samples} with --bins {bins} is past the budget "
+                             f"of samples x bins <= {HISTOGRAM_CELL_BUDGET}")
 
     def budget(top):
         # under "all", one --l-max lowers each enumeration budget to at most its own maximum

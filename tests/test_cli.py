@@ -364,6 +364,56 @@ def test_main_harer_zagier_refuses_a_p_max_past_its_budget(capsys, monkeypatch):
     assert OutputRecord.from_csv(out).rows[-1][0] == cli.HARER_ZAGIER_P_BUDGET
 
 
+def test_main_wilson_refuses_an_n_past_its_ladder_budget(capsys, monkeypatch):
+    import guekit.cli as cli
+
+    def ladder(*args):
+        raise AssertionError("built the ladder before the budget was checked")
+
+    monkeypatch.setattr(cli, "wilson_loop", ladder)
+    N = cli.WILSON_LADDER_N_BUDGET + 1
+    assert main(["wilson", "--N", str(N), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --N {N} is past the budget of N <= 2000 for the exact ladder\n"
+    assert captured.out == ""
+    monkeypatch.undo()
+    code, out = run_main(capsys, ["wilson", "--N", str(cli.WILSON_LADDER_N_BUDGET),
+                                  "--steps", "2"])
+    assert code == 0
+    assert len(OutputRecord.from_csv(out).parameters["coefficients"]) == 2000
+
+
+@pytest.mark.parametrize("command, evaluator", [("wilson", "wilson_eval"),
+                                                ("density", "density_eval")])
+@pytest.mark.parametrize("N, steps", [(1000, 4195), (1, 131073)])
+def test_main_grid_commands_refuse_steps_past_their_work_budget(capsys, monkeypatch, command,
+                                                                evaluator, N, steps):
+    # N counts as at least 32: below it the per-point overhead sets the cost
+    import guekit.cli as cli
+
+    def evaluates(*args):
+        raise AssertionError("evaluated before the budget was checked")
+
+    monkeypatch.setattr(cli, evaluator, evaluates)
+    monkeypatch.setattr(cli, "wilson_loop", evaluates)
+    assert main([command, "--N", str(N), "--steps", str(steps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --N {N} with --steps {steps} is past the budget of "
+                            f"max(N, 32) x steps <= 4194304\n")
+    assert captured.out == ""
+    assert max(N, 32) * (steps - 1) <= cli.GRID_WORK_BUDGET  # one step fewer is inside
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson", "--N", "1000", "--t-max", "40", "--steps", "4194"],
+    ["density", "--N", "1", "--steps", "131072"],
+])
+def test_main_grid_commands_run_the_last_shape_inside_their_work_budget(capsys, argv):
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    assert len(OutputRecord.from_csv(out).rows) == int(argv[-1])
+
+
 def test_main_wilson_underflows_at_huge_t(capsys):
     code, out = run_main(capsys, ["wilson", "--N", "3", "--t-max", "1e200", "--steps", "2"])
     assert code == 0
@@ -667,7 +717,6 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
         return draw(N, seed, start, stop)
 
     monkeypatch.setattr(montecarlo, "eigenvalue_range", recorded)
-    montecarlo._eigenvalue_samples.cache_clear()  # the run above holds this key
     code, split = run_main(capsys, argv)
     assert code == 0
     assert drawn_here == [(0, 50)]
@@ -713,6 +762,52 @@ def test_main_sample_runs_the_last_shape_inside_its_budget(capsys):
 
 
 @needs_affinity
+@pytest.mark.parametrize("suite", ["density", "all"])
+@pytest.mark.parametrize("flags, error", [
+    (["--samples", "16385"], "--samples 16385 is past the budget of "
+                             "max(N, 32)^3 x samples <= 536870912 at N = 8"),
+    (["--samples", "16384", "--bins", "65"], "--samples 16384 with --bins 65 is past the "
+                                             "budget of samples x bins <= 1048576"),
+    (["--bins", "263"], "--samples 4000 with --bins 263 is past the budget of "
+                        "samples x bins <= 1048576"),
+])
+def test_main_verify_refuses_a_draw_past_its_budget_before_forking(capsys, monkeypatch, suite,
+                                                                   flags, error):
+    import guekit.verify as verify
+
+    _force_split(monkeypatch)
+
+    def no_fork():
+        raise AssertionError("forked before the draw's budget was checked")
+
+    def integrates(*args, **kwargs):
+        raise AssertionError("integrated before the draw's budget was checked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(verify, "integrate_real", integrates)
+    assert main(["verify", "--suite", suite, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n"
+    assert captured.out == ""
+    assert os.sched_getaffinity(0) == MASK
+
+
+def test_main_verify_draws_the_last_shape_inside_its_budgets(capsys):
+    # 16384 samples is sample's limit at N = 8, and 16384 x 64 the cell budget
+    import guekit.verify as verify
+
+    assert verify.sample_limit(8) == 16384
+    assert 16384 * 64 == verify.HISTOGRAM_CELL_BUDGET
+    code, out = run_main(capsys, ["verify", "--suite", "density",
+                                  "--samples", "16384", "--bins", "64"])
+    assert (code, out) == (0, "PASS density\n")
+    # the suites that do not draw read neither flag
+    code, out = run_main(capsys, ["verify", "--suite", "wick", "--l-max", "2",
+                                  "--samples", "16385", "--bins", "100000"])
+    assert (code, out) == (0, "PASS wick\n")
+
+
+@needs_affinity
 def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
     import guekit.montecarlo as montecarlo
 
@@ -725,7 +820,6 @@ def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
         return draw(N, seed, start, stop)
 
     monkeypatch.setattr(montecarlo, "eigenvalue_range", dies_in_worker)
-    montecarlo._eigenvalue_samples.cache_clear()  # an earlier run may hold this key
     with pytest.raises(RuntimeError,
                        match=r"status 1 before reporting the eigenvalues of samples 50 \.\. 100"):
         main(["sample", "--N", "3", "--samples", "101"])

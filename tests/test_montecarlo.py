@@ -1,12 +1,14 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import guekit.montecarlo as montecarlo
 from guekit.montecarlo import (
     SampleStats,
-    _eigenvalue_samples,
     _gue_batch,
+    _reduced_rows,
     estimate_density_histogram,
     estimate_wilson,
     sample_gue,
@@ -60,7 +62,8 @@ def test_eigenvalue_batches_match_unbatched_reference(N, samples):
     stacked = np.stack([reference_gue(N, seed, s) for s in range(samples)])
     whole = _gue_batch(N, seed, 0, samples)
     assert np.array_equal(whole.view(np.float64), stacked.view(np.float64))
-    assert np.array_equal(_eigenvalue_samples(N, samples, seed), np.linalg.eigvalsh(stacked))
+    assert np.array_equal(_reduced_rows(N, samples, seed, lambda eigs: eigs),
+                          np.linalg.eigvalsh(stacked))
 
 
 def test_sample_is_exactly_hermitian():
@@ -106,12 +109,15 @@ def test_sample_variances_match_measure():
 
 
 def test_trace_moment_estimates():
-    # Tr H^2 = sum lambda^2 and Tr H = sum lambda, so the cached eigenvalue
-    # path gives the estimators directly at the full 1e5 sample count.
+    # Tr H^2 = sum lambda^2 and Tr H = sum lambda, so each half of the
+    # eigenvalue draw gives the estimators' rows directly at the full 1e5
+    # sample count.
     N, count = 4, 100000
-    eigs = _eigenvalue_samples(N, count, 99)
-    tr2 = (eigs**2).sum(axis=1) / N
-    tr1 = eigs.sum(axis=1)
+
+    def traces(eigs):  # Tr H^2 / N and Tr H of each sample
+        return np.stack([(eigs**2).sum(axis=1) / N, eigs.sum(axis=1)], axis=1)
+
+    tr2, tr1 = _reduced_rows(N, count, 99, traces).T
     se2 = tr2.std(ddof=1) / math.sqrt(count)
     se1 = tr1.std(ddof=1) / math.sqrt(count)
     assert abs(tr2.mean() - 1.0) <= 5 * se2  # m_2 = 1
@@ -137,15 +143,87 @@ def test_estimate_wilson_against_exact_formula():
 
 def test_estimate_wilson_reproducible():
     a = estimate_wilson(4, 0.8, samples=500, seed=77)
-    _eigenvalue_samples.cache_clear()  # the second call must sample again
     b = estimate_wilson(4, 0.8, samples=500, seed=77)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
-def test_eigenvalue_cache_holds_one_run():
-    estimate_wilson(4, 1.0, samples=200, seed=5)
-    estimate_wilson(4, 1.0, samples=200, seed=6)
-    assert _eigenvalue_samples.cache_info().currsize == 1
+TS = [0.0, -1.5, 0.5, 2.0, 4.0]
+
+
+def test_estimate_wilson_over_many_t_is_the_per_t_calls():
+    many = estimate_wilson(5, TS, samples=301, seed=13)
+    assert isinstance(many, list)
+    assert many == [estimate_wilson(5, t, samples=301, seed=13) for t in TS]
+    assert many[0] == SampleStats(1.0, 0.0, 301)
+    assert estimate_wilson(5, tuple(TS[1:2]), samples=301, seed=13) == [many[1]]
+    assert isinstance(estimate_wilson(5, np.float64(0.5), samples=301, seed=13), SampleStats)
+
+
+def _record_draws(monkeypatch):
+    drawn = []
+    draw = montecarlo.eigenvalue_range
+
+    def recorded(N, seed, start, stop):
+        drawn.append((start, stop))
+        return draw(N, seed, start, stop)
+
+    monkeypatch.setattr(montecarlo, "eigenvalue_range", recorded)
+    return drawn
+
+
+@pytest.mark.parametrize("ts", [1.0, [1.0], TS, [0.5 * k for k in range(1, 41)]])
+def test_estimate_wilson_draws_each_half_once_per_call(monkeypatch, ts):
+    # numpy has loaded here, so both halves are drawn in this process, in turn
+    drawn = _record_draws(monkeypatch)
+    estimate_wilson(3, ts, samples=101, seed=5)
+    assert drawn == [(0, 50), (50, 101)]
+    estimate_density_histogram(3, 101, 12, (-3.0, 3.0), seed=5)
+    assert drawn == [(0, 50), (50, 101)] * 2
+
+
+def _force_split(monkeypatch):
+    """Make worker.run_beside fork although numpy has loaded here: both
+    processes pinned to one CPU of this process's mask."""
+    import guekit.worker as worker
+
+    cpu = min(os.sched_getaffinity(0))
+    monkeypatch.setattr(worker, "_split_cpus", lambda: [cpu, cpu])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="runs split only where CPU affinity can be set")
+def test_split_and_one_process_estimates_agree(monkeypatch):
+    def estimates():
+        return (estimate_wilson(6, TS, samples=203, seed=2**64 - 3),
+                estimate_density_histogram(6, 203, 24, (-2.5, 3.5), seed=2**64 - 3))
+
+    mask = os.sched_getaffinity(0)
+    one_process = estimates()
+    drawn = _record_draws(monkeypatch)
+    _force_split(monkeypatch)
+    assert estimates() == one_process
+    assert drawn == [(0, 101)] * 2  # the second half was drawn in the forked child
+    with pytest.raises(ChildProcessError):  # every child has been waited for
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_histogram_counts_each_row_of_its_half():
+    # the rows of each half, counted apart, are the counts of the whole draw
+    N, samples, bins, (lo, hi), seed = 5, 157, 16, (-2.0, 2.0), 3
+    width = (hi - lo) / bins
+    eigs = np.linalg.eigvalsh(_gue_batch(N, seed, 0, samples))
+    want = np.zeros((samples, bins))
+    for s, row in enumerate(eigs):
+        for lam in row:
+            j = math.floor((lam - lo) / width)
+            if 0 <= j < bins:
+                want[s, j] += 1
+    per_sample = want / (N * width)
+    stats = estimate_density_histogram(N, samples, bins, (lo, hi), seed)
+    assert [st.mean for st in stats] == list(per_sample.mean(axis=0))
+    assert [st.std_error for st in stats] == list(per_sample.std(axis=0, ddof=1)
+                                                  / math.sqrt(samples))
 
 
 def test_estimate_wilson_validates_sample_count():
