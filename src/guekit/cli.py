@@ -31,8 +31,8 @@ from .verify import (
     HISTOGRAM_SAMPLES,
     SAMPLE_WORK_BUDGET,
     SUITES,
+    refuse_past,
     run_suite,
-    sample_limit,
 )
 
 
@@ -50,9 +50,8 @@ GRID_WORK_BUDGET = 2**22
 
 
 def _check_grid_work(N: int, steps: int) -> None:
-    if max(N, 32) * steps > GRID_WORK_BUDGET:
-        raise ValueError(f"--N {N} with --steps {steps} is past the budget of "
-                         f"max(N, 32) x steps <= {GRID_WORK_BUDGET}")
+    refuse_past(max(N, 32) * steps, GRID_WORK_BUDGET, f"--N {N} with --steps {steps}",
+                "max(N, 32) x steps")
 
 
 def _grid(lo: float, hi: float, steps: int) -> list[float]:
@@ -66,9 +65,7 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 
 
 def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
-    if N > WILSON_LADDER_N_BUDGET:
-        raise ValueError(f"--N {N} is past the budget of N <= {WILSON_LADDER_N_BUDGET} "
-                         "for the exact ladder")
+    refuse_past(N, WILSON_LADDER_N_BUDGET, f"--N {N}", "N", " for the exact ladder")
     _check_grid_work(N, steps)
     params = {
         "N": N, "t_min": t_min, "t_max": t_max, "steps": steps,
@@ -111,8 +108,7 @@ ROSETTES_L_BUDGET = 120
 def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
     if l < 1:
         raise ValueError("l must be >= 1")
-    if l > ROSETTES_L_BUDGET:
-        raise ValueError(f"--l {l} is past the budget of l <= {ROSETTES_L_BUDGET}")
+    refuse_past(l, ROSETTES_L_BUDGET, f"--l {l}", "l")
     params = {"l": l}
     if genus is not None:
         params["g"] = genus
@@ -131,8 +127,7 @@ HARER_ZAGIER_P_BUDGET = 100
 
 
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
-    if p_max > HARER_ZAGIER_P_BUDGET:
-        raise ValueError(f"--p-max {p_max} is past the budget of p-max <= {HARER_ZAGIER_P_BUDGET}")
+    refuse_past(p_max, HARER_ZAGIER_P_BUDGET, f"--p-max {p_max}", "p-max")
     coeffs = harer_zagier_closed(N, p_max)
     rows = [[p, coeffs[p - 1], harer_zagier_from_counts(N, p)] for p in range(1, p_max + 1)]
     return OutputRecord("harer-zagier", {"N": N, "p_max": p_max},
@@ -143,9 +138,8 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
-    if samples > sample_limit(N):
-        raise ValueError(f"--N {N} with --samples {samples} is past the budget of "
-                         f"max(N, 32)^3 x samples <= {SAMPLE_WORK_BUDGET}")
+    refuse_past(max(N, 32)**3 * samples, SAMPLE_WORK_BUDGET, f"--N {N} with --samples {samples}",
+                "max(N, 32)^3 x samples")
     from .montecarlo import estimate_wilson, zscore
 
     rows = []

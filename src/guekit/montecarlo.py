@@ -161,6 +161,8 @@ def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     ts = [t] if _is_point(t) else list(t)
+    if not ts:
+        raise ValueError("need at least one t")
 
     def row_means(eigs):
         import numpy as np

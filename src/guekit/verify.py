@@ -30,25 +30,29 @@ from .observables import (
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 
 DEFAULT_SEED = 20240901
-HISTOGRAM_SAMPLES = 4000  # the density suite's Monte Carlo histogram of rho_8 on [-3, 3]
+# the density suite's Monte Carlo histogram: rho_N on HISTOGRAM_RANGE
+HISTOGRAM_N = 8
+HISTOGRAM_RANGE = (-3.0, 3.0)
+HISTOGRAM_SAMPLES = 4000
 HISTOGRAM_BINS = 40
 # The largest samples x bins of the histogram, which holds a (samples, bins)
 # array of counts and one of densities; 16384 x 40 is inside.
 HISTOGRAM_CELL_BUDGET = 2**20
 
 # The largest max(N, 32)^3 x samples of a draw: `sample`'s, and the density
-# suite's at N = 8.  Its eigvalsh work grows as N^3 x samples; below N = 32
-# the per-sample Philox set-up and assembly set the cost, and N^3 alone
-# would let N = 1 through with 2^29 samples.  N = 32 with 16384 samples and
-# N = 64 with 2048 take about 2 s from a fresh process, N = 128 with 2000
-# samples about 4 s.
+# suite's at HISTOGRAM_N.  Its eigvalsh work grows as N^3 x samples; below
+# N = 32 the per-sample Philox set-up and assembly set the cost, and N^3
+# alone would let N = 1 through with 2^29 samples.  N = 32 with 16384
+# samples and N = 64 with 2048 take about 2 s from a fresh process, N = 128
+# with 2000 samples about 4 s.
 SAMPLE_WORK_BUDGET = 2**29
 
 
-def sample_limit(N: int) -> int:
-    """The most samples a draw at N may take: max(N, 32)^3 x samples <=
-    SAMPLE_WORK_BUDGET."""
-    return SAMPLE_WORK_BUDGET // max(N, 32) ** 3
+def refuse_past(used, budget, shape, rule, note=""):
+    """Refuse, as a usage error, a command whose `used` is past `budget`:
+    "<shape> is past the budget of <rule> <= <budget><note>"."""
+    if used > budget:
+        raise ValueError(f"{shape} is past the budget of {rule} <= {budget}{note}")
 
 
 WICK_L_MAX = 7
@@ -57,14 +61,9 @@ HZ_P_MAX = 7
 HZ_RECURSION_L_MAX = 20
 
 
-def _failure(module, operation, inputs, expected, actual):
-    return {
-        "module": module,
-        "operation": operation,
-        "inputs": inputs,
-        "expected": str(expected),
-        "actual": str(actual),
-    }
+def _failure(failures, module, operation, inputs, expected, actual):
+    failures.append({"module": module, "operation": operation, "inputs": inputs,
+                     "expected": str(expected), "actual": str(actual)})
 
 
 def _cap(requested, default, flag):
@@ -87,8 +86,8 @@ def suite_wick(l_max=None):
             wick = moment_wick(N, l)
             exact = moment_exact(N, l)
             if wick != exact:
-                failures.append(_failure(
-                    "map_combinatorics", "moment_wick", {"N": N, "l": l}, exact, wick))
+                _failure(failures, "map_combinatorics", "moment_wick", {"N": N, "l": l},
+                         exact, wick)
     return failures
 
 
@@ -108,25 +107,22 @@ def suite_best():
                 maps = list(enumerate_maps(graph))
                 trees = spanning_trees(graph)
                 for root in range(len(dd.arcs)):
+                    inputs = {"graph": graph.multiplicity, "root": root}
                     produced = set()
                     for m in maps:
                         for tree in trees:
                             cycle = best_forward(m, tree, root)
                             back_m, back_t = best_inverse(cycle, graph, root)
                             if (back_m.rotation, back_t) != (m.rotation, tree):
-                                failures.append(_failure(
-                                    "map_combinatorics", "best_inverse",
-                                    {"graph": graph.multiplicity, "root": root},
-                                    (m.rotation, sorted(tree)),
-                                    (back_m.rotation, sorted(back_t))))
+                                _failure(failures, "map_combinatorics", "best_inverse", inputs,
+                                         (m.rotation, sorted(tree)),
+                                         (back_m.rotation, sorted(back_t)))
                             produced.add(cycle.arc_sequence)
                     count = eulerian_count_rooted(dd, root)
                     if len(produced) != len(maps) * len(trees) or len(produced) != count:
-                        failures.append(_failure(
-                            "map_combinatorics", "best_forward",
-                            {"graph": graph.multiplicity, "root": root},
-                            f"{count} distinct cycles",
-                            f"{len(produced)} from {len(maps)} maps x {len(trees)} trees"))
+                        _failure(failures, "map_combinatorics", "best_forward", inputs,
+                                 f"{count} distinct cycles",
+                                 f"{len(produced)} from {len(maps)} maps x {len(trees)} trees")
     return failures
 
 
@@ -145,18 +141,16 @@ def suite_initial(l_max=None):
     for l in range(1, l_max + 1):
         for N in range(1, 7):
             for message in initial_identity_report(l, N):
-                failures.append(_failure(
-                    "map_combinatorics", "verify_initial_identity",
-                    {"l": l, "N": N}, "exact identity", message))
+                _failure(failures, "map_combinatorics", "verify_initial_identity",
+                         {"l": l, "N": N}, "exact identity", message)
     for l in range(1, DERIVATIVE_EDGE_BUDGET + 1):
         for v in range(1, l + 2):  # a connected graph with l edges has <= l + 1 vertices
             for graph in enumerate_connected_multigraphs(v, l):
                 oracle = trace_derivative_value(graph)
                 counted = eulerian_count_normalized(graph)
                 if oracle != counted:
-                    failures.append(_failure(
-                        "map_combinatorics", "eulerian_count_normalized",
-                        {"graph": graph.multiplicity}, oracle, counted))
+                    _failure(failures, "map_combinatorics", "eulerian_count_normalized",
+                             {"graph": graph.multiplicity}, oracle, counted)
     return failures
 
 
@@ -172,33 +166,22 @@ def suite_hz(p_max=None):
         for p in range(1, p_max + 1):
             rebuilt = harer_zagier_from_counts(N, p)
             if coeffs[p - 1] != rebuilt:
-                failures.append(_failure(
-                    "map_combinatorics", "harer_zagier_closed",
-                    {"N": N, "p": p}, rebuilt, coeffs[p - 1]))
+                _failure(failures, "map_combinatorics", "harer_zagier_closed",
+                         {"N": N, "p": p}, rebuilt, coeffs[p - 1])
             if N == 1 and coeffs[p - 1] != 1:
-                failures.append(_failure(
-                    "map_combinatorics", "harer_zagier_closed",
-                    {"N": 1, "p": p}, 1, coeffs[p - 1]))
-    for l in range(1, p_max + 1):
-        census = rosette_census(l)
-        for g, count in enumerate(census.counts):
-            formula = rosette_count_formula(l, g)
-            if formula != count:
-                failures.append(_failure(
-                    "map_combinatorics", "rosette_count_formula",
-                    {"l": l, "g": g}, count, formula))
-        if rosette_count_formula(l, 0) != catalan(l):
-            failures.append(_failure(
-                "map_combinatorics", "rosette_count_formula",
-                {"l": l, "g": 0}, catalan(l), rosette_count_formula(l, 0)))
+                _failure(failures, "map_combinatorics", "harer_zagier_closed",
+                         {"N": 1, "p": p}, 1, coeffs[p - 1])
+    # C_g(l) from the closed form against each count source: the census and
+    # Catalan (g = 0 only) for l <= p_max, then the recursion for l <= l_top
+    rows = [row for l in range(1, p_max + 1)
+            for row in ((l, rosette_census(l).counts), (l, [catalan(l)]))]
     recursion = harer_zagier_recursion(l_top)
-    for l in range(1, l_top + 1):
-        for g, count in enumerate(recursion[l]):
+    for l, counts in rows + [(l, recursion[l]) for l in range(1, l_top + 1)]:
+        for g, count in enumerate(counts):
             formula = rosette_count_formula(l, g)
             if formula != count:
-                failures.append(_failure(
-                    "map_combinatorics", "rosette_count_formula",
-                    {"l": l, "g": g}, count, formula))
+                _failure(failures, "map_combinatorics", "rosette_count_formula",
+                         {"l": l, "g": g}, count, formula)
     return failures
 
 
@@ -216,50 +199,45 @@ def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_S
     # and the draw splits over two processes before they load numpy
     from .montecarlo import estimate_density_histogram
 
-    stats = estimate_density_histogram(8, samples, bins, (-3.0, 3.0), seed)
+    stats = estimate_density_histogram(HISTOGRAM_N, samples, bins, HISTOGRAM_RANGE, seed)
     failures = []
     for N in range(1, 11):
         total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
         if abs(total - 1.0) > 1e-9:
-            failures.append(_failure(
-                "observables", "density", {"N": N}, "normalization 1 +- 1e-9", total))
+            _failure(failures, "observables", "density", {"N": N}, "normalization 1 +- 1e-9", total)
         for lam in (0.37, 1.21, 2.44):
             gap = abs(density_eval(N, lam) - density_eval(N, -lam))
             if gap > 1e-12:
-                failures.append(_failure(
-                    "observables", "density_eval", {"N": N, "lambda": lam},
-                    "even in lambda", gap))
+                _failure(failures, "observables", "density_eval", {"N": N, "lambda": lam},
+                         "even in lambda", gap)
         for l in range(1, 5):  # l = 0 is the normalization above
             got = integrate_real(
                 lambda x: pointwise(lambda v: v ** (2 * l), x) * density_eval(N, x),
                 -12.0, 12.0, 1e-9)
             want = float(moment_exact(N, l))
             if abs(got - want) > 1e-7:
-                failures.append(_failure(
-                    "observables", "density moments", {"N": N, "l": l}, want, got))
+                _failure(failures, "observables", "density moments", {"N": N, "l": l}, want, got)
         odd = integrate_real(lambda x: pointwise(lambda v: v**3, x) * density_eval(N, x),
                              -12.0, 12.0, 1e-10)
         if abs(odd) > 1e-9:
-            failures.append(_failure(
-                "observables", "density moments", {"N": N, "order": 3}, 0.0, odd))
+            _failure(failures, "observables", "density moments", {"N": N, "order": 3}, 0.0, odd)
     for N, lam in FOURIER_POINTS:
         via_fourier = density_fourier_check(N, lam)
         via_hermite = density_eval(N, lam)
         if abs(via_fourier - via_hermite) > 1e-8:
-            failures.append(_failure(
-                "observables", "density_fourier_check", {"N": N, "lambda": lam},
-                via_hermite, via_fourier))
-    width = 6.0 / bins
+            _failure(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
+                     via_hermite, via_fourier)
+    lo, hi = HISTOGRAM_RANGE
+    width = (hi - lo) / bins
     bad = 0
     for j, st in enumerate(stats):
-        center = -3.0 + (j + 0.5) * width
-        if st.std_error > 0 and abs(st.mean - density_eval(8, center)) > 4 * st.std_error:
+        center = lo + (j + 0.5) * width
+        if st.std_error > 0 and abs(st.mean - density_eval(HISTOGRAM_N, center)) > 4 * st.std_error:
             bad += 1
     if bad > 0.05 * bins:
-        failures.append(_failure(
-            "montecarlo", "estimate_density_histogram",
-            {"N": 8, "samples": samples, "bins": bins, "seed": seed},
-            "within 4 std errors in >= 95% of bins", f"{bad} outliers"))
+        _failure(failures, "montecarlo", "estimate_density_histogram",
+                 {"N": HISTOGRAM_N, "samples": samples, "bins": bins, "seed": seed},
+                 "within 4 std errors in >= 95% of bins", f"{bad} outliers")
     return failures
 
 
@@ -274,8 +252,8 @@ def suite_bound(seed=DEFAULT_SEED):
             value = abs(wilson_eval(N, t))
             bound = wilson_bound(N, t)
             if value > bound * (1 + 1e-12):
-                failures.append(_failure(
-                    "observables", "wilson_bound", {"N": N, "t": str(t)}, bound, value))
+                _failure(failures, "observables", "wilson_bound", {"N": N, "t": str(t)},
+                         bound, value)
     return failures
 
 
@@ -289,12 +267,10 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if name in ("all", "density"):  # the suites that draw, checked before any fork
-        if samples > sample_limit(8):
-            raise ValueError(f"--samples {samples} is past the budget of "
-                             f"max(N, 32)^3 x samples <= {SAMPLE_WORK_BUDGET} at N = 8")
-        if samples > 0 and samples * bins > HISTOGRAM_CELL_BUDGET:
-            raise ValueError(f"--samples {samples} with --bins {bins} is past the budget "
-                             f"of samples x bins <= {HISTOGRAM_CELL_BUDGET}")
+        refuse_past(max(HISTOGRAM_N, 32)**3 * samples, SAMPLE_WORK_BUDGET,
+                    f"--samples {samples}", "max(N, 32)^3 x samples", f" at N = {HISTOGRAM_N}")
+        refuse_past(max(samples, 0) * bins, HISTOGRAM_CELL_BUDGET,
+                    f"--samples {samples} with --bins {bins}", "samples x bins")
 
     def budget(top):
         # under "all", one --l-max lowers each enumeration budget to at most its own maximum

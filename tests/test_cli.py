@@ -796,7 +796,7 @@ def test_main_verify_draws_the_last_shape_inside_its_budgets(capsys):
     # 16384 samples is sample's limit at N = 8, and 16384 x 64 the cell budget
     import guekit.verify as verify
 
-    assert verify.sample_limit(8) == 16384
+    assert verify.SAMPLE_WORK_BUDGET // 32**3 == 16384
     assert 16384 * 64 == verify.HISTOGRAM_CELL_BUDGET
     code, out = run_main(capsys, ["verify", "--suite", "density",
                                   "--samples", "16384", "--bins", "64"])

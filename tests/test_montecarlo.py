@@ -171,6 +171,13 @@ def _record_draws(monkeypatch):
     return drawn
 
 
+def test_estimate_wilson_refuses_an_empty_t_sequence_before_drawing(monkeypatch):
+    drawn = _record_draws(monkeypatch)
+    with pytest.raises(ValueError, match="need at least one t"):
+        estimate_wilson(4, [], samples=200, seed=1)
+    assert drawn == []
+
+
 @pytest.mark.parametrize("ts", [1.0, [1.0], TS, [0.5 * k for k in range(1, 41)]])
 def test_estimate_wilson_draws_each_half_once_per_call(monkeypatch, ts):
     # numpy has loaded here, so both halves are drawn in this process, in turn
