@@ -31,6 +31,7 @@ from .verify import (
     HISTOGRAM_SAMPLES,
     SAMPLE_WORK_BUDGET,
     SUITES,
+    refuse_draw,
     refuse_past,
     run_suite,
 )
@@ -138,8 +139,7 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
-    refuse_past(max(N, 32)**3 * samples, SAMPLE_WORK_BUDGET, f"--N {N} with --samples {samples}",
-                "max(N, 32)^3 x samples")
+    refuse_draw(N, samples, f"--N {N} with --samples {samples}")
     from .montecarlo import estimate_wilson, zscore
 
     rows = []

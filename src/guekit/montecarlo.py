@@ -133,7 +133,7 @@ def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
     halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
-              lambda start=start, stop=stop: reduce(eigenvalue_range(N, seed % 2**64, start, stop))
+              lambda start=start, stop=stop: reduce(eigenvalue_range(N, seed, start, stop))
               for start, stop in ((0, samples // 2), (samples // 2, samples))}
     parts = run_beside(halves, here=next(iter(halves)))
     import numpy as np  # only now: run_beside splits only before numpy loads

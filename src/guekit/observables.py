@@ -45,6 +45,11 @@ DEFAULT_RESOLVENT_NODES = 240
 # It also bounds their real argument (u or y^2): up to it, one step grows the
 # state by less than one rescale undoes; beyond it, I and rho_N (at most about
 # exp(-u/2) (1+u)^N and exp(-y^2) (2y^2)^N) are below every float for N < 1e117.
+# The rule of every scaled recurrence here: where the state is past _RESCALE it
+# is divided by _RESCALE**over (1 where `over` is false) and `over` is added to
+# an integer count, which the caller turns into a scale once, as
+# count * _LOG_RESCALE plus its Gaussian term inside its one exp.  A float sum
+# of log scales would round at every rescale (6e-10 relative at N = 10^5).
 _RESCALE = 2.0**400
 _LOG_RESCALE = 400 * math.log(2)
 
@@ -68,22 +73,8 @@ def _peak_of(x):
     return abs if _is_point(x) else _largest
 
 
-def _rescale_steps(over):
-    """(divisor, log increment) of one rescale: _RESCALE and _LOG_RESCALE
-    where `over` holds, 1 and 0 elsewhere.  `over` is a bool, Python's or
-    numpy's (one point, which is over), or a bool array (a point per
-    entry); dividing by 1 and adding 0 leave a value's bits alone, so a
-    point not over is untouched.
-    """
-    if getattr(over, "ndim", 0) == 0:
-        return _RESCALE, _LOG_RESCALE
-    import numpy as np
-
-    return np.where(over, _RESCALE, 1.0), np.where(over, _LOG_RESCALE, 0.0)
-
-
 def _laguerre1(n: int, u):
-    """(L, s) with L exp(s) = L^(1)_n(u), the generalized Laguerre polynomial.
+    """(L, count) with L 2^(400 count) = L^(1)_n(u), the generalized Laguerre polynomial.
 
     Runs the three-term recurrence (k+1) L_{k+1} = (2k+2-u) L_k - (k+1) L_{k-1}
     from L_{-1} = 0, L_0 = 1, written for the step d = L_k - L_{k-1}:
@@ -92,17 +83,18 @@ def _laguerre1(n: int, u):
     form loses about n.  At u = 0 every step is exact and L_n = n + 1.
     u is a number or a 1-d float64 array; on an array every step runs
     elementwise and each point rescales on its own, so a point gets the
-    bits it gets alone.
+    bits it gets alone, and count is an int array.
     """
     peak = _peak_of(u)
-    cur, step, log_scale = 1.0, 1.0, 0.0
+    cur, step, count = 1.0, 1.0, 0
     for k in range(n):
         step = step - u * cur / (k + 1)
         cur = cur + step
         if peak(cur) > _RESCALE:
-            divisor, grown = _rescale_steps(abs(cur) > _RESCALE)
-            cur, step, log_scale = cur / divisor, step / divisor, log_scale + grown
-    return cur, log_scale
+            over = abs(cur) > _RESCALE
+            divisor = _RESCALE**over
+            cur, step, count = cur / divisor, step / divisor, count + over
+    return cur, count
 
 
 def wilson_loop(N: int) -> tuple[Fraction, ...]:
@@ -121,16 +113,16 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _wilson_value(N: int, lag, log_scale, u):
-    """exp(log_scale - u/2) lag / N at one point, or elementwise over real
-    float64 arrays as a complex array with the bits of each point alone.
+def _wilson_value(N: int, lag, count, u):
+    """exp(count _LOG_RESCALE - u/2) lag / N at one point, or elementwise over
+    real float64 arrays as a complex array with the bits of each point alone.
 
-    Where exp(log_scale - u/2) is below the normal float range (subnormal,
+    Where that exponential is below the normal float range (subnormal,
     with few digits left, or 0), its square root is multiplied in twice,
     so the rescaled lag (up to 2^400) can lift the product back into the
     float range with its digits.
     """
-    x = log_scale - u / 2
+    x = count * _LOG_RESCALE - u / 2
     if _is_point(x):
         scale = cmath.exp(x)
         if abs(scale) >= sys.float_info.min:
@@ -175,8 +167,8 @@ def wilson_eval(N: int, t):
             if u > _RESCALE:
                 return 0j  # below the float range
         # a real u runs the same steps in float arithmetic: same bits, less time
-        lag, log_scale = _laguerre1(N - 1, u if u.imag else u.real)
-        return _wilson_value(N, lag, log_scale, u)
+        lag, count = _laguerre1(N - 1, u if u.imag else u.real)
+        return _wilson_value(N, lag, count, u)
     import numpy as np
 
     if np.iscomplexobj(t):
@@ -187,8 +179,8 @@ def wilson_eval(N: int, t):
         u = flat * flat / N
     far = u > _RESCALE  # below the float range: 0, as for a number
     u = np.where(far, 0.0, u)
-    lag, log_scale = _laguerre1(N - 1, u)
-    return np.where(far, 0.0, _wilson_value(N, lag, log_scale, u)).reshape(t.shape)
+    lag, count = _laguerre1(N - 1, u)
+    return np.where(far, 0.0, _wilson_value(N, lag, count, u)).reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -238,25 +230,26 @@ def density(N: int) -> tuple[Fraction, ...]:
 
 
 def _hermite_squares(N: int, y):
-    """(total, log_scale) with total exp(2 log_scale) = sum_{k<N} phi_k(y)^2.
+    """(total, count) with total 2^(800 count) exp(-y^2) = sum_{k<N} phi_k(y)^2.
 
-    The normalized Hermite functions phi_k = cur * exp(log_scale) run by
-    phi_k = sqrt(2/k) y phi_{k-1} - sqrt((k-1)/k) phi_{k-2} from
-    phi_0 = pi^(-1/4) exp(-y^2/2); the Gaussian factor starts in log_scale,
-    so it cannot underflow, and the sum of squares is positive.  y is a
-    number or a 1-d float64 array, run elementwise as in _laguerre1.
+    The normalized Hermite functions phi_k = cur 2^(400 count) exp(-y^2/2)
+    run by phi_k = sqrt(2/k) y phi_{k-1} - sqrt((k-1)/k) phi_{k-2} from
+    phi_0 = pi^(-1/4) exp(-y^2/2); the Gaussian factor is left to the
+    caller, so it cannot underflow, and the sum of squares is positive.  y
+    is a number or a 1-d float64 array, run elementwise as in _laguerre1.
     """
     peak = _peak_of(y)
-    prev, cur, log_scale = 0.0, math.pi**-0.25, -y * y / 2
+    prev, cur, count = 0.0, math.pi**-0.25, 0
     total = cur * cur
     for k in range(1, N):
         prev, cur = cur, math.sqrt(2 / k) * y * cur - math.sqrt((k - 1) / k) * prev
         total = total + cur * cur
         if peak(total) > _RESCALE:
-            divisor, grown = _rescale_steps(total > _RESCALE)
+            over = total > _RESCALE
+            divisor = _RESCALE**over
             prev, cur, total = prev / divisor, cur / divisor, total / (divisor * divisor)
-            log_scale = log_scale + grown
-    return total, log_scale
+            count = count + over
+    return total, count
 
 
 def _density_value(N: int, total, scale):
@@ -279,16 +272,17 @@ def density_eval(N: int, lam):
         y = math.sqrt(N / 2) * float(lam)
         if y * y > _RESCALE:
             return 0.0  # below the float range
-        total, log_scale = _hermite_squares(N, y)
-        return _density_value(N, total, math.exp(log_scale))
+        total, count = _hermite_squares(N, y)
+        return _density_value(N, total, math.exp(count * _LOG_RESCALE - y * y / 2))
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)
     y = math.sqrt(N / 2) * lam.ravel()
     with np.errstate(over="ignore"):
         far = y * y > _RESCALE  # below the float range: 0, as for a number
-    total, log_scale = _hermite_squares(N, np.where(far, 0.0, y))
-    value = _density_value(N, total, pointwise(math.exp, log_scale))
+    y = np.where(far, 0.0, y)
+    total, count = _hermite_squares(N, y)
+    value = _density_value(N, total, pointwise(math.exp, count * _LOG_RESCALE - y * y / 2))
     return np.where(far, 0.0, value).reshape(lam.shape)
 
 
@@ -382,8 +376,8 @@ def truncation_time(N: int) -> float:
     T = max(4.0, math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON)))
     while True:
         v = T * T / N
-        lag, log_scale = _laguerre1(N - 1, -v)
-        if log_scale - v / 2 + math.log(lag / N) < math.log(TAIL_EPSILON):
+        lag, count = _laguerre1(N - 1, -v)
+        if count * _LOG_RESCALE - v / 2 + math.log(lag / N) < math.log(TAIL_EPSILON):
             return T
         T += 2.0
 

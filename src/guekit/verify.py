@@ -55,6 +55,11 @@ def refuse_past(used, budget, shape, rule, note=""):
         raise ValueError(f"{shape} is past the budget of {rule} <= {budget}{note}")
 
 
+def refuse_draw(N, samples, shape, note=""):
+    """Refuse a draw of `samples` N x N matrices past SAMPLE_WORK_BUDGET."""
+    refuse_past(max(N, 32)**3 * samples, SAMPLE_WORK_BUDGET, shape, "max(N, 32)^3 x samples", note)
+
+
 WICK_L_MAX = 7
 HZ_P_MAX = 7
 # C_g(l) from the closed form against the Harer-Zagier recursion, l <= this
@@ -267,8 +272,7 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if name in ("all", "density"):  # the suites that draw, checked before any fork
-        refuse_past(max(HISTOGRAM_N, 32)**3 * samples, SAMPLE_WORK_BUDGET,
-                    f"--samples {samples}", "max(N, 32)^3 x samples", f" at N = {HISTOGRAM_N}")
+        refuse_draw(HISTOGRAM_N, samples, f"--samples {samples}", f" at N = {HISTOGRAM_N}")
         refuse_past(max(samples, 0) * bins, HISTOGRAM_CELL_BUDGET,
                     f"--samples {samples} with --bins {bins}", "samples x bins")
 

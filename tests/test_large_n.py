@@ -106,8 +106,8 @@ def test_wilson_matches_oracle_at_large_n(N, ts):
 
 
 def test_wilson_keeps_its_digits_where_the_scale_underflows():
-    # exp(log_scale - u/2) is below the normal float range here while the
-    # rescaled Laguerre value is near 2^400; their product is not.  From
+    # exp(count 400 ln 2 - u/2) is below the normal float range here while
+    # the rescaled Laguerre value is near 2^400; their product is not.  From
     # t = 960 to 975 the factor is subnormal but not 0
     ts = [850 + 12.5 * k for k in range(29)] + [960 + 0.5 * k for k in range(31)]
     for t in ts:
@@ -129,8 +129,8 @@ def _mpmath_wilson(N, t):
 @pytest.mark.parametrize("N, t", [(300, 962.5), (300, 966.0), (300, 970.0), (300, 972.5),
                                   (300, 970 + 2j)])
 def test_wilson_keeps_its_digits_where_the_scale_is_subnormal(N, t):
-    # exp(log_scale - u/2) is subnormal here, but not 0; multiplied in
-    # whole, it left 4.5% error at t = 972.5
+    # exp(count 400 ln 2 - u/2) is subnormal here, but not 0; multiplied
+    # in whole, it left 4.5% error at t = 972.5
     got = wilson_eval(N, t)
     want = _mpmath_wilson(N, t) if isinstance(t, complex) else wilson_oracle(N, t)
     assert abs(got - want) <= 1e-12 * abs(want)
@@ -160,6 +160,53 @@ def test_density_matches_oracle_at_large_n(N, lams):
             assert abs(got - want) <= 1e-12 * want, lam
         else:  # rho_1000(3) is about 1e-620, below every float64
             assert 0 <= got < sys.float_info.min, lam
+
+
+def _mpmath_density(N, lam):
+    """sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda, by the
+    Hermite-function recurrence in 40-digit mpmath from the float lambda."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y = mpmath.sqrt(mpmath.mpf(N) / 2) * lam
+        prev, cur = mpmath.mpf(0), mpmath.pi**-0.25 * mpmath.exp(-y * y / 2)
+        total = cur * cur
+        for k in range(1, N):
+            prev, cur = cur, (mpmath.sqrt(mpmath.mpf(2) / k) * y * cur
+                              - mpmath.sqrt(mpmath.mpf(k - 1) / k) * prev)
+            total += cur * cur
+        return float(mpmath.sqrt(mpmath.mpf(N) / 2) / N * total)
+
+
+def _mpmath_wilson_recurrence(N, t):
+    """exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N, by the Laguerre recurrence
+    (k+1) L_{k+1} = (2k+2-u) L_k - (k+1) L_{k-1} in 40-digit mpmath from the float t."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        u = mpmath.mpf(t) ** 2 / N
+        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+        for k in range(N - 1):
+            prev, cur = cur, (2 * k + 2 - u) * cur / (k + 1) - prev
+        return float(mpmath.exp(-u / 2) * cur / N)
+
+
+# Past N = 1000 the bound is set by the rounding of y^2 and of count 400 ln 2
+# in the exponent: measured 2.9e-15, 7.4e-14 and 1.6e-12 at N = 10^4 and
+# 3.2e-12 at N = 10^5.
+@pytest.mark.parametrize("N, lam, tol", [
+    (10**4, 0.8333, 5e-12),
+    (10**4, 1.7, 5e-12),
+    (10**4, 2.0001, 5e-12),
+    (10**5, 1.7, 1e-11),
+])
+def test_density_matches_the_mpmath_recurrence_past_n1000(N, lam, tol):
+    want = _mpmath_density(N, lam)
+    assert abs(density_eval(N, lam) - want) <= tol * want
+
+
+def test_wilson_matches_the_mpmath_recurrence_at_n1e5():
+    # 4.1e-13 relative measured; I is about -1.9e-8 here
+    want = _mpmath_wilson_recurrence(10**5, 1e5)
+    assert abs(wilson_eval(10**5, 1e5).real - want) <= 1e-11 * abs(want)
 
 
 @pytest.mark.parametrize("N", [1, 3, 1000])
