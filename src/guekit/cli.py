@@ -29,7 +29,6 @@ from .verify import (
     DEFAULT_SEED,
     HISTOGRAM_BINS,
     HISTOGRAM_SAMPLES,
-    SAMPLE_WORK_BUDGET,
     SUITES,
     refuse_draw,
     refuse_past,

@@ -127,7 +127,10 @@ def best_forward(M: CombinatorialMap, T: frozenset[int], root: int) -> EulerianC
     Starting along the root dart, each visit to a vertex v departs on the
     first unused dart counterclockwise after v's reference dart (tree dart
     toward the root, or the root dart itself at the root vertex); the
-    reference dart itself is taken last.
+    reference dart itself is taken last.  A vertex is left only through
+    its own darts, so v's exits are its rotation read from just after the
+    reference dart, and the walk takes the next one at each visit (at the
+    root vertex the root dart, the first step, is left out).
     """
     _check_root_arc(M.double, root)
     arcs = M.double.arcs
@@ -136,28 +139,17 @@ def best_forward(M: CombinatorialMap, T: frozenset[int], root: int) -> EulerianC
     root_vertex = arcs[root].tail
     reference = _tree_darts_toward(M, T, root_vertex)
     reference[root_vertex] = root
+    exits = []
+    for v, rot in enumerate(M.rotation):
+        i = rot.index(reference[v]) + 1
+        order = rot[i:] + rot[:i]
+        exits.append(iter(order[:-1] if v == root_vertex else order))
 
-    position = [
-        {d: i for i, d in enumerate(rot)}
-        for rot in M.rotation
-    ]
-    n = len(arcs)
-    used = [False] * n
-    used[root] = True
     seq = [root]
     at = arcs[root].head
-    for _ in range(n - 1):
-        rot = M.rotation[at]
-        k = len(rot)
-        i = position[at][reference[at]]
-        chosen = -1
-        for j in range(1, k + 1):
-            cand = rot[(i + j) % k]
-            if not used[cand]:
-                chosen = cand
-                break
-        assert chosen >= 0, "walk stalled before exhausting the arcs"
-        used[chosen] = True
+    for _ in range(len(arcs) - 1):
+        chosen = next(exits[at], None)
+        assert chosen is not None, "walk stalled before exhausting the arcs"
         seq.append(chosen)
         at = arcs[chosen].head
     assert at == root_vertex, "walk must close at the root vertex"
@@ -171,6 +163,7 @@ def best_inverse(c: EulerianCycle, G: Multigraph, root: int
     Rotations list each vertex's outgoing darts in traversal order; the
     last edge exiting a non-root vertex is its tree edge toward the root.
     """
+    _check_root_arc(c.double, root)
     if G != c.double.graph:
         raise ValueError("cycle walks the directed double of another graph")
     if c.arc_sequence[0] != root:

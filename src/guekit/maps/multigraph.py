@@ -117,29 +117,6 @@ def directed_double(G: Multigraph) -> DirectedDouble:
     return DirectedDouble(G, tuple(arcs))
 
 
-def _walks(out_arcs: list[list[int]], heads: list[int], root: int,
-           home: int, n_arcs: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking over arc sequences rooted at `root` using every arc once."""
-    used = [False] * n_arcs
-    used[root] = True
-    seq = [root]
-
-    def step(at: int) -> Iterator[tuple[int, ...]]:
-        if len(seq) == n_arcs:
-            if at == home:
-                yield tuple(seq)
-            return
-        for arc in out_arcs[at]:
-            if not used[arc]:
-                used[arc] = True
-                seq.append(arc)
-                yield from step(heads[arc])
-                seq.pop()
-                used[arc] = False
-
-    yield from step(heads[root])
-
-
 def _out_arcs(D: DirectedDouble) -> tuple[list[list[int]], list[int]]:
     out = [[] for _ in range(D.graph.vertex_count)]
     heads = []
@@ -164,18 +141,38 @@ def _checked_out_arcs(D: DirectedDouble, root: int) -> tuple[list[list[int]], li
 
 
 def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, ...]]:
-    """Arc sequences starting with `root` using every labeled arc exactly once."""
+    """Arc sequences starting with `root` using every labeled arc exactly once.
+
+    Backtracking over the arcs left unused.  Every vertex of di(G) has as
+    many arcs in as out, so a walk that uses every arc is back where it
+    began.  D and root are checked at call time, not at the first next().
+    """
     out, heads = _checked_out_arcs(D, root)
-    return _walks(out, heads, root, D.arcs[root].tail, len(D.arcs))
+    used = [False] * len(D.arcs)
+    used[root] = True
+    seq = [root]
+
+    def walks(at: int, left: int) -> Iterator[tuple[int, ...]]:
+        if not left:
+            yield tuple(seq)
+            return
+        for arc in out[at]:
+            if not used[arc]:
+                used[arc] = True
+                seq.append(arc)
+                yield from walks(heads[arc], left - 1)
+                seq.pop()
+                used[arc] = False
+
+    return walks(heads[root], len(D.arcs) - 1)
 
 
 def eulerian_count_rooted(D: DirectedDouble, root: int) -> int:
     """Number of Eulerian cycles of di(G) rooted at the given arc.
 
     The backtracking of eulerian_cycles_rooted, counting the walks instead
-    of yielding them.  Every vertex of di(G) has as many arcs in as out, so
-    a walk that uses every arc ends where it began.  Zero whenever G is
-    disconnected: no walk can reach every arc.
+    of yielding them.  Zero whenever G is disconnected: no walk can reach
+    every arc.
     """
     out, heads = _checked_out_arcs(D, root)
     used = [False] * len(D.arcs)
@@ -249,8 +246,11 @@ def _connected_multigraphs(v: int, l: int) -> Iterator[Multigraph]:
 def _trace_power(n: int, l: int) -> Mapping[tuple[tuple[int, int], ...], int]:
     """Tr H^{2l} over n x n H: sorted tuple of entries (i, j) -> coefficient.
 
-    Read-only, since every caller of one shape shares it.
+    Expanded by brute force over the n^{2l} index sequences; Tr H^0 is the
+    constant n.  Read-only, since every caller of one shape shares it.
     """
+    if l == 0:
+        return MappingProxyType({(): n})
     poly: dict[tuple[tuple[int, int], ...], int] = {}
     for seq in product(range(n), repeat=2 * l):
         mono = tuple(sorted((seq[k], seq[(k + 1) % (2 * l)]) for k in range(2 * l)))
@@ -261,41 +261,22 @@ def _trace_power(n: int, l: int) -> Mapping[tuple[tuple[int, int], ...], int]:
 def trace_derivative_value(G: Multigraph) -> Fraction:
     """Apply G's normalized Gaussian derivative operator to Tr H^{2l} at H = 0.
 
-    Fully symbolic: Tr H^{2l} is expanded into monomials over the entries
-    H_ij, i, j < |V(G)|, and the single derivatives are applied one by one.
-    Limited to l <= DERIVATIVE_EDGE_BUDGET.  The expansion costs |V|^{2l}
-    index sequences once per shape (|V|, l), shared by every graph of that
-    shape; the derivatives cost at most one pass over its monomials each.
+    The operator differentiates once by H_ab and once by H_ba per edge ab,
+    twice by H_aa per loop at a: once by H_xy per arc (x, y) of di(G), 2l
+    derivatives of a polynomial of degree 2l.  With k_xy of them by H_xy,
+    only the monomial holding each H_xy exactly k_xy times survives at
+    H = 0, and it gives its coefficient times prod k_xy!.  The coefficient
+    is read from Tr H^{2l} expanded by brute force over index sequences
+    (|V|^{2l} of them, once per shape (|V|, l), shared by every graph of
+    that shape), so the oracle stays independent of the Eulerian counts it
+    certifies.  Limited to l <= DERIVATIVE_EDGE_BUDGET.
     """
-    n = G.vertex_count
     l = G.edge_count
     if l > DERIVATIVE_EDGE_BUDGET:
         raise ValueError(f"differentiation oracle supports l <= {DERIVATIVE_EDGE_BUDGET}, got {l}")
-
-    poly = _trace_power(n, l)
-    derivs: list[tuple[int, int]] = []
-    for a in range(n):
-        derivs.extend([(a, a)] * (2 * G.multiplicity[a][a]))
-        for b in range(a + 1, n):
-            m = G.multiplicity[a][b]
-            derivs.extend([(a, b)] * m)
-            derivs.extend([(b, a)] * m)
-
-    for xy in derivs:
-        new: dict[tuple[tuple[int, int], ...], int] = {}
-        for mono, coeff in poly.items():
-            m = mono.count(xy)
-            if m == 0:
-                continue
-            idx = mono.index(xy)
-            reduced = mono[:idx] + mono[idx + 1:]
-            new[reduced] = new.get(reduced, 0) + coeff * m
-        poly = new
-        if not poly:
-            break
-
-    constant = poly.get((), 0)
-    return Fraction(constant, _symmetry_divisor(G))
+    mono = tuple(sorted(directed_double(G).arcs))
+    weight = math.prod(math.factorial(mono.count(xy)) for xy in set(mono))
+    return Fraction(_trace_power(G.vertex_count, l).get(mono, 0) * weight, _symmetry_divisor(G))
 
 
 # ----------------------------------------------------------- moment identity

@@ -753,9 +753,9 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
 
 def test_main_sample_runs_the_last_shape_inside_its_budget(capsys):
     # N counts as at least 32 in the budget, so N = 1 takes as many samples as N = 32
-    import guekit.cli as cli
+    import guekit.verify as verify
 
-    samples = cli.SAMPLE_WORK_BUDGET // 32**3
+    samples = verify.SAMPLE_WORK_BUDGET // 32**3
     code, out = run_main(capsys, ["sample", "--N", "1", "--samples", str(samples), "--t", "1.0"])
     assert code == 0
     assert OutputRecord.from_csv(out).parameters["samples"] == samples == 16384

@@ -18,6 +18,7 @@ import pytest
 from guekit.exact import integrate_real
 from guekit.observables import (
     density_eval,
+    density_fourier_check,
     resolvent_laplace,
     truncation_time,
     wilson_eval,
@@ -237,6 +238,27 @@ def test_resolvent_laplace_at_n120_is_near_the_semicircle():
     z = 1 + 2j
     semicircle = (cmath.sqrt(z * z + 4) - z) / 2
     assert abs(resolvent_laplace(120, z) - semicircle) <= 1e-4
+
+
+def _genus_expansion(N, z):
+    """i sum_{g <= 2} N^{-2g} W_g(iz), with W_0 = (zeta - s)/2, W_1 = s^-5 and
+    W_2 = 21 (zeta^2 + 1) s^-11, s = sqrt(zeta^2 - 4) on the branch that goes
+    as zeta at infinity (Eynard, JHEP 2004)."""
+    zeta = 1j * z
+    s = cmath.sqrt(zeta - 2) * cmath.sqrt(zeta + 2)
+    series = (zeta - s) / 2 + s**-5 / N**2 + 21 * (zeta * zeta + 1) * s**-11 / N**4
+    return 1j * series
+
+
+@pytest.mark.parametrize("N", [200, 300, 1000])
+@pytest.mark.parametrize("z", [0.5 + 1j, 1 + 2j, 1 + 5j, 2 + 1j, 3 + 1j])
+def test_resolvent_laplace_matches_the_genus_expansion(N, z):
+    assert abs(resolvent_laplace(N, z) - _genus_expansion(N, z)) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.7, 2.5])
+def test_density_fourier_check_at_n300(lam):
+    assert abs(density_fourier_check(300, lam) - density_eval(300, lam)) <= 1e-10
 
 
 @pytest.mark.parametrize("N", [120, 300])

@@ -353,6 +353,30 @@ def test_derivative_oracle_single_edge():
     assert trace_derivative_value(Multigraph.from_edges(2, [(0, 1)])) == 2
 
 
+def test_derivative_oracle_matches_literal_differentiation():
+    # d^2/dH_aa^2 per loop at a and d^2/dH_ab dH_ba per edge ab, applied by
+    # sympy to Tr H^{2l} over independent entries H_ij, then H = 0; every
+    # graph on n <= 3 vertices with l <= 3 edges, connected or not
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 4):
+        H = sympy.Matrix(n, n, lambda i, j: sympy.Symbol(f"H{i}{j}"))
+        zero = dict.fromkeys(H, 0)
+        slots = [(a, b) for a in range(n) for b in range(a, n)]
+        for l in range(4):
+            trace = sympy.expand((H ** (2 * l)).trace())
+            for edges in combinations_with_replacement(slots, l):
+                g = Multigraph.from_edges(n, edges)
+                wrt = [x for a, b in edges for x in (H[a, b], H[b, a])]
+                symmetry = 1
+                for a in range(n):
+                    loops = g.multiplicity[a][a]
+                    symmetry *= 2**loops * math.factorial(loops)
+                    for b in range(a + 1, n):
+                        symmetry *= math.factorial(g.multiplicity[a][b])
+                value = sympy.diff(trace, *wrt).subs(zero) if wrt else trace.subs(zero)
+                assert trace_derivative_value(g) == Fraction(int(value), symmetry), g
+
+
 # ------------------------------------------------------- moment identity
 
 def test_initial_identity_examples():
@@ -557,3 +581,9 @@ def test_best_inverse_rejects_a_vertex_the_cycle_never_leaves():
     cycle = EulerianCycle(directed_double(g), (0, 1))
     with pytest.raises(ValueError, match="spanning tree"):
         best_inverse(cycle, g, 0)
+
+
+def test_best_inverse_refuses_a_root_arc_of_the_edgeless_graph():
+    g = Multigraph(1, ((0,),))
+    with pytest.raises(ValueError, match="root arc index 0 out of range"):
+        best_inverse(EulerianCycle(directed_double(g), ()), g, 0)
