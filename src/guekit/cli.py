@@ -88,14 +88,13 @@ def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRec
 def cmd_moments(N: int, l_max: int) -> OutputRecord:
     if l_max < 0:
         raise ValueError("l-max must be >= 0")
-    try:  # m_2l is nondecreasing in l >= 1 (m_2 = 1, Lyapunov), so the last one decides
-        float(moment_exact(N, l_max))
+    rows = []
+    try:  # nothing renders before this returns, so a refusal prints no row
+        for l in range(l_max + 1):
+            m = moment_exact(N, l)
+            rows.append([l, m, float(m), catalan(l)])
     except OverflowError:
         raise ValueError(f"--l-max {l_max} takes m_2l past float range at N = {N}") from None
-    rows = []
-    for l in range(l_max + 1):
-        m = moment_exact(N, l)
-        rows.append([l, m, float(m), catalan(l)])
     return OutputRecord("moments", {"N": N, "l_max": l_max},
                         ["l", "moment", "moment_float", "catalan"], rows)
 
@@ -169,7 +168,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    # the output flags, and `table`, which builds the command's record from
+    # its flags; each builder looks its cmd_* up when it runs
+    def add_common(p, table):
+        p.set_defaults(table=table)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", metavar="FILE", default=None,
                        help="write the table to FILE instead of stdout")
@@ -179,29 +181,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=0.0)
     p.add_argument("--t-max", type=float, default=4.0)
     p.add_argument("--steps", type=int, default=41)
-    add_common(p)
+    add_common(p, lambda a: cmd_wilson(a.N, a.t_min, a.t_max, a.steps))
 
     p = sub.add_parser("density", help="spectral density with Wigner reference")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--lambda-min", type=float, default=-3.0)
     p.add_argument("--lambda-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=121)
-    add_common(p)
+    add_common(p, lambda a: cmd_density(a.N, a.lambda_min, a.lambda_max, a.steps))
 
     p = sub.add_parser("moments", help="exact even moments with Catalan column")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--l-max", type=int, default=8)
-    add_common(p)
+    add_common(p, lambda a: cmd_moments(a.N, a.l_max))
 
     p = sub.add_parser("rosettes", help="genus counts C_g(l) of one-vertex maps")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--g", type=int, default=None, help="restrict to one genus")
-    add_common(p)
+    add_common(p, lambda a: cmd_rosettes(a.l, a.g))
 
     p = sub.add_parser("harer-zagier", help="generating-series coefficients")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--p-max", type=int, default=7)
-    add_common(p)
+    add_common(p, lambda a: cmd_harer_zagier(a.N, a.p_max))
 
     p = sub.add_parser("sample", help="Monte Carlo Wilson loop vs the exact value")
     p.add_argument("--N", type=int, required=True)
@@ -209,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--t", type=float, action="append", dest="t_list",
                    help="repeatable; defaults to 0.5 .. 4.0")
-    add_common(p)
+    add_common(p, lambda a: cmd_sample(a.N, a.samples, a.seed,
+                                     a.t_list or [0.5 * k for k in range(1, 9)]))
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("--suite", choices=SUITES, default="all")
@@ -223,26 +226,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.l_max, args.samples, args.bins, args.seed)
-        if args.command == "wilson":
-            record = cmd_wilson(args.N, args.t_min, args.t_max, args.steps)
-        elif args.command == "density":
-            record = cmd_density(args.N, args.lambda_min, args.lambda_max, args.steps)
-        elif args.command == "moments":
-            record = cmd_moments(args.N, args.l_max)
-        elif args.command == "rosettes":
-            record = cmd_rosettes(args.l, args.g)
-        elif args.command == "harer-zagier":
-            record = cmd_harer_zagier(args.N, args.p_max)
-        elif args.command == "sample":
-            t_list = args.t_list or [0.5 * k for k in range(1, 9)]
-            record = cmd_sample(args.N, args.samples, args.seed, t_list)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command}")
+        record = args.table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

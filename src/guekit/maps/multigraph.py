@@ -78,8 +78,7 @@ class Multigraph:
 
     @property
     def edge_count(self) -> int:
-        v = self.vertex_count
-        return sum(self.multiplicity[a][b] for a in range(v) for b in range(a, v))
+        return len(self.edges())
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Labeled edge list (a, b) with a <= b; parallel copies are adjacent."""
@@ -131,15 +130,6 @@ def _check_root_arc(D: DirectedDouble, root: int) -> None:
         raise ValueError(f"root arc index {root} out of range")
 
 
-def _checked_out_arcs(D: DirectedDouble, root: int) -> tuple[list[list[int]], list[int]]:
-    """_out_arcs(D), once D is within the backtracking budget and root is an arc."""
-    n = len(D.arcs)
-    if n > EULERIAN_ARC_BUDGET:
-        raise ValueError(f"Eulerian backtracking supports <= {EULERIAN_ARC_BUDGET} arcs, got {n}")
-    _check_root_arc(D, root)
-    return _out_arcs(D)
-
-
 def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, ...]]:
     """Arc sequences starting with `root` using every labeled arc exactly once.
 
@@ -147,8 +137,12 @@ def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, 
     many arcs in as out, so a walk that uses every arc is back where it
     began.  D and root are checked at call time, not at the first next().
     """
-    out, heads = _checked_out_arcs(D, root)
-    used = [False] * len(D.arcs)
+    n = len(D.arcs)
+    if n > EULERIAN_ARC_BUDGET:
+        raise ValueError(f"Eulerian backtracking supports <= {EULERIAN_ARC_BUDGET} arcs, got {n}")
+    _check_root_arc(D, root)
+    out, heads = _out_arcs(D)
+    used = [False] * n
     used[root] = True
     seq = [root]
 
@@ -164,32 +158,14 @@ def eulerian_cycles_rooted(D: DirectedDouble, root: int) -> Iterator[tuple[int, 
                 seq.pop()
                 used[arc] = False
 
-    return walks(heads[root], len(D.arcs) - 1)
+    return walks(heads[root], n - 1)
 
 
 def eulerian_count_rooted(D: DirectedDouble, root: int) -> int:
-    """Number of Eulerian cycles of di(G) rooted at the given arc.
-
-    The backtracking of eulerian_cycles_rooted, counting the walks instead
-    of yielding them.  Zero whenever G is disconnected: no walk can reach
-    every arc.
-    """
-    out, heads = _checked_out_arcs(D, root)
-    used = [False] * len(D.arcs)
-    used[root] = True
-
-    def count(at: int, left: int) -> int:
-        if not left:
-            return 1
-        total = 0
-        for arc in out[at]:
-            if not used[arc]:
-                used[arc] = True
-                total += count(heads[arc], left - 1)
-                used[arc] = False
-        return total
-
-    return count(heads[root], len(D.arcs) - 1)
+    """Number of Eulerian cycles of di(G) rooted at the given arc: the walks
+    that eulerian_cycles_rooted yields.  Zero whenever G is disconnected, as
+    no walk can reach every arc."""
+    return sum(1 for _ in eulerian_cycles_rooted(D, root))
 
 
 def _symmetry_divisor(G: Multigraph) -> int:

@@ -311,7 +311,10 @@ def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
 def _genus_coefficient(l: int, g: int) -> Fraction:
     """C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n! with S(x) = sum_q x^q/(2q+1)
     and n = l - 2g + 1 (partition_term_sum): the number of genus-g rosettes
-    with l edges, and the coefficient of N^{-2g} in m_2l."""
+    with l edges, and the coefficient of N^{-2g} in m_2l.  It is 0 past
+    the top genus l // 2, where 4^g alone could exhaust memory."""
+    if 2 * g > l:
+        return Fraction(0)
     return Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
 
 

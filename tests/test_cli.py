@@ -317,7 +317,7 @@ def test_main_rejects_non_finite_arguments(capsys, argv):
 @pytest.mark.parametrize("N, l_max, code", [(1, 151, 2), (3, 184, 2), (8, 224, 2),
                                             (1, 150, 0), (3, 183, 0), (8, 223, 0)])
 def test_main_moments_refuses_a_float_column_that_overflows(capsys, N, l_max, code):
-    # m_2l grows with l, so the float of m_{2 l_max} decides before any row is built
+    # the first m_2l past float range refuses the table, and no row is printed
     assert main(["moments", "--N", str(N), "--l-max", str(l_max)]) == code
     captured = capsys.readouterr()
     if code:
@@ -325,6 +325,38 @@ def test_main_moments_refuses_a_float_column_that_overflows(capsys, N, l_max, co
         assert captured.out == ""
     else:
         assert math.isfinite(OutputRecord.from_csv(captured.out).rows[-1][2])
+
+
+def _capped(argv):
+    """`python -m guekit.cli argv` in a new process that imports guekit from
+    this checkout, with its address space capped at 1 GiB and 30 s to run."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    src = str(Path(guekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "guekit.cli", *argv], env=env,
+                          capture_output=True, timeout=30, preexec_fn=cap)
+
+
+def test_fresh_moments_refuses_a_huge_l_max_at_once():
+    # the refusal comes at the first row past float range, not after m_{2 l_max}
+    result = _capped(["moments", "--N", "1", "--l-max", "1000000"])
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == b"error: --l-max 1000000 takes m_2l past float range at N = 1\n"
+    assert result.stdout == b""
+
+
+def test_fresh_rosettes_answers_a_genus_no_map_reaches_in_small_memory():
+    # C_g(5) = 0 for g > 2, without forming 4^g
+    result = _capped(["rosettes", "--l", "5", "--g", "1000000000000"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == b"1000000000000,0"
 
 
 @pytest.mark.parametrize("genus", [[], ["--g", "0"]])

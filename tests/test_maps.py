@@ -340,6 +340,21 @@ def test_eulerian_count_is_the_same_from_every_root():
                 assert eulerian_count_normalized(g) == sum(counts) // symmetry, g
 
 
+def test_eulerian_count_is_the_best_theorem():
+    # BEST (van Aardenne-Ehrenfest and de Bruijn 1951): di(G) has
+    # t(G) prod_v (d_v - 1)! Eulerian cycles through any one arc, t(G) its
+    # spanning trees and d_v the arcs leaving v (a loop leaves twice)
+    graphs = 0
+    for v in range(1, 6):
+        for l in range(1, 6):
+            for g in enumerate_connected_multigraphs(v, l):
+                out = [sum(g.multiplicity[a]) + g.multiplicity[a][a] for a in range(v)]
+                best = len(spanning_trees(g)) * math.prod(math.factorial(d - 1) for d in out)
+                assert eulerian_count_rooted(directed_double(g), 0) == best, g
+                graphs += 1
+    assert graphs == 2425
+
+
 def test_derivative_oracle_certifies_normalized_counts():
     for v in range(1, 5):
         for l in range(1, 4):
