@@ -19,6 +19,7 @@ from .observables import (
     harer_zagier_closed,
     harer_zagier_from_counts,
     moment_exact,
+    moment_genus_expansion,
     rosette_count_formula,
     wigner_density,
     wilson_eval,
@@ -113,7 +114,7 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
         params["g"] = genus
         rows = [[genus, rosette_count_formula(l, genus)]]
         return OutputRecord("rosettes", params, ["g", "count"], rows)
-    counts = [rosette_count_formula(l, g) for g in range(l // 2 + 1)]
+    counts = moment_genus_expansion(l)
     rows: list[list] = [[g, c] for g, c in enumerate(counts)]
     rows.append(["sum", sum(counts)])
     rows.append(["double_factorial", double_factorial(2 * l - 1)])

@@ -308,31 +308,25 @@ def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
     return tuple(moment_exact(N, l) for l in range(l_max + 1))
 
 
-def _genus_coefficient(l: int, g: int) -> Fraction:
-    """C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n! with S(x) = sum_q x^q/(2q+1)
-    and n = l - 2g + 1 (partition_term_sum): the number of genus-g rosettes
-    with l edges, and the coefficient of N^{-2g} in m_2l.  It is 0 past
-    the top genus l // 2, where 4^g alone could exhaust memory."""
-    if 2 * g > l:
-        return Fraction(0)
-    return Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
-
-
-def moment_genus_expansion(l: int) -> list[Fraction]:
-    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2).
-
-    All entries are non-negative rationals.
-    """
+def moment_genus_expansion(l: int) -> list[int]:
+    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2): the row
+    of rosette_count_formula, non-negative integers."""
     if l < 1:
         raise ValueError(f"moment_genus_expansion requires l >= 1, got {l}")
-    return [_genus_coefficient(l, g) for g in range(l // 2 + 1)]
+    return [rosette_count_formula(l, g) for g in range(l // 2 + 1)]
 
 
 def rosette_count_formula(l: int, g: int) -> int:
-    """Closed-form C_g(l), the coefficient of N^{-2g} in m_2l, as an integer."""
+    """C_g(l) = (2l)!/(l! 4^g) * [x^g] S(x)^n / n! with S(x) = sum_q x^q/(2q+1)
+    and n = l - 2g + 1 (partition_term_sum), as an integer: the number of
+    genus-g rosettes with l edges, and the coefficient of N^{-2g} in m_2l.
+    It is 0 past the top genus l // 2, where 4^g alone could exhaust
+    memory."""
     if l < 1 or g < 0:
         raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {g})")
-    value = _genus_coefficient(l, g)
+    if 2 * g > l:
+        return 0
+    value = Fraction(math.factorial(2 * l), math.factorial(l) * 4**g) * partition_term_sum(l, g)
     assert value.denominator == 1, f"C_g(l) must be an integer, got {value}"
     return int(value)
 
@@ -347,8 +341,7 @@ def _genus_series(counts, N: int) -> Fraction:
 
 def harer_zagier_from_counts(N: int, p: int) -> Fraction:
     """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
-    counts = [rosette_count_formula(p, g) for g in range(p // 2 + 1)]
-    return _genus_series(counts, N) / double_factorial(2 * p - 1)
+    return _genus_series(moment_genus_expansion(p), N) / double_factorial(2 * p - 1)
 
 
 def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:

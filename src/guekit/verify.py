@@ -71,6 +71,14 @@ def _failure(failures, module, operation, inputs, expected, actual):
                      "expected": str(expected), "actual": str(actual)})
 
 
+def _check(failures, module, operation, inputs, expected, actual, tol=0, shown=None):
+    """Record a failure unless |actual - expected| <= tol, so a NaN fails; the
+    record shows `shown`, where given, as what was expected."""
+    if not abs(actual - expected) <= tol:
+        _failure(failures, module, operation, inputs,
+                 expected if shown is None else shown, actual)
+
+
 def _cap(requested, default, flag):
     if requested is None:
         return default
@@ -88,11 +96,8 @@ def suite_wick(l_max=None):
     failures = []
     for l in range(l_max + 1):
         for N in range(1, 7):
-            wick = moment_wick(N, l)
-            exact = moment_exact(N, l)
-            if wick != exact:
-                _failure(failures, "map_combinatorics", "moment_wick", {"N": N, "l": l},
-                         exact, wick)
+            _check(failures, "map_combinatorics", "moment_wick", {"N": N, "l": l},
+                   moment_exact(N, l), moment_wick(N, l))
     return failures
 
 
@@ -151,11 +156,9 @@ def suite_initial(l_max=None):
     for l in range(1, DERIVATIVE_EDGE_BUDGET + 1):
         for v in range(1, l + 2):  # a connected graph with l edges has <= l + 1 vertices
             for graph in enumerate_connected_multigraphs(v, l):
-                oracle = trace_derivative_value(graph)
-                counted = eulerian_count_normalized(graph)
-                if oracle != counted:
-                    _failure(failures, "map_combinatorics", "eulerian_count_normalized",
-                             {"graph": graph.multiplicity}, oracle, counted)
+                _check(failures, "map_combinatorics", "eulerian_count_normalized",
+                       {"graph": graph.multiplicity}, trace_derivative_value(graph),
+                       eulerian_count_normalized(graph))
     return failures
 
 
@@ -169,13 +172,11 @@ def suite_hz(p_max=None):
     for N in range(1, 6):
         coeffs = harer_zagier_closed(N, p_max)
         for p in range(1, p_max + 1):
-            rebuilt = harer_zagier_from_counts(N, p)
-            if coeffs[p - 1] != rebuilt:
-                _failure(failures, "map_combinatorics", "harer_zagier_closed",
-                         {"N": N, "p": p}, rebuilt, coeffs[p - 1])
-            if N == 1 and coeffs[p - 1] != 1:
-                _failure(failures, "map_combinatorics", "harer_zagier_closed",
-                         {"N": 1, "p": p}, 1, coeffs[p - 1])
+            _check(failures, "map_combinatorics", "harer_zagier_closed", {"N": N, "p": p},
+                   harer_zagier_from_counts(N, p), coeffs[p - 1])
+            if N == 1:
+                _check(failures, "map_combinatorics", "harer_zagier_closed", {"N": 1, "p": p},
+                       1, coeffs[p - 1])
     # C_g(l) from the closed form against each count source: the census and
     # Catalan (g = 0 only) for l <= p_max, then the recursion for l <= l_top
     rows = [row for l in range(1, p_max + 1)
@@ -183,10 +184,8 @@ def suite_hz(p_max=None):
     recursion = harer_zagier_recursion(l_top)
     for l, counts in rows + [(l, recursion[l]) for l in range(1, l_top + 1)]:
         for g, count in enumerate(counts):
-            formula = rosette_count_formula(l, g)
-            if formula != count:
-                _failure(failures, "map_combinatorics", "rosette_count_formula",
-                         {"l": l, "g": g}, count, formula)
+            _check(failures, "map_combinatorics", "rosette_count_formula", {"l": l, "g": g},
+                   count, rosette_count_formula(l, g))
     return failures
 
 
@@ -208,36 +207,30 @@ def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_S
     failures = []
     for N in range(1, 11):
         total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
-        if abs(total - 1.0) > 1e-9:
-            _failure(failures, "observables", "density", {"N": N}, "normalization 1 +- 1e-9", total)
+        _check(failures, "observables", "density", {"N": N}, 1.0, total, 1e-9,
+               "normalization 1 +- 1e-9")
         for lam in (0.37, 1.21, 2.44):
-            gap = abs(density_eval(N, lam) - density_eval(N, -lam))
-            if gap > 1e-12:
-                _failure(failures, "observables", "density_eval", {"N": N, "lambda": lam},
-                         "even in lambda", gap)
+            _check(failures, "observables", "density_eval", {"N": N, "lambda": lam}, 0,
+                   abs(density_eval(N, lam) - density_eval(N, -lam)), 1e-12, "even in lambda")
         for l in range(1, 5):  # l = 0 is the normalization above
             got = integrate_real(
                 lambda x: pointwise(lambda v: v ** (2 * l), x) * density_eval(N, x),
                 -12.0, 12.0, 1e-9)
-            want = float(moment_exact(N, l))
-            if abs(got - want) > 1e-7:
-                _failure(failures, "observables", "density moments", {"N": N, "l": l}, want, got)
+            _check(failures, "observables", "density moments", {"N": N, "l": l},
+                   float(moment_exact(N, l)), got, 1e-7)
         odd = integrate_real(lambda x: pointwise(lambda v: v**3, x) * density_eval(N, x),
                              -12.0, 12.0, 1e-10)
-        if abs(odd) > 1e-9:
-            _failure(failures, "observables", "density moments", {"N": N, "order": 3}, 0.0, odd)
+        _check(failures, "observables", "density moments", {"N": N, "order": 3}, 0.0, odd, 1e-9)
     for N, lam in FOURIER_POINTS:
-        via_fourier = density_fourier_check(N, lam)
-        via_hermite = density_eval(N, lam)
-        if abs(via_fourier - via_hermite) > 1e-8:
-            _failure(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
-                     via_hermite, via_fourier)
+        _check(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
+               density_eval(N, lam), density_fourier_check(N, lam), 1e-8)
     lo, hi = HISTOGRAM_RANGE
     width = (hi - lo) / bins
     bad = 0
-    for j, st in enumerate(stats):
+    for j, st in enumerate(stats):  # a NaN mean is an outlier
         center = lo + (j + 0.5) * width
-        if st.std_error > 0 and abs(st.mean - density_eval(HISTOGRAM_N, center)) > 4 * st.std_error:
+        reference = density_eval(HISTOGRAM_N, center)
+        if st.std_error > 0 and not abs(st.mean - reference) <= 4 * st.std_error:
             bad += 1
     if bad > 0.05 * bins:
         _failure(failures, "montecarlo", "estimate_density_histogram",
@@ -256,7 +249,7 @@ def suite_bound(seed=DEFAULT_SEED):
             t = complex(radius * math.cos(angle), radius * math.sin(angle))
             value = abs(wilson_eval(N, t))
             bound = wilson_bound(N, t)
-            if value > bound * (1 + 1e-12):
+            if not value <= bound * (1 + 1e-12):  # a NaN fails
                 _failure(failures, "observables", "wilson_bound", {"N": N, "t": str(t)},
                          bound, value)
     return failures
@@ -275,6 +268,11 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
         refuse_draw(HISTOGRAM_N, samples, f"--samples {samples}", f" at N = {HISTOGRAM_N}")
         refuse_past(max(samples, 0) * bins, HISTOGRAM_CELL_BUDGET,
                     f"--samples {samples} with --bins {bins}", "samples x bins")
+    if name == "all":  # then the usage errors of wick and density, in suite order
+        from .montecarlo import refuse_histogram
+
+        _cap(l_max, WICK_L_MAX, "--l-max")
+        refuse_histogram(samples, bins, HISTOGRAM_RANGE)
 
     def budget(top):
         # under "all", one --l-max lowers each enumeration budget to at most its own maximum

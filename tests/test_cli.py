@@ -602,6 +602,28 @@ def test_main_verify_all_raises_the_first_error_in_suite_order(capsys, monkeypat
 
 
 @needs_affinity
+def test_main_verify_all_refuses_its_usage_errors_before_it_forks(capsys, monkeypatch):
+    # each error is the one the suites give in suite order: wick's --l-max
+    # before density's --bins and --samples
+    _force_split(monkeypatch)
+
+    def no_fork():
+        raise OSError("verify forked before it refused its flags")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for flags, error in [
+        (["--l-max", "8"], "--l-max can lower the budget but not raise it past 7"),
+        (["--l-max", "0"], "--l-max must be at least 1"),
+        (["--bins", "5"], "need at least 10 bins, got 5"),
+        (["--samples", "1"], "need at least two samples"),
+        (["--l-max", "0", "--bins", "5"], "--l-max must be at least 1"),
+    ]:
+        assert main(["verify", "--suite", "all", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert os.sched_getaffinity(0) == MASK
+
+
+@needs_affinity
 def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
     _force_split(monkeypatch)
 

@@ -27,6 +27,8 @@ COMMANDS = {
     "moments.csv": ["moments", "--N", "4", "--l-max", "8"],
     "rosettes.csv": ["rosettes", "--l", "6"],
     "harer-zagier.csv": ["harer-zagier", "--N", "3", "--p-max", "7"],
+    "rosettes.json": ["rosettes", "--l", "6", "--format", "json"],
+    "harer-zagier.json": ["harer-zagier", "--N", "3", "--p-max", "7", "--format", "json"],
     "sample.csv": ["sample", "--N", "8", "--samples", "10000",
                    "--t", "0.5", "--t", "1.0", "--t", "2.0"],
     # several sampler batches each: 600 / 128 at N=32 and 300 / 32 at N=64

@@ -5,10 +5,13 @@ asserts the suite's failure dicts in full and in order: what a broken
 check reports is part of `guekit verify`'s output.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import guekit.maps.bijection as bijection
 import guekit.maps.multigraph as multigraph
+import guekit.montecarlo as montecarlo
 import guekit.verify as verify
 from guekit.exact import catalan
 from guekit.maps import moment_wick
@@ -147,6 +150,30 @@ def test_suite_density_records_each_check_in_order(monkeypatch):
     assert len(integrals) == 60
 
 
+def test_suite_density_records_a_nan_from_the_fourier_route(monkeypatch):
+    monkeypatch.setattr(verify, "density_fourier_check",
+                        lambda N, lam: math.nan if (N, lam) == (7, 0.9) else density_eval(N, lam))
+    assert verify.suite_density() == [
+        _record("observables", "density_fourier_check", {"N": 7, "lambda": 0.9},
+                density_eval(7, 0.9), "nan")]
+
+
+def test_suite_density_counts_a_nan_bin_mean_as_an_outlier(monkeypatch):
+    estimate = montecarlo.estimate_density_histogram
+
+    def nan_means(*args):
+        stats = estimate(*args)
+        for j in (12, 20, 27):
+            stats[j] = dataclasses.replace(stats[j], mean=math.nan)
+        return stats
+
+    monkeypatch.setattr(montecarlo, "estimate_density_histogram", nan_means)
+    assert verify.suite_density() == [
+        _record("montecarlo", "estimate_density_histogram",
+                {"N": 8, "samples": 4000, "bins": 40, "seed": verify.DEFAULT_SEED},
+                "within 4 std errors in >= 95% of bins", "3 outliers")]
+
+
 def test_suite_bound_records_each_value_past_the_bound(monkeypatch):
     points = []
 
@@ -162,3 +189,18 @@ def test_suite_bound_records_each_value_past_the_bound(monkeypatch):
                 abs(wilson_eval(N, t)))
         for N, t in (points[1000], points[7999])]
     assert [N for N, _ in (points[1000], points[7999])] == [3, 16]
+
+
+def test_suite_bound_records_a_nan_bound(monkeypatch):
+    points = []
+
+    def bound(N, t):
+        points.append((N, t))
+        return math.nan if len(points) == 2345 else wilson_bound(N, t)
+
+    monkeypatch.setattr(verify, "wilson_bound", bound)
+    failures = verify.suite_bound()
+    N, t = points[2344]
+    assert failures == [
+        _record("observables", "wilson_bound", {"N": N, "t": str(t)}, math.nan,
+                abs(wilson_eval(N, t)))]
