@@ -20,6 +20,7 @@ from .observables import (
     density_fourier_check,
     harer_zagier_closed,
     harer_zagier_from_counts,
+    harer_zagier_recursion,
     moment_exact,
     moment_genus_expansion,
     moment_table,
@@ -40,8 +41,9 @@ __version__ = "0.1.0"
 # Names of the sampler and of the enumeration oracles in guekit.maps,
 # which no table command runs, resolve on first use (PEP 562): name -> the
 # submodule that defines it.  The sampler's names load numpy on their
-# first draw, not on import.  The exact observables, the closed forms
-# among them, and the records load with the package.
+# first draw, not on import.  The exact observables, the closed forms and
+# the Harer-Zagier recursion among them, and the records load with the
+# package.
 _LAZY = {
     **dict.fromkeys(("SampleStats", "estimate_density_histogram", "estimate_wilson",
                      "sample_gue", "zscore"), "montecarlo"),
@@ -49,8 +51,8 @@ _LAZY = {
                      "Pairing", "RosetteCensus", "best_forward", "best_inverse",
                      "directed_double", "enumerate_connected_multigraphs", "enumerate_maps",
                      "enumerate_pairings", "eulerian_count_normalized",
-                     "eulerian_count_rooted", "harer_zagier_recursion", "moment_wick",
-                     "rosette_census", "rosette_genus", "verify_initial_identity"), "maps"),
+                     "eulerian_count_rooted", "moment_wick", "rosette_census",
+                     "rosette_genus", "verify_initial_identity"), "maps"),
 }
 
 

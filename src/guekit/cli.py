@@ -15,12 +15,12 @@ import sys
 
 from .exact import catalan, double_factorial
 from .observables import (
+    _genus_rows,
+    _genus_series,
     density_eval,
     harer_zagier_closed,
     harer_zagier_from_counts,
-    moment_exact,
     moment_genus_expansion,
-    rosette_count_formula,
     wigner_density,
     wilson_eval,
     wilson_loop,
@@ -89,10 +89,12 @@ def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRec
 def cmd_moments(N: int, l_max: int) -> OutputRecord:
     if l_max < 0:
         raise ValueError("l-max must be >= 0")
+    if N < 1:  # the oracle's own refusal, word for word
+        raise ValueError(f"moment_exact requires N >= 1, got {N}")
     rows = []
     try:  # nothing renders before this returns, so a refusal prints no row
-        for l in range(l_max + 1):
-            m = moment_exact(N, l)
+        for l, counts in zip(range(l_max + 1), _genus_rows()):
+            m = _genus_series(counts, N)
             rows.append([l, m, float(m), catalan(l)])
     except OverflowError:
         raise ValueError(f"--l-max {l_max} takes m_2l past float range at N = {N}") from None
@@ -100,9 +102,11 @@ def cmd_moments(N: int, l_max: int) -> OutputRecord:
                         ["l", "moment", "moment_float", "catalan"], rows)
 
 
-# The largest `rosettes --l`: l = 120 takes about 0.5 s from a fresh
-# process, l = 160 about 2 s and l = 240 over 20 s.
-ROSETTES_L_BUDGET = 120
+# The largest `rosettes --l`: the table builds every row of the recursion
+# up to l, and C_g(l) has thousands of digits there.  From a fresh process
+# l = 1400 takes about 1.5-1.9 s, l = 1500 about 1.8-2.4 s and l = 1700
+# about 3.5 s, with or without --g.
+ROSETTES_L_BUDGET = 1500
 
 
 def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
@@ -110,20 +114,24 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
         raise ValueError("l must be >= 1")
     refuse_past(l, ROSETTES_L_BUDGET, f"--l {l}", "l")
     params = {"l": l}
-    if genus is not None:
-        params["g"] = genus
-        rows = [[genus, rosette_count_formula(l, genus)]]
-        return OutputRecord("rosettes", params, ["g", "count"], rows)
     counts = moment_genus_expansion(l)
+    if genus is not None:
+        if genus < 0:  # the formula's own refusal, word for word
+            raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {genus})")
+        params["g"] = genus
+        rows = [[genus, counts[genus] if genus < len(counts) else 0]]
+        return OutputRecord("rosettes", params, ["g", "count"], rows)
     rows: list[list] = [[g, c] for g, c in enumerate(counts)]
     rows.append(["sum", sum(counts)])
     rows.append(["double_factorial", double_factorial(2 * l - 1)])
     return OutputRecord("rosettes", params, ["g", "count"], rows)
 
 
-# The largest `harer-zagier --p-max`: p = 100 takes about 1.5 s from a
-# fresh process at N = 3 and at N = 1000, p = 120 about 6 s.
-HARER_ZAGIER_P_BUDGET = 100
+# The largest `harer-zagier --p-max`: the closed form grows with N and each
+# row p rebuilds the recursion up to p, so N = 10^6 is the slowest.  From a
+# fresh process there p = 280 takes about 1.5 s, p = 300 about 2.0-2.5 s
+# and p = 340 about 3 s; at N = 3 and N = 1000, p = 240 takes about 0.8 s.
+HARER_ZAGIER_P_BUDGET = 300
 
 
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:

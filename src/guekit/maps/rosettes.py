@@ -13,11 +13,13 @@ from functools import lru_cache
 from typing import Iterator
 
 from ..exact import double_factorial
-# the closed forms live beside C_g(l) in observables; they are served here too
+# the closed forms and the recursion live beside C_g(l) in observables; they
+# are served here too
 from ..observables import (  # noqa: F401
     _genus_series,
     harer_zagier_closed,
     harer_zagier_from_counts,
+    harer_zagier_recursion,
     rosette_count_formula,
 )
 
@@ -173,29 +175,6 @@ def rosette_census(l: int) -> RosetteCensus:
         if count:
             counts[_euler_genus(l, faces)] += count
     return RosetteCensus(l, tuple(counts))
-
-
-def harer_zagier_recursion(l_max: int) -> list[list[int]]:
-    """counts[l][g] = C_g(l) for 0 <= l <= l_max, 0 <= g <= l // 2.
-
-    Integer Harer-Zagier recursion, independent of the closed form:
-    (l+1) C_g(l) = 2(2l-1) C_g(l-1) + (l-1)(2l-1)(2l-3) C_{g-1}(l-2),
-    with C_0(0) = 1 and C_g(l) = 0 for g > l // 2.
-    """
-    if l_max < 0:
-        raise ValueError(f"harer_zagier_recursion requires l_max >= 0, got {l_max}")
-    counts = [[1]]
-    for l in range(1, l_max + 1):
-        row = []
-        for g in range(l // 2 + 1):
-            same = counts[l - 1][g] if 2 * g <= l - 1 else 0
-            lower = counts[l - 2][g - 1] if g >= 1 else 0
-            total = 2 * (2 * l - 1) * same + (l - 1) * (2 * l - 1) * (2 * l - 3) * lower
-            count, rest = divmod(total, l + 1)
-            assert rest == 0, f"Harer-Zagier recursion left a remainder at l={l}, g={g}"
-            row.append(count)
-        counts.append(row)
-    return counts
 
 
 def moment_wick(N: int, l: int) -> Fraction:

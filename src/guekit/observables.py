@@ -19,6 +19,7 @@ recurrences instead:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 import sys
@@ -308,12 +309,40 @@ def moment_table(N: int, l_max: int) -> tuple[Fraction, ...]:
     return tuple(moment_exact(N, l) for l in range(l_max + 1))
 
 
+def _genus_rows():
+    """Rows [C_g(l) for g = 0 .. l // 2] for l = 0, 1, 2, ... in turn.
+
+    Integer Harer-Zagier recursion, independent of the closed form:
+    (l+1) C_g(l) = 2(2l-1) C_g(l-1) + (l-1)(2l-1)(2l-3) C_{g-1}(l-2),
+    with C_0(0) = 1 and C_g(l) = 0 for g > l // 2.
+    """
+    before, row = [], [1]  # rows l - 2 and l - 1
+    for l in itertools.count(1):
+        yield row
+        same, lower = 2 * (2 * l - 1), (l - 1) * (2 * l - 1) * (2 * l - 3)
+        padded = row + [0]  # C_{l // 2}(l - 1) = 0 for even l
+        new = []
+        for g in range(l // 2 + 1):
+            value, rest = divmod(same * padded[g] + (lower * before[g - 1] if g else 0), l + 1)
+            assert rest == 0, f"Harer-Zagier recursion left a remainder at l={l}, g={g}"
+            new.append(value)
+        before, row = row, new
+
+
+def harer_zagier_recursion(l_max: int) -> list[list[int]]:
+    """counts[l][g] = C_g(l) for 0 <= l <= l_max, 0 <= g <= l // 2: the
+    first l_max + 1 rows of the integer Harer-Zagier recursion."""
+    if l_max < 0:
+        raise ValueError(f"harer_zagier_recursion requires l_max >= 0, got {l_max}")
+    return list(itertools.islice(_genus_rows(), l_max + 1))
+
+
 def moment_genus_expansion(l: int) -> list[int]:
-    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2): the row
-    of rosette_count_formula, non-negative integers."""
+    """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2): row l
+    of the Harer-Zagier recursion, non-negative integers."""
     if l < 1:
         raise ValueError(f"moment_genus_expansion requires l >= 1, got {l}")
-    return [rosette_count_formula(l, g) for g in range(l // 2 + 1)]
+    return next(itertools.islice(_genus_rows(), l, None))
 
 
 def rosette_count_formula(l: int, g: int) -> int:

@@ -158,7 +158,7 @@ def test_cmd_rosettes_rows_and_footer():
     assert rec.rows[-1] == ["double_factorial", 3]
     rec3 = cmd_rosettes(3)
     assert rec3.rows[0][1] == 5 and rec3.rows[1][1] == 10
-    # formula route keeps working beyond the enumeration budget
+    # the recursion's row keeps working beyond the enumeration budget
     rec12 = cmd_rosettes(12)
     assert rec12.rows[-2][1] == rec12.rows[-1][1]
     single = cmd_rosettes(4, genus=1)
@@ -171,6 +171,36 @@ def test_cmd_harer_zagier_rows():
     rec2 = cmd_harer_zagier(2, 3)
     assert rec2.rows[1][1] == Fraction(3, 4)
     assert all(row[1] == row[2] for row in rec2.rows)
+
+
+def test_exact_tables_run_no_oracle(monkeypatch):
+    # the tables read the Harer-Zagier recursion; the exponential formula and
+    # the binomial moment sum are the oracles verify and the tests hold it to
+    import guekit.cli as cli
+    import guekit.exact as exact
+    import guekit.observables as observables
+
+    def oracle(*args):
+        raise AssertionError("a table command ran an oracle")
+
+    for module in (exact, observables, cli):
+        for name in ("partition_term_sum", "rosette_count_formula", "moment_exact"):
+            monkeypatch.setattr(module, name, oracle, raising=False)
+    assert cmd_moments(8, 40).rows[40][0] == 40
+    rows = cmd_rosettes(12).rows
+    assert rows[-2][1] == rows[-1][1]
+    assert cmd_rosettes(12, genus=3).rows == [[3, rows[3][1]]]
+    assert cmd_rosettes(12, genus=7).rows == [[7, 0]]
+    assert all(row[1] == row[2] for row in cmd_harer_zagier(3, 20).rows)
+
+
+def test_cmd_moments_at_the_largest_accepted_shape_equals_the_binomial_sum():
+    from guekit.observables import moment_exact
+
+    rows = cmd_moments(1000, 511).rows
+    assert len(rows) == 512
+    for l in (0, 1, 2, 60, 255, 511):
+        assert rows[l][:2] == [l, moment_exact(1000, l)], l
 
 
 def test_cmd_sample_rows():
@@ -366,10 +396,11 @@ def test_main_rosettes_refuses_an_l_past_its_budget(capsys, monkeypatch, genus):
     def counts(*args):
         raise AssertionError("counted before the budget was checked")
 
-    monkeypatch.setattr(cli, "rosette_count_formula", counts)
+    monkeypatch.setattr(cli, "moment_genus_expansion", counts)
     assert main(["rosettes", "--l", str(cli.ROSETTES_L_BUDGET + 1), *genus]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: --l {cli.ROSETTES_L_BUDGET + 1} is past the budget of l <= 120\n"
+    assert captured.err == (f"error: --l {cli.ROSETTES_L_BUDGET + 1} is past the budget of "
+                            f"l <= {cli.ROSETTES_L_BUDGET}\n")
     assert captured.out == ""
     monkeypatch.undo()
     code, out = run_main(capsys, ["rosettes", "--l", str(cli.ROSETTES_L_BUDGET), *genus])
@@ -387,7 +418,8 @@ def test_main_harer_zagier_refuses_a_p_max_past_its_budget(capsys, monkeypatch):
     p_max = cli.HARER_ZAGIER_P_BUDGET + 1
     assert main(["harer-zagier", "--N", "3", "--p-max", str(p_max)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: --p-max {p_max} is past the budget of p-max <= 100\n"
+    assert captured.err == (f"error: --p-max {p_max} is past the budget of "
+                            f"p-max <= {cli.HARER_ZAGIER_P_BUDGET}\n")
     assert captured.out == ""
     monkeypatch.undo()
     code, out = run_main(capsys, ["harer-zagier", "--N", "3",
@@ -455,6 +487,21 @@ def test_main_wilson_underflows_at_huge_t(capsys):
 def test_main_rejects_invalid_n(capsys):
     code = main(["wilson", "--N", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["moments", "--N", "0"], "moment_exact requires N >= 1, got 0"),
+    (["moments", "--N", "-3"], "moment_exact requires N >= 1, got -3"),
+    (["moments", "--N", "0", "--l-max", "-1"], "l-max must be >= 0"),
+    (["rosettes", "--l", "0"], "l must be >= 1"),
+    (["rosettes", "--l", "5", "--g", "-1"],
+     "rosette_count_formula requires l >= 1, g >= 0, got (5, -1)"),
+    (["harer-zagier", "--N", "0"], "harer_zagier_closed requires N >= 1, p_max >= 1, got (0, 7)"),
+])
+def test_main_exact_tables_refuse_a_bad_shape(capsys, argv, line):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
 
 
 def test_main_sample_deterministic(capsys):
@@ -1077,7 +1124,8 @@ def test_package_serves_the_oracle_names_and_the_closed_forms_once():
     import guekit.maps.rosettes as rosettes
     import guekit.observables as observables
 
-    for name in ("rosette_count_formula", "harer_zagier_closed", "harer_zagier_from_counts"):
+    for name in ("rosette_count_formula", "harer_zagier_closed", "harer_zagier_from_counts",
+                 "harer_zagier_recursion"):
         defined = getattr(observables, name)
         assert getattr(guekit, name) is getattr(maps, name) is getattr(rosettes, name) is defined
     for name in maps.__all__:  # a name the package serves is the maps one
