@@ -24,8 +24,9 @@ or both in turn in this process, where numpy has loaded before the draw
 (a caller that loaded it, in-process tests, any later draw in the
 process), where os.sched_setaffinity is missing or where the affinity
 mask holds fewer than two CPUs (the pinned density suite of `verify
---suite all`).  No eigenvalue array outlives the range that drew it.  So
-this module imports numpy only inside the functions that build or reduce
+--suite all`).  Each half is drawn, diagonalised and reduced batch by
+batch, so no eigenvalue array outlives the batch that drew it.  So this
+module imports numpy only inside the functions that build or reduce
 arrays, and the parent's side of a draw only after run_beside returns.
 """
 
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 from .observables import _is_point
 from .worker import run_beside
 
-# A batch holds at most _EIG_BATCH matrices and _BATCH_ENTRIES entries.
-_EIG_BATCH = 512
-_BATCH_ENTRIES = 2**17
+# A batch holds at most _BATCH_ENTRIES matrix entries (at least one matrix),
+# so that its matrices, eigenvalues and reduced rows stay small.
+_BATCH_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -107,38 +108,37 @@ def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
 
 def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     """(stop - start, N) eigenvalues of samples start .. stop-1 of the stream
-    started by `seed`; LAPACK eigvalsh batched over samples.
+    started by `seed`, from one LAPACK eigvalsh over the range.
 
     No sample's bits depend on its batch, so the rows of any split of a
     range, put together in index order, are those of the whole range.
     """
     import numpy as np
 
-    batch = max(1, min(_EIG_BATCH, _BATCH_ENTRIES // (N * N)))
-    out = np.empty((stop - start, N))
-    for lo in range(start, stop, batch):
-        hi = min(lo + batch, stop)
-        out[lo - start:hi - start] = np.linalg.eigvalsh(_gue_batch(N, seed, lo, hi))
-    return out
+    return np.linalg.eigvalsh(_gue_batch(N, seed, start, stop))
 
 
 def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
-    """reduce(eigs) for the (rows, N) eigenvalues of each half of samples
-    0 .. samples-1, [0, samples//2) and [samples//2, samples), each half in
-    its own process of worker.run_beside; the two results put together
-    along their first axis, in index order.  A sample's bits depend only
-    on (seed, index), and `reduce` reduces each row on its own, so the
-    result is the one-process result; no eigenvalue array outlives its
-    half."""
+    """reduce(eigs) for the (rows, N) eigenvalues of each batch of samples
+    0 .. samples-1, the results put together along their first axis, in
+    index order.  The halves [0, samples//2) and [samples//2, samples) each
+    run in their own process of worker.run_beside, and each draws,
+    diagonalises and reduces one batch of _BATCH_ENTRIES // N^2 samples (at
+    least one) before the next.  A sample's bits depend only on (seed,
+    index), and `reduce` reduces each row on its own, so the result is the
+    one-process, one-batch result; no eigenvalue array outlives its batch."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
+    batch = max(1, _BATCH_ENTRIES // (N * N))
     halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
-              lambda start=start, stop=stop: reduce(eigenvalue_range(N, seed, start, stop))
+              lambda start=start, stop=stop: [
+                  reduce(eigenvalue_range(N, seed, lo, min(lo + batch, stop)))
+                  for lo in range(start, stop, batch)]
               for start, stop in ((0, samples // 2), (samples // 2, samples))}
     parts = run_beside(halves, here=next(iter(halves)))
     import numpy as np  # only now: run_beside splits only before numpy loads
 
-    return np.concatenate(parts)
+    return np.concatenate([rows for part in parts for rows in part])
 
 
 def _stats(values: np.ndarray) -> SampleStats:
@@ -167,7 +167,9 @@ def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
     def row_means(eigs):
         import numpy as np
 
-        return np.stack([np.exp(1j * each * eigs).mean(axis=1) for each in ts], axis=1)
+        # (t, sample, k) with k, the reduced axis, contiguous: the bits of a
+        # mean over each row at each t in turn
+        return np.exp(np.multiply.outer(1j * np.array(ts), eigs)).mean(axis=2).T
 
     stats = []
     for values in _reduced_rows(N, samples, seed, row_means).T:

@@ -42,9 +42,11 @@ HISTOGRAM_CELL_BUDGET = 2**20
 # The largest max(N, 32)^3 x samples of a draw: `sample`'s, and the density
 # suite's at HISTOGRAM_N.  Its eigvalsh work grows as N^3 x samples; below
 # N = 32 the per-sample Philox set-up and assembly set the cost, and N^3
-# alone would let N = 1 through with 2^29 samples.  N = 32 with 16384
-# samples and N = 64 with 2048 take about 2 s from a fresh process, N = 128
-# with 2000 samples about 4 s.
+# alone would let N = 1 through with 2^29 samples.  At the budget's edges
+# `sample` takes, from a fresh process on a 2-core AVX-512 Xeon (median of
+# 5), 2.0 s at N = 32 with 16384 samples, 1.0 s at N = 64 with 2048 and
+# 0.55 s at N = 128 with 256; N = 128 with 2000 samples, about 8 times the
+# budget, takes 3.3 s through estimate_wilson.
 SAMPLE_WORK_BUDGET = 2**29
 
 

@@ -31,7 +31,7 @@ COMMANDS = {
     "harer-zagier.json": ["harer-zagier", "--N", "3", "--p-max", "7", "--format", "json"],
     "sample.csv": ["sample", "--N", "8", "--samples", "10000",
                    "--t", "0.5", "--t", "1.0", "--t", "2.0"],
-    # several sampler batches each: 600 / 128 at N=32 and 300 / 32 at N=64
+    # several sampler batches each: 600 / 32 at N=32 and 300 / 8 at N=64
     "sample-n32.csv": ["sample", "--N", "32", "--samples", "600", "--seed", "7"],
     "sample-n64.csv": ["sample", "--N", "64", "--samples", "300", "--seed", "7"],
 }

@@ -66,6 +66,58 @@ def test_eigenvalue_batches_match_unbatched_reference(N, samples):
                           np.linalg.eigvalsh(stacked))
 
 
+@pytest.mark.parametrize("entries", [1, 3 * 64**2 + 5, 2**15, 2**40])
+def test_any_batch_size_gives_the_unbatched_bits(monkeypatch, entries):
+    # one matrix per batch; 3 per batch, so each half ends on a short batch;
+    # the default; one batch per half
+    N, samples, seed = 64, 41, 2**63 + 5
+    monkeypatch.setattr(montecarlo, "_BATCH_ENTRIES", entries)
+    stacked = np.stack([reference_gue(N, seed, s) for s in range(samples)])
+    assert np.array_equal(_reduced_rows(N, samples, seed, lambda eigs: eigs),
+                          np.linalg.eigvalsh(stacked))
+
+
+@pytest.mark.parametrize("N, samples", [(8, 1500), (33, 100), (64, 40), (200, 5)])
+def test_no_array_past_the_batch_rule(monkeypatch, N, samples):
+    # each half is drawn, diagonalised and reduced one batch at a time
+    limit = max(1, montecarlo._BATCH_ENTRIES // N**2)
+    diagonalised, reduced = [], []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        diagonalised.append(len(a))
+        return eigvalsh(a)
+
+    def reduce(eigs):
+        reduced.append(len(eigs))
+        return eigs[:, :1]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    rows = _reduced_rows(N, samples, 11, reduce)
+    assert len(rows) == sum(reduced) == sum(diagonalised) == samples
+    assert max(diagonalised) <= limit and max(reduced) <= limit
+    assert len(reduced) >= 4  # at least two batches a half
+
+
+@pytest.mark.parametrize("N", [1, 7, 64])
+def test_wilson_rows_are_the_per_t_row_means(monkeypatch, N):
+    # all t in one ufunc pass give the bits of one row mean per t
+    ts, samples, seed = [0.0, -2.0, 0.5, 0.5, -0.75, 3.0], 101, 17
+    draws = []
+    draw = montecarlo._reduced_rows
+
+    def recorded(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(montecarlo, "_reduced_rows", recorded)
+    estimate_wilson(N, ts, samples, seed)
+    eigs = draw(N, samples, seed, lambda eigs: eigs)
+    old = np.stack([np.exp(1j * t * eigs).mean(axis=1) for t in ts], axis=1)
+    assert draws[0].shape == old.shape
+    assert draws[0].tobytes() == old.tobytes()
+
+
 def test_sample_is_exactly_hermitian():
     for idx in range(5):
         h = sample_gue(6, seed=123, index=idx)
