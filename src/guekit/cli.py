@@ -15,8 +15,7 @@ import sys
 
 from .exact import catalan, double_factorial
 from .observables import (
-    _genus_rows,
-    _genus_series,
+    _moment_rows,
     density_eval,
     harer_zagier_closed,
     harer_zagier_from_counts,
@@ -89,12 +88,11 @@ def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRec
 def cmd_moments(N: int, l_max: int) -> OutputRecord:
     if l_max < 0:
         raise ValueError("l-max must be >= 0")
-    if N < 1:  # the oracle's own refusal, word for word
-        raise ValueError(f"moment_exact requires N >= 1, got {N}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     rows = []
     try:  # nothing renders before this returns, so a refusal prints no row
-        for l, counts in zip(range(l_max + 1), _genus_rows()):
-            m = _genus_series(counts, N)
+        for l, m in zip(range(l_max + 1), _moment_rows(N)):
             rows.append([l, m, float(m), catalan(l)])
     except OverflowError:
         raise ValueError(f"--l-max {l_max} takes m_2l past float range at N = {N}") from None
@@ -116,8 +114,8 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
     params = {"l": l}
     counts = moment_genus_expansion(l)
     if genus is not None:
-        if genus < 0:  # the formula's own refusal, word for word
-            raise ValueError(f"rosette_count_formula requires l >= 1, g >= 0, got ({l}, {genus})")
+        if genus < 0:
+            raise ValueError(f"g must be >= 0, got {genus}")
         params["g"] = genus
         rows = [[genus, counts[genus] if genus < len(counts) else 0]]
         return OutputRecord("rosettes", params, ["g", "count"], rows)
@@ -127,17 +125,18 @@ def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
     return OutputRecord("rosettes", params, ["g", "count"], rows)
 
 
-# The largest `harer-zagier --p-max`: the closed form grows with N and each
-# row p rebuilds the recursion up to p, so N = 10^6 is the slowest.  From a
-# fresh process there p = 280 takes about 1.5 s, p = 300 about 2.0-2.5 s
-# and p = 340 about 3 s; at N = 3 and N = 1000, p = 240 takes about 0.8 s.
+# The largest `harer-zagier --p-max`: the closed form grows with N, so
+# N = 10^6 is the slowest; the count column is one walk of the recursion's
+# rows up to p_max.  From a fresh process p = 300 takes about 0.22 s at
+# N = 10^6, 0.17 s at N = 1000 and 0.09 s at N = 3.
 HARER_ZAGIER_P_BUDGET = 300
 
 
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
     refuse_past(p_max, HARER_ZAGIER_P_BUDGET, f"--p-max {p_max}", "p-max")
-    coeffs = harer_zagier_closed(N, p_max)
-    rows = [[p, coeffs[p - 1], harer_zagier_from_counts(N, p)] for p in range(1, p_max + 1)]
+    # the closed form runs first, so its words refuse a bad N or p_max
+    columns = zip(harer_zagier_closed(N, p_max), harer_zagier_from_counts(N, p_max))
+    rows = [[p, *pair] for p, pair in enumerate(columns, 1)]
     return OutputRecord("harer-zagier", {"N": N, "p_max": p_max},
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 

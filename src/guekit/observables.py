@@ -368,9 +368,20 @@ def _genus_series(counts, N: int) -> Fraction:
     return Fraction(total, N ** (2 * (len(counts) - 1)))
 
 
-def harer_zagier_from_counts(N: int, p: int) -> Fraction:
-    """Coefficient of x^{p+1} rebuilt as sum_g C_g(p) N^{-2g} / (2p-1)!!."""
-    return _genus_series(moment_genus_expansion(p), N) / double_factorial(2 * p - 1)
+def _moment_rows(N: int):
+    """m_2l = sum_g C_g(l) N^{-2g} for l = 0, 1, 2, ... in turn, one row of
+    the recursion each."""
+    return (_genus_series(counts, N) for counts in _genus_rows())
+
+
+def harer_zagier_from_counts(N: int, p_max: int) -> list[Fraction]:
+    """Coefficients of x^{p+1}, p = 1 .. p_max, rebuilt as
+    sum_g C_g(p) N^{-2g} / (2p-1)!! from one walk of the recursion."""
+    if N < 1 or p_max < 1:
+        raise ValueError(
+            f"harer_zagier_from_counts requires N >= 1, p_max >= 1, got ({N}, {p_max})")
+    moments = itertools.islice(_moment_rows(N), 1, p_max + 1)
+    return [m / double_factorial(2 * p - 1) for p, m in enumerate(moments, 1)]
 
 
 def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
@@ -380,14 +391,13 @@ def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
     = sum_j binom(N, j) (2y)^j (1-y)^{-j}, and [y^k] (1-y)^{-j} y^j is
     binom(k-1, j-1); so the coefficient of x^k, k >= 1, is the integer
     sum_{j=1..min(k,N)} binom(N, j) binom(k-1, j-1) 2^{j-1} over N^k.
+    Each weight binom(N, j) 2^{j-1} is formed once, for every k.
     """
     if N < 1 or p_max < 1:
         raise ValueError(f"harer_zagier_closed requires N >= 1, p_max >= 1, got ({N}, {p_max})")
-    return [
-        Fraction(sum(binomial(N, j) * binomial(k - 1, j - 1) << (j - 1)
-                     for j in range(1, min(k, N) + 1)), N**k)
-        for k in range(2, p_max + 2)
-    ]
+    weights = [binomial(N, j) << (j - 1) for j in range(1, min(p_max + 1, N) + 1)]
+    return [Fraction(sum(w * binomial(k - 1, j) for j, w in enumerate(weights[:k])), N**k)
+            for k in range(2, p_max + 2)]
 
 
 def truncation_time(N: int) -> float:

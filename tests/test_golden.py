@@ -29,6 +29,8 @@ COMMANDS = {
     "harer-zagier.csv": ["harer-zagier", "--N", "3", "--p-max", "7"],
     "rosettes.json": ["rosettes", "--l", "6", "--format", "json"],
     "harer-zagier.json": ["harer-zagier", "--N", "3", "--p-max", "7", "--format", "json"],
+    # the shape the benchmark's `tables` workload times
+    "harer-zagier-n1000.csv": ["harer-zagier", "--N", "1000", "--p-max", "40"],
     "sample.csv": ["sample", "--N", "8", "--samples", "10000",
                    "--t", "0.5", "--t", "1.0", "--t", "2.0"],
     # several sampler batches each: 600 / 32 at N=32 and 300 / 8 at N=64

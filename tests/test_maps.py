@@ -198,11 +198,21 @@ def test_harer_zagier_specific_coefficient():
 
 
 def test_harer_zagier_matches_rosette_counts():
-    # through the exponential formula for C_g(p), up to the table sizes
+    # the closed form against the recursion's rows, up to the table sizes
     for N in [*range(1, 9), 40, 100, 300, 1000]:
-        coeffs = harer_zagier_closed(N, 40)
-        for p in range(1, 41):
-            assert coeffs[p - 1] == harer_zagier_from_counts(N, p), (N, p)
+        rebuilt = harer_zagier_from_counts(N, 40)
+        assert len(rebuilt) == 40, N
+        for p, (closed, count) in enumerate(zip(harer_zagier_closed(N, 40), rebuilt), 1):
+            assert closed == count, (N, p)
+
+
+@pytest.mark.parametrize("N, p_max", [(-3, 2), (0, 1), (3, 0)])
+def test_harer_zagier_from_counts_refuses_a_bad_shape(N, p_max):
+    # the sum over N^{-2g} reads N = -3 as N = 3; no column may come back
+    with pytest.raises(ValueError) as refusal:
+        harer_zagier_from_counts(N, p_max)
+    assert str(refusal.value) == (
+        f"harer_zagier_from_counts requires N >= 1, p_max >= 1, got ({N}, {p_max})")
 
 
 # ----------------------------------------------------------------- multigraph
