@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Callable, Iterator
 
 # Adaptive Simpson gives up once the interval has been split into more
@@ -130,39 +132,53 @@ def pointwise(fn: Callable[[float], float], x):
 SIMPSON_INITIAL_PANELS = 16
 
 
-def integrate_real(f: Callable, a: float, b: float, tol: float) -> float:
-    """Adaptive composite Simpson integral of a real f over [a, b].
+def integrate_real(f: Callable, a: float, b: float, tol):
+    """Adaptive composite Simpson integral of a real f over [a, b], or of k
+    real integrands over the same nodes.
 
     f takes a float64 array of nodes and returns an array of its real
-    values there; a complex array raises TypeError (integrate the real and
-    imaginary parts apart).  The interval is first cut into
-    SIMPSON_INITIAL_PANELS equal panels, each refined adaptively against
-    its share of the absolute error target tol.  The refinement runs
-    breadth first: f is called once on the 33 nodes of the initial panels,
-    then once per level on the quarter points of every panel still open.
-    The accepted panels are then added in tree order (a split panel is the
-    sum of its halves, left + right; the initial panels left to right), so
-    the result has the bits of the depth-first recursion with f called per
-    node.  Raises QuadratureError once the panel budget is spent, or at a
-    node where f is not finite, since no panel holding it can converge.
+    values there, of shape (n,) for one integrand or (k, n) for k of them
+    (a list of k arrays will do); a complex array raises TypeError
+    (integrate the real and imaginary parts apart).  tol is the absolute
+    error target, one number or one per row.  The interval is first cut
+    into SIMPSON_INITIAL_PANELS equal panels, each refined adaptively
+    against its share of the target: a panel splits while any row misses
+    its share of its own tol, so each row passes the test it would pass
+    alone.  The refinement runs breadth first: f is called once on the 33
+    nodes of the initial panels, then once per level on the quarter points
+    of every panel still open.  The accepted panels of each row are then
+    added in tree order (a split panel is the sum of its halves, left +
+    right; the initial panels left to right), so one integrand has the
+    bits of the depth-first recursion with f called per node.  Returns a
+    float for an (n,) integrand and a list of k floats for a (k, n) one.
+    Raises QuadratureError once the panel budget is spent, or at a node
+    where a row is not finite, since no panel holding it can converge.
     """
     if not a < b:
         raise ValueError(f"integrate_real requires a < b, got [{a}, {b}]")
-    if not tol > 0:
-        raise ValueError(f"integrate_real requires tol > 0, got {tol}")
     import numpy as np
 
+    tols = np.array(tol, dtype=float).reshape(-1, 1)  # one row per integrand
+    if not (tols > 0).all() or not tols.size:
+        raise ValueError(f"integrate_real requires tol > 0, got {tol}")
+    rows = None  # () for an (n,) integrand, (k,) for a (k, n) one: fixed by f's first call
+
     def values(x):
+        nonlocal rows
         fx = np.asarray(f(x))
-        if fx.shape != x.shape:
-            raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes")
+        rows = fx.shape[:-1] if rows is None else rows
+        if fx.shape != rows + x.shape or fx.ndim > 2 or tols.size not in (1, fx.size // x.size):
+            raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes "
+                             f"and {tols.size} tolerances")
         if np.iscomplexobj(fx):
             raise TypeError("complex integrand: integrate its real and imaginary parts apart")
+        fx = np.array(fx, dtype=float).reshape(-1, x.size)
         bad = ~np.isfinite(fx)
         if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise QuadratureError(f"integrand is {fx[i]} at x = {float(x[i])!r} on [{a}, {b}]")
-        return np.array(fx, dtype=float)
+            i = np.flatnonzero(bad.any(axis=0))[0]
+            raise QuadratureError(f"integrand is {fx[bad[:, i], i][0]} at x = {float(x[i])!r} "
+                                  f"on [{a}, {b}]")
+        return fx
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
@@ -172,18 +188,18 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> float:
     x2 = np.array([a + k * step for k in range(1, n)] + [b])
     x0 = np.concatenate(([a], x2[:-1]))  # the right end of panel k is the left end of panel k+1
     fx = values(np.concatenate((x0[:1], x2, 0.5 * (x0 + x2))))
-    f0, f2, f1 = fx[:n], fx[1:n + 1], fx[n + 1:]
+    f0, f2, f1 = fx[:, :n], fx[:, 1:n + 1], fx[:, n + 1:]
     whole = simpson(x0, x2, f0, f1, f2)
-    eps = tol / n
+    eps = tols / n
     panels = n
     levels = []  # per level: the open panels' results, and which of them split
     while x0.size:
         xm = 0.5 * (x0 + x2)
-        fl, fr = np.split(values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2)
+        fl, fr = np.split(values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2, axis=1)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        split = np.flatnonzero(~(abs(delta) <= 15.0 * eps))
+        split = np.flatnonzero(~(abs(delta) <= 15.0 * eps).all(axis=0))
         levels.append((left + right + delta / 15.0, split))
         panels += 2 * split.size
         if panels > SIMPSON_PANEL_BUDGET:
@@ -193,16 +209,15 @@ def integrate_real(f: Callable, a: float, b: float, tol: float) -> float:
         # the next level's panels: every split panel's left half, then every right half
         x0 = np.concatenate((x0[split], xm[split]))
         x2 = np.concatenate((xm[split], x2[split]))
-        f0, f1, f2 = (np.concatenate((u[split], v[split]))
+        f0, f1, f2 = (np.concatenate((u[:, split], v[:, split]), axis=1)
                       for u, v in ((f0, f1), (fl, fr), (f1, f2)))
-        whole = np.concatenate((left[split], right[split]))
+        whole = np.concatenate((left[:, split], right[:, split]), axis=1)
         eps = 0.5 * eps
     below = None  # results of the level under the current one
     for result, split in reversed(levels):
         if below is not None:
-            result[split] = below[:split.size] + below[split.size:]
+            result[:, split] = below[:, :split.size] + below[:, split.size:]
         below = result
-    total = 0.0
-    for value in below.tolist():  # not sum(): from Python 3.12 it compensates, which moves bits
-        total += value
-    return total
+    # each row left to right; not sum(): from Python 3.12 it compensates, which moves bits
+    totals = [reduce(add, row, 0.0) for row in below.tolist()]
+    return totals if rows else totals[0]

@@ -52,7 +52,10 @@ DEFAULT_RESOLVENT_NODES = 240
 # count * _LOG_RESCALE plus its Gaussian term inside its one exp.  A float sum
 # of log scales would round at every rescale (6e-10 relative at N = 10^5).
 _RESCALE = 2.0**400
-_LOG_RESCALE = 400 * math.log(2)
+# 400 ln 2, and pi^(-1/4) for _hermite_squares, correctly rounded: written out,
+# so they do not take their last bit from the platform's libm
+_LOG_RESCALE = float.fromhex("0x1.1542457337d43p+8")
+_PI_TO_MINUS_QUARTER = float.fromhex("0x1.8093870155910p-1")
 
 
 def _largest(values) -> float:
@@ -121,10 +124,19 @@ def _wilson_value(N: int, lag, count, u):
     Where that exponential is below the normal float range (subnormal,
     with few digits left, or 0), its square root is multiplied in twice,
     so the rescaled lag (up to 2^400) can lift the product back into the
-    float range with its digits.
+    float range with its digits.  Where it is above e^432 (only a t off
+    the real axis gets there), so that it or its product with lag may pass
+    the float range, its square root is multiplied in twice too, with
+    lag / N first; a value past the float range raises OverflowError.
     """
     x = count * _LOG_RESCALE - u / 2
     if _is_point(x):
+        if x.real > 432.0:  # e^432 2^400 < 2^1024: below it no product can overflow
+            root = cmath.exp(x / 2)  # OverflowError past e^1419: at t = ix (lag >= 1) so is I
+            value = root * (root * lag / N)
+            if not cmath.isfinite(value):
+                raise OverflowError("math range error")
+            return value
         scale = cmath.exp(x)
         if abs(scale) >= sys.float_info.min:
             return scale * lag / N
@@ -155,7 +167,9 @@ def wilson_eval(N: int, t):
     t is a number (any numbers.Number, taken as a complex), or a real
     float64 array (a complex array per point).  An array runs the
     recurrence once over all its points and gives each the bits of the
-    scalar call; a number never loads numpy.
+    scalar call; a number never loads numpy.  A point whose value is past
+    the float range raises ValueError; only a t off the real axis gets
+    there, such as t = ix, where I = e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N.
     """
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
@@ -169,7 +183,11 @@ def wilson_eval(N: int, t):
                 return 0j  # below the float range
         # a real u runs the same steps in float arithmetic: same bits, less time
         lag, count = _laguerre1(N - 1, u if u.imag else u.real)
-        return _wilson_value(N, lag, count, u)
+        try:
+            return _wilson_value(N, lag, count, u)
+        except OverflowError:
+            raise ValueError(f"wilson_eval({N}, {t!r}) is past the float range: "
+                             f"|I(t, N)| > {sys.float_info.max!r}") from None
     import numpy as np
 
     if np.iscomplexobj(t):
@@ -240,7 +258,7 @@ def _hermite_squares(N: int, y):
     is a number or a 1-d float64 array, run elementwise as in _laguerre1.
     """
     peak = _peak_of(y)
-    prev, cur, count = 0.0, math.pi**-0.25, 0
+    prev, cur, count = 0.0, _PI_TO_MINUS_QUARTER, 0
     total = cur * cur
     for k in range(1, N):
         prev, cur = cur, math.sqrt(2 / k) * y * cur - math.sqrt((k - 1) / k) * prev
@@ -502,15 +520,24 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
     return complex(wts @ (term1 + term2) @ wts)
 
 
-def density_fourier_check(N: int, lam: float) -> float:
+def density_fourier_check(N: int, lam):
     """rho_N(lambda) recomputed as (1/2pi) integral of exp(-i lambda t) I(t, N).
 
     I(t, N) is even in t, so the integral reduces to the cosine transform
-    over [0, T] with T from the Gaussian-decay truncation rule.
+    over [0, T] with T from the Gaussian-decay truncation rule.  lam is a
+    number, for a float, or a 1-d array of them, for a list of floats:
+    one integrate_real pass with one row per lambda, each to 1e-11, that
+    takes I(t, N) once per node for every row.  A number is the one-row
+    case, with the same bits.
     """
     T = truncation_time(N)
+    one = _is_point(lam)
+    lams = [lam] if one else list(lam)
 
     def integrand(t):
-        return pointwise(math.cos, lam * t) * wilson_eval(N, t).real
+        wilson = wilson_eval(N, t).real
+        rows = [pointwise(math.cos, each * t) * wilson for each in lams]
+        return rows[0] if one else rows
 
-    return integrate_real(integrand, 0.0, T, 1e-11) / math.pi
+    value = integrate_real(integrand, 0.0, T, 1e-11)
+    return value / math.pi if one else [each / math.pi for each in value]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from .exact import catalan, integrate_real, pointwise
+from .exact import catalan, integrate_real
 from .observables import (
     density_eval,
     density_fourier_check,
@@ -208,24 +208,30 @@ def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_S
     stats = estimate_density_histogram(HISTOGRAM_N, samples, bins, HISTOGRAM_RANGE, seed)
     failures = []
     for N in range(1, 11):
-        total = integrate_real(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10)
+        # one pass over shared nodes: the normalization, the moments l = 1 .. 4
+        # and the odd moment, each row to the target it had as an integral alone
+        def moments(x):
+            rho, x2 = density_eval(N, x), x * x
+            x4 = x2 * x2
+            return [rho, x2 * rho, x4 * rho, x4 * x2 * rho, x4 * x4 * rho, x2 * x * rho]
+
+        total, *even, odd = integrate_real(moments, -12.0, 12.0, [1e-10] + [1e-9] * 4 + [1e-10])
         _check(failures, "observables", "density", {"N": N}, 1.0, total, 1e-9,
                "normalization 1 +- 1e-9")
         for lam in (0.37, 1.21, 2.44):
             _check(failures, "observables", "density_eval", {"N": N, "lambda": lam}, 0,
                    abs(density_eval(N, lam) - density_eval(N, -lam)), 1e-12, "even in lambda")
-        for l in range(1, 5):  # l = 0 is the normalization above
-            got = integrate_real(
-                lambda x: pointwise(lambda v: v ** (2 * l), x) * density_eval(N, x),
-                -12.0, 12.0, 1e-9)
+        for l, got in enumerate(even, 1):  # l = 0 is the normalization above
             _check(failures, "observables", "density moments", {"N": N, "l": l},
                    float(moment_exact(N, l)), got, 1e-7)
-        odd = integrate_real(lambda x: pointwise(lambda v: v**3, x) * density_eval(N, x),
-                             -12.0, 12.0, 1e-10)
         _check(failures, "observables", "density moments", {"N": N, "order": 3}, 0.0, odd, 1e-9)
+    fourier = {}  # the points of each N, for one pass per N
     for N, lam in FOURIER_POINTS:
-        _check(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
-               density_eval(N, lam), density_fourier_check(N, lam), 1e-8)
+        fourier.setdefault(N, []).append(lam)
+    for N, lams in fourier.items():
+        for lam, got in zip(lams, density_fourier_check(N, lams)):
+            _check(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
+                   density_eval(N, lam), got, 1e-8)
     lo, hi = HISTOGRAM_RANGE
     width = (hi - lo) / bins
     bad = 0
@@ -261,9 +267,9 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
               seed=DEFAULT_SEED):
     """The failures of suite `name`.  "all" gives those of every suite, in
     SUITES order, through worker.run_beside: "density", the one suite that
-    loads numpy, in this process and the pure-Python rest in a forked
-    child beside it, or every suite here in turn where numpy has loaded
-    already or no two CPUs can be pinned."""
+    loads numpy, then "bound" in this process, and "wick", "best",
+    "initial" and "hz" in a forked child beside it, or every suite here in
+    turn where numpy has loaded already or no two CPUs can be pinned."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if name in ("all", "density"):  # the suites that draw, checked before any fork
@@ -297,6 +303,11 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
         return suites[name]()
     from .worker import run_beside
 
-    outcomes = run_beside({f"suite {each!r}": suite for each, suite in suites.items()},
-                          here="suite 'density'")
+    # density and then bound, the last two suites, run here: with density
+    # alone here the worker, bound included, finished last (0.37-0.40 s from
+    # the start of the split against 0.27-0.33 s here, on a 2-core Xeon),
+    # and bound is 0.04-0.07 s of its work
+    tasks = {f"suite {each!r}": suites[each] for each in SUITES[1:5]}
+    tasks["suites 'density', 'bound'"] = lambda: suites["density"]() + suites["bound"]()
+    outcomes = run_beside(tasks, here="suites 'density', 'bound'")
     return [failure for failures in outcomes for failure in failures]

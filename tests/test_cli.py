@@ -632,13 +632,36 @@ def _stub_suites(monkeypatch, **suites):
 
 @needs_affinity
 def test_main_verify_all_merges_the_worker_failures_in_suite_order(capsys, monkeypatch):
-    # best and bound run in the worker, density here; the report keeps SUITES order
+    # best runs in the worker, density and then bound here; the report keeps SUITES order
     _force_split(monkeypatch)
     _stub_suites(monkeypatch, best=_fails_once("best"), density=_fails_once("density"),
                  bound=_fails_once("bound"))
     code, reported = _reported(capsys, ["verify", "--suite", "all"])
     assert code == 1
     assert [name for name, _ in reported] == ["best", "density", "bound"]
+    _assert_no_child_left()
+
+
+@needs_affinity
+def test_main_verify_all_runs_bound_after_density_here(capsys, monkeypatch):
+    # wick, best, initial and hz run in the forked worker; density and then
+    # bound, the last two suites, in this process
+    _force_split(monkeypatch)
+    ran = []
+
+    def reports_its_pid(name):
+        def suite(*args, **kwargs):
+            ran.append(name)
+            return _fails_once(name, pid=os.getpid())()
+        return suite
+
+    names = ["wick", "best", "initial", "hz", "density", "bound"]
+    _stub_suites(monkeypatch, **{name: reports_its_pid(name) for name in names})
+    code, reported = _reported(capsys, ["verify", "--suite", "all"])
+    assert code == 1
+    assert [name for name, _ in reported] == names
+    here = [name for name, inputs in reported if inputs["pid"] == os.getpid()]
+    assert here == ran == ["density", "bound"]
     _assert_no_child_left()
 
 
@@ -714,6 +737,10 @@ def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
 
 @needs_affinity
 def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
+    # bound runs after density in this process, so density's error stops it
+    # there; killing a worker that still hangs after this process's task
+    # raised is covered by
+    # test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path
     import time
 
     from guekit.exact import QuadratureError
@@ -731,7 +758,7 @@ def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
     start = time.monotonic()
     with pytest.raises(QuadratureError, match="diverges"):
         main(["verify", "--suite", "all"])
-    assert time.monotonic() - start < 30  # bound was killed, not waited out
+    assert time.monotonic() - start < 30  # bound, after density, never ran
     _assert_no_child_left()
 
 

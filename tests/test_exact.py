@@ -181,12 +181,21 @@ def test_integrate_reports_budget_exhaustion():
 def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
     """The depth-first adaptive Simpson that integrate_real replaced: f is
     called on one float at a time.  Kept as the oracle for the bits of the
-    breadth-first form.  depths, if given, collects the depth of every
-    panel tested (0 for the initial panels)."""
+    breadth-first form.  f returns one value per node, or a list of k
+    values for k integrands; then tol is one number or k, a panel splits
+    while any of the k misses its share of its own tol, each is summed on
+    its own, and the result is a list of k integrals.  depths, if given,
+    collects the depth of every panel tested (0 for the initial panels)."""
     panels = [SIMPSON_INITIAL_PANELS]
+    first = f(a)
+    one = not isinstance(first, list)
+    k = 1 if one else len(first)
+
+    def g(x):
+        return [f(x)] if one else f(x)
 
     def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) * (f0 + 4.0 * f1 + f2) / 6.0
+        return [(x2 - x0) * (u + 4.0 * v + w) / 6.0 for u, v, w in zip(f0, f1, f2)]
 
     def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
         if depths is not None:
@@ -194,53 +203,67 @@ def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
         xm = 0.5 * (x0 + x2)
         xl = 0.5 * (x0 + xm)
         xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
+        fl = g(xl)
+        fr = g(xr)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
+        delta = [p + q - w for p, q, w in zip(left, right, whole)]
+        if all(abs(d) <= 15.0 * e for d, e in zip(delta, eps)):
+            return [p + q + d / 15.0 for p, q, d in zip(left, right, delta)]
         panels[0] += 2
         if panels[0] > budget:
             raise QuadratureError("budget")
-        half = 0.5 * eps
-        return (recurse(x0, xm, f0, fl, f1, left, half, depth + 1)
-                + recurse(xm, x2, f1, fr, f2, right, half, depth + 1))
+        half = [0.5 * e for e in eps]
+        return [p + q for p, q in zip(recurse(x0, xm, f0, fl, f1, left, half, depth + 1),
+                                      recurse(xm, x2, f1, fr, f2, right, half, depth + 1))]
 
-    total = 0.0
+    total = [0.0] * k
     step = (b - a) / SIMPSON_INITIAL_PANELS
-    eps = tol / SIMPSON_INITIAL_PANELS
-    x0, f0 = a, f(a)
-    for k in range(1, SIMPSON_INITIAL_PANELS + 1):
-        x2 = a + k * step if k < SIMPSON_INITIAL_PANELS else b
+    eps = [t / SIMPSON_INITIAL_PANELS for t in (tol if isinstance(tol, list) else [tol] * k)]
+    x0, f0 = a, [first] if one else first
+    for n in range(1, SIMPSON_INITIAL_PANELS + 1):
+        x2 = a + n * step if n < SIMPSON_INITIAL_PANELS else b
         xm = 0.5 * (x0 + x2)
-        f1, f2 = f(xm), f(x2)
-        total += recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps, 0)
+        f1, f2 = g(xm), g(x2)
+        total = [t + r for t, r in zip(total, recurse(x0, x2, f0, f1, f2,
+                                                       simpson(x0, x2, f0, f1, f2), eps, 0))]
         x0, f0 = x2, f2
-    return total
+    return total[0] if one else total
 
 
 def test_suite_density_integrals_keep_their_bits(monkeypatch):
-    from guekit import verify
-    from guekit.observables import density_eval
+    # one pass per N for the normalization and the moments, and one per N
+    # of FOURIER_POINTS for the Fourier route, each against the reference
+    from guekit import observables, verify
+    from guekit.observables import density_eval, truncation_time, wilson_eval
 
-    got = []
+    def moments(N, x):  # rho_N times 1, x^2, x^4, x^6, x^8 and x^3, as the suite forms them
+        rho, x2 = density_eval(N, x), x * x
+        x4 = x2 * x2
+        return [rho, x2 * rho, x4 * rho, x4 * x2 * rho, x4 * x4 * rho, x2 * x * rho]
 
-    def recorded(f, a, b, tol):
-        got.append(integrate_real(f, a, b, tol))
-        return got[-1]
+    passes = {verify: [], observables: []}
 
-    monkeypatch.setattr(verify, "integrate_real", recorded)
+    def recorded(module):
+        def integrate(f, a, b, tol):
+            passes[module].append(integrate_real(f, a, b, tol))
+            return passes[module][-1]
+        return integrate
+
+    for module in passes:
+        monkeypatch.setattr(module, "integrate_real", recorded(module))
     assert verify.suite_density() == []
-    want = []
-    for N in range(1, 11):
-        want.append(reference_simpson(lambda x: density_eval(N, x), -12.0, 12.0, 1e-10))
-        for l in range(1, 5):
-            want.append(reference_simpson(lambda x: x ** (2 * l) * density_eval(N, x),
-                                          -12.0, 12.0, 1e-9))
-        want.append(reference_simpson(lambda x: x**3 * density_eval(N, x), -12.0, 12.0, 1e-10))
-    assert got == want
+    tols = [1e-10] + [1e-9] * 4 + [1e-10]
+    want = [reference_simpson(lambda x: moments(N, x), -12.0, 12.0, tols) for N in range(1, 11)]
+    assert passes[verify] == want
+    fourier = {}
+    for N, lam in verify.FOURIER_POINTS:
+        fourier.setdefault(N, []).append(lam)
+    want = [reference_simpson(lambda t: [math.cos(lam * t) * wilson_eval(N, t).real
+                                         for lam in lams], 0.0, truncation_time(N), 1e-11)
+            for N, lams in fourier.items()]
+    assert passes[observables] == want
+    assert [len(row) for row in want] == [2, 3, 2, 2, 2, 2, 2, 5]
 
 
 def test_fourier_points_keep_their_bits():
@@ -350,3 +373,76 @@ def test_integrate_refuses_a_complex_integrand():
 def test_integrate_wants_one_value_per_node():
     with pytest.raises(ValueError):
         integrate_real(lambda x: 1.0, 0.0, 1.0, 1e-10)
+
+
+# ------------------------------------------- k integrands over shared nodes
+
+def _rows(x):
+    """Three integrands of unlike difficulty at one node."""
+    return [math.exp(-x * x) * math.cos(3 * x), 1.0 / (1e-4 + x * x), x**3]
+
+
+def _array_rows(x):
+    return np.array([_rows(v) for v in x.tolist()]).T
+
+
+@pytest.mark.parametrize("tol", [1e-9, [1e-12, 1e-8, 1e-10], [1e-6, 1e-12, 1e-6]])
+def test_integrate_k_rows_keeps_the_bits_of_the_reference(tol):
+    got = integrate_real(_array_rows, -1.0, 2.0, tol)
+    assert got == reference_simpson(_rows, -1.0, 2.0, tol)
+    assert isinstance(got, list) and len(got) == 3
+    assert all(isinstance(value, float) for value in got)
+
+
+def test_integrate_one_row_equals_the_one_dimensional_call():
+    def g(v):
+        return math.exp(-v * v) * math.cos(3 * v)
+
+    for tol in (1e-12, [1e-12]):
+        assert integrate_real(lambda x: [pointwise(g, x)], -4.0, 4.0, tol) == [
+            integrate_real(lambda x: pointwise(g, x), -4.0, 4.0, 1e-12)]
+
+
+def test_integrate_each_row_takes_its_own_tolerance():
+    # the same integrand twice: the tighter row sets the panels, so both rows
+    # get the tight result, which differs from the loose one
+    def g(v):
+        return 1.0 / (1e-4 + v * v)
+
+    def twice(x):
+        return [pointwise(g, x)] * 2
+
+    tight = integrate_real(lambda x: pointwise(g, x), -1.0, 2.0, 1e-10)
+    loose = integrate_real(lambda x: pointwise(g, x), -1.0, 2.0, 1e-4)
+    assert tight != loose
+    assert integrate_real(twice, -1.0, 2.0, [1e-4, 1e-10]) == [tight, tight]
+    assert integrate_real(twice, -1.0, 2.0, [1e-10, 1e-4]) == [tight, tight]
+    assert integrate_real(twice, -1.0, 2.0, [1e-4, 1e-4]) == [loose, loose]
+    assert integrate_real(twice, -1.0, 2.0, 1e-4) == [loose, loose]
+
+
+@pytest.mark.parametrize("f, tol", [
+    (lambda x: np.ones((2, x.size + 1)), 1e-10),   # (k, m) with m != n
+    (lambda x: np.ones((2, 3, x.size)), 1e-10),    # 3-d
+    (lambda x: np.ones((2, x.size)), [1e-10] * 3),  # k tolerances for other than k rows
+    (lambda x: np.ones(x.size), [1e-10] * 2),
+    (lambda x: np.ones((1 + (x.size != 33), x.size)), 1e-10),  # k moves after the first call
+])
+def test_integrate_wants_k_rows_of_n_values(f, tol):
+    with pytest.raises(ValueError):
+        integrate_real(lambda x: f(x) * np.sin(40 * x), 0.0, 3.0, tol)
+
+
+def test_integrate_refuses_a_non_positive_row_tolerance():
+    for tol in ([1e-10, 0.0], [1e-10, math.nan], []):
+        with pytest.raises(ValueError, match="tol > 0"):
+            integrate_real(lambda x: [x, x], 0.0, 1.0, tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_integrate_refuses_a_non_finite_value_in_any_row(bad):
+    with pytest.raises(QuadratureError, match=f"integrand is {bad} at x = 0.0 "):
+        integrate_real(lambda x: [np.ones_like(x), np.where(x == 0, bad, 1.0)], -1.0, 1.0, 1e-12)
+    with pytest.raises(QuadratureError, match="at x = 0.015625"):  # a quarter point
+        integrate_real(lambda x: [np.where(x == 1 / 64, bad, 1.0), x], 0.0, 1.0, 1e-12)
+

@@ -147,6 +147,31 @@ def test_wilson_splits_the_scale_only_where_it_underflows_to_zero(N, t, real, im
     assert wilson_eval(N, t) == complex(float.fromhex(real), float.fromhex(imag))
 
 
+@pytest.mark.parametrize("N, t", [(1, 100j), (1000, 1000j), (1000, 360j), (1, 38j)])
+def test_wilson_refuses_imaginary_t_past_the_float_range(N, t):
+    # e^{x^2/2N} L^(1)_{N-1}(-x^2/N)/N at t = ix: e^5000, about e^1212 and
+    # about e^713 for the first three, e^722 at (1, 38j)
+    with pytest.raises(ValueError, match=rf"wilson_eval\({N}, {t!r}\) is past the float range"):
+        wilson_eval(N, t)
+
+
+def _mpmath_wilson_imaginary(N, x):
+    """e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N, I(t, N) at t = ix, in 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        v = mpmath.mpf(x) ** 2 / N
+        return mpmath.exp(v / 2) * mpmath.laguerre(N - 1, 1, -v) / N
+
+
+@pytest.mark.parametrize("N, x", [(1000, 340.0), (1, 37.0), (1, 37.67), (8, 100.0), (1000, 300.0)])
+def test_wilson_keeps_its_digits_just_inside_the_float_range(N, x):
+    # (1000, 340) is about 2.4e292; (1, 37.67) is e^709.5, 1.3e308
+    got = wilson_eval(N, x * 1j)
+    want = _mpmath_wilson_imaginary(N, x)
+    assert got.imag == 0
+    assert abs(got.real - want) <= 1e-13 * want
+
+
 @pytest.mark.parametrize("N, lams", [
     (40, [-3.0, -2.2, -1.0, 0.0, 0.31, 1.9999, 2.5, 3.0]),
     (100, [-3.0, -1.3, 0.0, 2.05, 3.0]),

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from guekit.exact import integrate_real, pointwise
@@ -312,3 +313,27 @@ def test_density_fourier_matches_hermite_route():
     assert density_fourier_check(2, -1.3) == pytest.approx(
         density_eval(2, -1.3), abs=1e-8
     )
+
+
+def test_density_fourier_check_takes_an_array_of_lambda():
+    # one pass, one row per lambda; a one-row array is the scalar call
+    lams = np.array([0.0, 0.7, -1.2, 1.9, 2.8])
+    got = density_fourier_check(8, lams)
+    assert isinstance(got, list) and len(got) == lams.size
+    for lam, value in zip(lams.tolist(), got):
+        assert abs(value - density_eval(8, lam)) <= 1e-8
+    assert density_fourier_check(8, np.array([0.7])) == [density_fourier_check(8, 0.7)]
+
+
+def test_written_out_constants_are_correctly_rounded():
+    # 400 ln 2 and pi^(-1/4), against 200-bit mpmath: each literal is the
+    # float nearest the exact value, within half an ulp of it
+    mpmath = pytest.importorskip("mpmath")
+    from guekit.observables import _LOG_RESCALE, _PI_TO_MINUS_QUARTER
+
+    with mpmath.workprec(200):
+        for literal, exact in [(_LOG_RESCALE, 400 * mpmath.log(2)),
+                               (_PI_TO_MINUS_QUARTER, mpmath.pi ** mpmath.mpf(-0.25))]:
+            assert literal == float(exact)
+            assert abs(mpmath.mpf(literal) - exact) < mpmath.mpf(math.ulp(literal)) / 2
+

@@ -117,13 +117,15 @@ def test_suite_hz_records_each_check_in_order(monkeypatch):
 
 
 def test_suite_density_records_each_check_in_order(monkeypatch):
-    # integrate_real runs six integrals per N, in order: the normalization,
-    # the moments l = 1 .. 4 and the odd moment
-    integrals, integrate_real = [], verify.integrate_real
+    # integrate_real makes one pass per N, whose six rows are, in order: the
+    # normalization, the moments l = 1 .. 4 and the odd moment
+    passes, integrate_real = [], verify.integrate_real
 
     def integrate(f, a, b, tol):
-        integrals.append(integrate_real(f, a, b, tol))
-        return {6: 0.5, 35: 0.25}.get(len(integrals) - 1, integrals[-1])
+        passes.append(integrate_real(f, a, b, tol))
+        broken = {1: (0, 0.5), 5: (5, 0.25)}.get(len(passes) - 1)
+        return [broken[1] if broken and row == broken[0] else value
+                for row, value in enumerate(passes[-1])]
 
     centres = {-3.0 + (j + 0.5) * (6.0 / 40) for j in range(22, 26)}
 
@@ -136,14 +138,14 @@ def test_suite_density_records_each_check_in_order(monkeypatch):
     monkeypatch.setattr(verify, "density_eval", density)
     monkeypatch.setattr(verify, "moment_exact",
                         lambda N, l: moment_exact(N, l) + ((N, l) == (5, 2)))
-    monkeypatch.setattr(verify, "density_fourier_check",
-                        lambda N, lam: 0.5 if (N, lam) == (7, 0.9) else density_eval(N, lam))
+    monkeypatch.setattr(verify, "density_fourier_check", lambda N, lams: [
+        0.5 if (N, lam) == (7, 0.9) else density_eval(N, lam) for lam in lams])
     failures = verify.suite_density()
     assert failures == [
         _record("observables", "density", {"N": 2}, "normalization 1 +- 1e-9", 0.5),
         _record("observables", "density_eval", {"N": 4, "lambda": 0.37}, "even in lambda", 0.25),
         _record("observables", "density moments", {"N": 5, "l": 2},
-                float(moment_exact(5, 2) + 1), integrals[6 * 4 + 2]),
+                float(moment_exact(5, 2) + 1), passes[4][2]),
         _record("observables", "density moments", {"N": 6, "order": 3}, 0.0, 0.25),
         _record("observables", "density_fourier_check", {"N": 7, "lambda": 0.9},
                 density_eval(7, 0.9), 0.5),
@@ -151,15 +153,46 @@ def test_suite_density_records_each_check_in_order(monkeypatch):
                 {"N": 8, "samples": 4000, "bins": 40, "seed": verify.DEFAULT_SEED},
                 "within 4 std errors in >= 95% of bins", "4 outliers"),
     ]
-    assert len(integrals) == 60
+    assert len(passes) == 10
+    assert all(len(values) == 6 for values in passes)
 
 
 def test_suite_density_records_a_nan_from_the_fourier_route(monkeypatch):
-    monkeypatch.setattr(verify, "density_fourier_check",
-                        lambda N, lam: math.nan if (N, lam) == (7, 0.9) else density_eval(N, lam))
+    monkeypatch.setattr(verify, "density_fourier_check", lambda N, lams: [
+        math.nan if (N, lam) == (7, 0.9) else density_eval(N, lam) for lam in lams])
     assert verify.suite_density() == [
         _record("observables", "density_fourier_check", {"N": 7, "lambda": 0.9},
                 density_eval(7, 0.9), "nan")]
+
+
+def test_suite_density_makes_one_pass_per_n_and_evaluates_each_node_once(monkeypatch):
+    # 10 passes for the normalization and the moments, 8 for the Fourier
+    # points (one per N of FOURIER_POINTS); within a pass every node is
+    # evaluated once, for all of its rows
+    import guekit.observables as observables
+
+    passes = {verify: [], observables: []}
+
+    def passing(module, integrate):
+        def pass_(f, a, b, tol):
+            passes[module].append([])
+            return integrate(f, a, b, tol)
+        return pass_
+
+    def counted(module, evaluate):
+        def at(N, x):
+            if not isinstance(x, (int, float)):
+                passes[module][-1].extend(x.tolist())
+            return evaluate(N, x)
+        return at
+
+    for module, evaluate in ((verify, density_eval), (observables, wilson_eval)):
+        monkeypatch.setattr(module, "integrate_real", passing(module, module.integrate_real))
+        monkeypatch.setattr(module, evaluate.__name__, counted(module, evaluate))
+    assert verify.suite_density() == []
+    assert [len(passes[verify]), len(passes[observables])] == [10, 8]
+    for nodes in passes[verify] + passes[observables]:
+        assert nodes and len(nodes) == len(set(nodes))
 
 
 def test_suite_density_counts_a_nan_bin_mean_as_an_outlier(monkeypatch):
