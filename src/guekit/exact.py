@@ -138,8 +138,9 @@ def integrate_real(f: Callable, a: float, b: float, tol):
 
     f takes a float64 array of nodes and returns an array of its real
     values there, of shape (n,) for one integrand or (k, n) for k of them
-    (a list of k arrays will do); a complex array raises TypeError
-    (integrate the real and imaginary parts apart).  tol is the absolute
+    (a list of k arrays will do); a complex array raises TypeError (give
+    the real and imaginary parts apart, as the two rows of one integrand,
+    so one pass calls f once per node for both).  tol is the absolute
     error target, one number or one per row.  The interval is first cut
     into SIMPSON_INITIAL_PANELS equal panels, each refined adaptively
     against its share of the target: a panel splits while any row misses
@@ -171,7 +172,7 @@ def integrate_real(f: Callable, a: float, b: float, tol):
             raise ValueError(f"integrand returned shape {fx.shape} for {x.size} nodes "
                              f"and {tols.size} tolerances")
         if np.iscomplexobj(fx):
-            raise TypeError("complex integrand: integrate its real and imaginary parts apart")
+            raise TypeError("complex integrand: give real and imaginary parts apart as two rows")
         fx = np.array(fx, dtype=float).reshape(-1, x.size)
         bad = ~np.isfinite(fx)
         if bad.any():

@@ -435,6 +435,19 @@ def truncation_time(N: int) -> float:
         T += 2.0
 
 
+def _wilson_transform(N: int, kernels, T: float, tol: float) -> list[float]:
+    """integral_0^T k_i(t) I(t, N) dt for each real kernel row k_i.
+
+    kernels takes a float64 array of nodes and returns the rows k_i there,
+    as a list of arrays.  One integrate_real pass, each row to tol, with
+    I(t, N) taken once per node for every row; a list of floats, one per
+    row.
+    """
+    import numpy as np
+
+    return integrate_real(lambda t: np.asarray(kernels(t)) * wilson_eval(N, t).real, 0.0, T, tol)
+
+
 def resolvent_laplace(N: int, z: complex) -> complex:
     """omega_N(z) = integral_0^inf exp(-zt) I(t, N) dt by truncated quadrature.
 
@@ -442,14 +455,15 @@ def resolvent_laplace(N: int, z: complex) -> complex:
     exp(-T Re z)/Re z; the integral runs over [0, T] with T the smaller of
     truncation_time(N) and ln(1/(TAIL_EPSILON min(Re z, 1)))/Re z: over
     the whole [0, truncation_time(N)], about 2.4 N long, the first Simpson
-    nodes would see exp(-Re z t) = 0 and converge falsely.  integrate_real
-    runs on the real and imaginary parts apart, each to 1e-10 and
-    evaluating I once per node; that target is no bound.  Gated within
-    1e-8 of the genus expansion through N^-4 at N in {200, 300, 1000},
-    z in {0.5+i, 1+2i, 1+5i, 2+i, 3+i}, where the worst point is 6.5e-10
-    off.  Not gated near the cut, where the integrand oscillates over a
-    long [0, T] and can still converge falsely (4.1e-5 off at N = 4000,
-    z = 0.01+i).
+    nodes would see exp(-Re z t) = 0 and converge falsely.  The real and
+    imaginary parts are the two rows of one integrate_real pass, each to
+    1e-10, that takes I once per node; that target is no bound.  Gated
+    within 1e-8 of the genus expansion through N^-4 at N in {200, 300,
+    1000}, z in {0.5+i, 1+2i, 1+5i, 2+i, 3+i}, where the worst point is
+    4.1e-11 off (N = 1000, z = 1+5i).  Not gated near the cut, where the
+    integrand oscillates over a long [0, T] and can still converge falsely:
+    at z = 0.01+i it is 1.8e-8 off at N = 1000 and 3.5e-5 at N = 4000,
+    against the same integral summed over pieces 8 wide.
     """
     z = complex(z)
     if z.real <= 0:
@@ -458,13 +472,11 @@ def resolvent_laplace(N: int, z: complex) -> complex:
 
     T = min(truncation_time(N), math.log(1.0 / (TAIL_EPSILON * min(z.real, 1.0))) / z.real)
 
-    def integrand(t):
-        # cmath.exp and the product per point: numpy's complex exp rounds differently
-        return np.array([cmath.exp(-z * x) * w
-                         for x, w in zip(t.tolist(), wilson_eval(N, t).tolist())])
+    def kernels(t):  # cmath.exp per point: numpy's complex exp rounds differently
+        kernel = np.array([cmath.exp(-z * x) for x in t.tolist()])
+        return [kernel.real, kernel.imag]
 
-    return complex(integrate_real(lambda t: integrand(t).real, 0.0, T, 1e-10),
-                   integrate_real(lambda t: integrand(t).imag, 0.0, T, 1e-10))
+    return complex(*_wilson_transform(N, kernels, T, 1e-10))
 
 
 @lru_cache(maxsize=16)
@@ -525,19 +537,16 @@ def density_fourier_check(N: int, lam):
 
     I(t, N) is even in t, so the integral reduces to the cosine transform
     over [0, T] with T from the Gaussian-decay truncation rule.  lam is a
-    number, for a float, or a 1-d array of them, for a list of floats:
-    one integrate_real pass with one row per lambda, each to 1e-11, that
-    takes I(t, N) once per node for every row.  A number is the one-row
-    case, with the same bits.
+    number, for a float, or a non-empty 1-d array of them, for a list of
+    floats: one integrate_real pass with one row cos(lambda t) per
+    lambda, each to 1e-11, that takes I(t, N) once per node for every row
+    (the pass resolvent_laplace makes with its two rows).  A number is
+    the one-row case, with the same bits.
     """
-    T = truncation_time(N)
     one = _is_point(lam)
     lams = [lam] if one else list(lam)
-
-    def integrand(t):
-        wilson = wilson_eval(N, t).real
-        rows = [pointwise(math.cos, each * t) * wilson for each in lams]
-        return rows[0] if one else rows
-
-    value = integrate_real(integrand, 0.0, T, 1e-11)
-    return value / math.pi if one else [each / math.pi for each in value]
+    if not lams:
+        raise ValueError("need at least one lambda")
+    value = _wilson_transform(N, lambda t: [pointwise(math.cos, each * t) for each in lams],
+                              truncation_time(N), 1e-11)
+    return value[0] / math.pi if one else [each / math.pi for each in value]

@@ -283,9 +283,11 @@ def test_resolvent_laplace_keeps_its_bits(N):
     for z in (1, 2, 3 + 1j, 1 + 2j, 1 + 5j):
         # the tail past T is below exp(-T Re z)/Re z, since |I| <= 1
         T = min(truncation_time(N), math.log(1 / (TAIL_EPSILON * min(z.real, 1))) / z.real)
-        want = complex(*(reference_simpson(lambda t: take(cmath.exp(-z * t) * wilson_eval(N, t)),
-                                           0.0, T, 1e-10)
-                         for take in (lambda v: v.real, lambda v: v.imag)))
+        # one pass over the two rows [Re e^{-zt} I, Im e^{-zt} I]
+        want = complex(*reference_simpson(lambda t: [take(cmath.exp(-z * t) * wilson_eval(N, t))
+                                                     for take in (lambda v: v.real,
+                                                                  lambda v: v.imag)],
+                                          0.0, T, 1e-10))
         assert resolvent_laplace(N, z) == want, z
 
 

@@ -247,8 +247,9 @@ def test_resolvent_routes_agree():
 
 
 def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
-    # each part is one integrate_real pass, and within a pass the endpoints
-    # shared by neighbouring initial panels are evaluated once
+    # the real and imaginary parts are two rows of one integrate_real pass,
+    # and within it the endpoints shared by neighbouring initial panels are
+    # evaluated once
     passes = []
 
     def integrates(f, a, b, tol):
@@ -262,7 +263,7 @@ def test_resolvent_laplace_evaluates_each_node_once(monkeypatch):
     monkeypatch.setattr("guekit.observables.integrate_real", integrates)
     monkeypatch.setattr("guekit.observables.wilson_eval", counted)
     resolvent_laplace(8, 1 + 2j)
-    assert len(passes) == 2
+    assert len(passes) == 1
     for nodes in passes:
         assert nodes and len(nodes) == len(set(nodes))
 
@@ -323,6 +324,12 @@ def test_density_fourier_check_takes_an_array_of_lambda():
     for lam, value in zip(lams.tolist(), got):
         assert abs(value - density_eval(8, lam)) <= 1e-8
     assert density_fourier_check(8, np.array([0.7])) == [density_fourier_check(8, 0.7)]
+
+
+@pytest.mark.parametrize("lams", [[], np.array([])])
+def test_density_fourier_check_refuses_an_empty_lambda_array(lams):
+    with pytest.raises(ValueError, match="need at least one lambda"):
+        density_fourier_check(3, lams)
 
 
 def test_written_out_constants_are_correctly_rounded():
