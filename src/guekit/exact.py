@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import add
 from typing import Callable, Iterator
 
 # Adaptive Simpson gives up once the interval has been split into more
@@ -147,11 +145,10 @@ def integrate_real(f: Callable, a: float, b: float, tol):
     its share of its own tol, so each row passes the test it would pass
     alone.  The refinement runs breadth first: f is called once on the 33
     nodes of the initial panels, then once per level on the quarter points
-    of every panel still open.  The accepted panels of each row are then
-    added in tree order (a split panel is the sum of its halves, left +
-    right; the initial panels left to right), so one integrand has the
-    bits of the depth-first recursion with f called per node.  Returns a
-    float for an (n,) integrand and a list of k floats for a (k, n) one.
+    of every panel still open.  Each row's result is the math.fsum of its
+    accepted panels, the correctly rounded sum, so it does not depend on
+    the order the panels were accepted in.  Returns a float for an (n,)
+    integrand and a list of k floats for a (k, n) one.
     Raises QuadratureError once the panel budget is spent, or at a node
     where a row is not finite, since no panel holding it can converge.
     """
@@ -193,15 +190,16 @@ def integrate_real(f: Callable, a: float, b: float, tol):
     whole = simpson(x0, x2, f0, f1, f2)
     eps = tols / n
     panels = n
-    levels = []  # per level: the open panels' results, and which of them split
+    accepted = []  # per level: the results of the panels that did not split
     while x0.size:
         xm = 0.5 * (x0 + x2)
         fl, fr = np.split(values(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2, axis=1)
         left = simpson(x0, xm, f0, fl, f1)
         right = simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
-        split = np.flatnonzero(~(abs(delta) <= 15.0 * eps).all(axis=0))
-        levels.append((left + right + delta / 15.0, split))
+        done = (abs(delta) <= 15.0 * eps).all(axis=0)
+        accepted.append((left + right + delta / 15.0)[:, done])
+        split = np.flatnonzero(~done)
         panels += 2 * split.size
         if panels > SIMPSON_PANEL_BUDGET:
             raise QuadratureError(
@@ -214,11 +212,5 @@ def integrate_real(f: Callable, a: float, b: float, tol):
                       for u, v in ((f0, f1), (fl, fr), (f1, f2)))
         whole = np.concatenate((left[:, split], right[:, split]), axis=1)
         eps = 0.5 * eps
-    below = None  # results of the level under the current one
-    for result, split in reversed(levels):
-        if below is not None:
-            result[:, split] = below[:, :split.size] + below[:, split.size:]
-        below = result
-    # each row left to right; not sum(): from Python 3.12 it compensates, which moves bits
-    totals = [reduce(add, row, 0.0) for row in below.tolist()]
+    totals = [math.fsum(row) for row in np.concatenate(accepted, axis=1).tolist()]
     return totals if rows else totals[0]

@@ -37,12 +37,8 @@ def _any_int_digits():
 
 
 def encode_cell(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return repr(value)
+    """A cell's text: str of a Fraction is "p/q" (or "p"), of a float (a
+    numpy float too) its shortest round-trip repr."""
     return str(value)
 
 
@@ -60,7 +56,7 @@ def decode_cell(text: str):
 def _encode_fraction(value) -> str:
     """json.dumps hook: a Fraction becomes its cell text; json rejects anything else."""
     if isinstance(value, Fraction):
-        return encode_cell(value)
+        return str(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -52,6 +52,14 @@ def test_csv_round_trip():
     assert back.rows[0][2] == 0.1 + 0.2
 
 
+def test_csv_round_trip_of_a_numpy_float():
+    np = pytest.importorskip("numpy")
+    rec = OutputRecord("demo", {}, ["x"], [[np.float64(0.25)], [np.float64(0.1 + 0.2)]])
+    back = OutputRecord.from_csv(rec.to_csv())
+    assert back.rows == [[0.25], [0.1 + 0.2]]
+    assert all(type(row[0]) is float for row in back.rows)
+
+
 def test_json_round_trip():
     rec = OutputRecord("demo", {"seed": 7}, ["x", "y"],
                        [[0.5, Fraction(1, 3)], [2, Fraction(4)]])

@@ -157,6 +157,16 @@ def test_integrate_constant_and_parabola():
     assert integrate_real(lambda x: x * x, -1.0, 1.0, 1e-10) == pytest.approx(2 / 3, abs=1e-10)
 
 
+def test_integrate_sums_its_accepted_panels_exactly():
+    # the 16 initial panels of 1/3 on [0, 16] all pass; their correctly
+    # rounded sum is 16/3, where adding them one at a time gives 1 ulp less
+    def third(x):
+        return np.full(x.shape, 1 / 3)
+
+    assert integrate_real(third, 0.0, 16.0, 1e-10) == 16 / 3
+    assert integrate_real(lambda x: [x, third(x)], 0.0, 16.0, 1e-10) == [128.0, 16 / 3]
+
+
 def test_integrate_gaussian_normalization():
     val = integrate_real(
         lambda x: np.exp(-x * x / 2) / math.sqrt(2 * math.pi), -12.0, 12.0, 1e-10
@@ -181,11 +191,13 @@ def test_integrate_reports_budget_exhaustion():
 def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
     """The depth-first adaptive Simpson that integrate_real replaced: f is
     called on one float at a time.  Kept as the oracle for the bits of the
-    breadth-first form.  f returns one value per node, or a list of k
-    values for k integrands; then tol is one number or k, a panel splits
-    while any of the k misses its share of its own tol, each is summed on
-    its own, and the result is a list of k integrals.  depths, if given,
-    collects the depth of every panel tested (0 for the initial panels)."""
+    breadth-first form: both accept the same panels, and each integral is
+    the math.fsum of its accepted panels.  f returns one value per node,
+    or a list of k values for k integrands; then tol is one number or k, a
+    panel splits while any of the k misses its share of its own tol, each
+    is summed on its own, and the result is a list of k integrals.  depths,
+    if given, collects the depth of every panel tested (0 for the initial
+    panels)."""
     panels = [SIMPSON_INITIAL_PANELS]
     first = f(a)
     one = not isinstance(first, list)
@@ -209,15 +221,17 @@ def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
         right = simpson(xm, x2, f1, fr, f2)
         delta = [p + q - w for p, q, w in zip(left, right, whole)]
         if all(abs(d) <= 15.0 * e for d, e in zip(delta, eps)):
-            return [p + q + d / 15.0 for p, q, d in zip(left, right, delta)]
+            for row, p, q, d in zip(accepted, left, right, delta):
+                row.append(p + q + d / 15.0)
+            return
         panels[0] += 2
         if panels[0] > budget:
             raise QuadratureError("budget")
         half = [0.5 * e for e in eps]
-        return [p + q for p, q in zip(recurse(x0, xm, f0, fl, f1, left, half, depth + 1),
-                                      recurse(xm, x2, f1, fr, f2, right, half, depth + 1))]
+        recurse(x0, xm, f0, fl, f1, left, half, depth + 1)
+        recurse(xm, x2, f1, fr, f2, right, half, depth + 1)
 
-    total = [0.0] * k
+    accepted = [[] for _ in range(k)]  # per integrand: the results of its accepted panels
     step = (b - a) / SIMPSON_INITIAL_PANELS
     eps = [t / SIMPSON_INITIAL_PANELS for t in (tol if isinstance(tol, list) else [tol] * k)]
     x0, f0 = a, [first] if one else first
@@ -225,9 +239,9 @@ def reference_simpson(f, a, b, tol, budget=SIMPSON_PANEL_BUDGET, depths=None):
         x2 = a + n * step if n < SIMPSON_INITIAL_PANELS else b
         xm = 0.5 * (x0 + x2)
         f1, f2 = g(xm), g(x2)
-        total = [t + r for t, r in zip(total, recurse(x0, x2, f0, f1, f2,
-                                                       simpson(x0, x2, f0, f1, f2), eps, 0))]
+        recurse(x0, x2, f0, f1, f2, simpson(x0, x2, f0, f1, f2), eps, 0)
         x0, f0 = x2, f2
+    total = [math.fsum(row) for row in accepted]
     return total[0] if one else total
 
 
