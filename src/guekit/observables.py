@@ -67,14 +67,32 @@ def _largest(values) -> float:
 
 def _is_point(x) -> bool:
     """Whether an evaluator's argument is one number (any numbers.Number,
-    numpy scalars too) rather than an array of points."""
-    return isinstance(x, numbers.Number)
+    numpy scalars too) rather than an array of points.  float and int (bool
+    too) go first: the ABC check is several times slower, and a real number
+    passes this check at each helper of its evaluation."""
+    return isinstance(x, (float, int)) or isinstance(x, numbers.Number)
 
 
 def _peak_of(x):
     """The function a recurrence in x checks its size with: abs for a
     number, _largest for an array, so one comparison covers every point."""
     return abs if _is_point(x) else _largest
+
+
+def _where(cond, a, b):
+    """a where cond holds, else b: for a number, or elementwise for arrays."""
+    if _is_point(cond):
+        return a if cond else b
+    import numpy as np
+
+    return np.where(cond, a, b)
+
+
+def _exp(x):
+    """e^x of a real number, or of each point of a float64 array: the one
+    exponential of the real axis, math.exp per point, since numpy's exp
+    can round differently."""
+    return math.exp(x) if _is_point(x) else pointwise(math.exp, x)
 
 
 def _laguerre1(n: int, u):
@@ -117,74 +135,80 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _wilson_value(N: int, lag, count, u):
-    """exp(count _LOG_RESCALE - u/2) lag / N at one point, or elementwise over
-    real float64 arrays as a complex array with the bits of each point alone.
+def _wilson_real(N: int, t):
+    """(real, imaginary) parts of I(t, N) at a real t, in float arithmetic:
+    for a number, or elementwise over a 1-d float64 array, each point with
+    the bits it gets alone.
 
-    Where that exponential is below the normal float range (subnormal,
+    Past u = t^2/N = _RESCALE the recurrence runs at u = 0 instead, and
+    the exponent -u/2 takes the value to 0, below the float range.  Where
+    exp(count _LOG_RESCALE - u/2) is below the normal range (subnormal,
     with few digits left, or 0), its square root is multiplied in twice,
     so the rescaled lag (up to 2^400) can lift the product back into the
-    float range with its digits.  Where it is above e^432 (only a t off
-    the real axis gets there), so that it or its product with lag may pass
-    the float range, its square root is multiplied in twice too, with
-    lag / N first; a value past the float range raises OverflowError.
+    float range with its digits.  The real part is product / N, -0.0 taken
+    to 0.0; the imaginary part is 0.0, or NaN where the product is.
     """
+    u = t * t / N
+    lag, count = _laguerre1(N - 1, _where(u > _RESCALE, 0.0, u))
     x = count * _LOG_RESCALE - u / 2
-    if _is_point(x):
-        if x.real > 432.0:  # e^432 2^400 < 2^1024: below it no product can overflow
-            root = cmath.exp(x / 2)  # OverflowError past e^1419: at t = ix (lag >= 1) so is I
-            value = root * (root * lag / N)
-            if not cmath.isfinite(value):
-                raise OverflowError("math range error")
-            return value
-        scale = cmath.exp(x)
-        if abs(scale) >= sys.float_info.min:
-            return scale * lag / N
-        root = cmath.exp(x / 2)
-        return root * (root * lag) / N
-    import numpy as np
+    scale, root = _exp(x), _exp(x / 2)
+    product = _where(scale >= sys.float_info.min, scale * lag, root * (root * lag))
+    return (product + 0.0) / N, (0.0 - product * 0.0) / N
 
-    # math.exp, not numpy's exp, which can round differently; on a real x
-    # up to 708 it has the bits of cmath.exp's real part, whose imaginary
-    # part is 0 (above, cmath.exp rounds exp(x - 1) e instead)
-    scale = pointwise(math.exp, x)
-    product = scale * lag
-    low = ~(scale >= sys.float_info.min)  # NaN too, as for a number
-    root = pointwise(math.exp, x[low] / 2)
-    product[low] = root * (root * np.broadcast_to(lag, x.shape)[low])
-    # Python divides (product + 0j) by N as complex(N, 0.0), so its real
-    # part is (product + 0.0 * 0.0) / N, which turns -0.0 into 0.0, and its
-    # imaginary part (0.0 - product * 0.0) / N, which is NaN with product
-    value = np.empty(x.shape, dtype=complex)
-    value.real = (product + 0.0) / N
-    value.imag = (0.0 - product * 0.0) / N
-    return value
+
+def _wilson_complex(N: int, t: complex) -> complex:
+    """I(t, N) at a t off the real axis, in complex arithmetic.
+
+    Past |u| = |t^2/N| = _RESCALE it is 0 where wilson_bound is below
+    every float, and refused with ValueError elsewhere.  Below it, the
+    exponential is split as on the real axis where it is below the normal
+    range; where it is above e^432, so that it or its product with lag may
+    pass the float range, its square root is multiplied in twice too, with
+    lag / N first.  A value past the float range raises OverflowError.
+    """
+    if (t.real * t.real + t.imag * t.imag) / N > _RESCALE:
+        if _log_wilson_bound(N, t) < math.log(sys.float_info.min * sys.float_info.epsilon):
+            return 0j
+        raise ValueError(f"wilson_eval({N}, {t!r}) is out of reach: |t^2/N| > 2^400")
+    u = t**2 / N
+    # a real u (t = ix) runs the same steps in float arithmetic: same bits, less time
+    lag, count = _laguerre1(N - 1, u if u.imag else u.real)
+    x = count * _LOG_RESCALE - u / 2
+    if x.real > 432.0:  # e^432 2^400 < 2^1024: below it no product can overflow
+        root = cmath.exp(x / 2)  # OverflowError past e^1419: at t = ix (lag >= 1) so is I
+        value = root * (root * lag / N)
+        if not cmath.isfinite(value):
+            raise OverflowError("math range error")
+        return value
+    scale = cmath.exp(x)
+    if abs(scale) >= sys.float_info.min:
+        return scale * lag / N
+    root = cmath.exp(x / 2)
+    return root * (root * lag) / N
 
 
 def wilson_eval(N: int, t):
     """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N.
 
     t is a number (any numbers.Number, taken as a complex), or a real
-    float64 array (a complex array per point).  An array runs the
+    float64 array (a complex array per point).  A real t, as a number or
+    as an array, takes float arithmetic in one body, and an array runs the
     recurrence once over all its points and gives each the bits of the
-    scalar call; a number never loads numpy.  A point whose value is past
-    the float range raises ValueError; only a t off the real axis gets
-    there, such as t = ix, where I = e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N.
+    scalar call; only a number off the real axis takes complex arithmetic,
+    and a number never loads numpy.  A point whose value is past the float
+    range raises ValueError; only a t off the real axis gets there, such
+    as t = ix, where I = e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N.  So does a t
+    off the axis with |t^2/N| past 2^400, unless wilson_bound puts it
+    below every float, where it is 0.
     """
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
     if _is_point(t):
         t = complex(t)
-        if t.imag:
-            u = t**2 / N
-        else:  # the bits of complex(t)**2 / N, but overflow gives inf, not OverflowError
-            u = t.real * t.real / N
-            if u > _RESCALE:
-                return 0j  # below the float range
-        # a real u runs the same steps in float arithmetic: same bits, less time
-        lag, count = _laguerre1(N - 1, u if u.imag else u.real)
+        if not t.imag:
+            return complex(*_wilson_real(N, t.real))
         try:
-            return _wilson_value(N, lag, count, u)
+            return _wilson_complex(N, t)
         except OverflowError:
             raise ValueError(f"wilson_eval({N}, {t!r}) is past the float range: "
                              f"|I(t, N)| > {sys.float_info.max!r}") from None
@@ -193,13 +217,10 @@ def wilson_eval(N: int, t):
     if np.iscomplexobj(t):
         raise TypeError("wilson_eval takes complex t as a number, not as an array")
     t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    with np.errstate(over="ignore"):  # inf, as for a number
-        u = flat * flat / N
-    far = u > _RESCALE  # below the float range: 0, as for a number
-    u = np.where(far, 0.0, u)
-    lag, count = _laguerre1(N - 1, u)
-    return np.where(far, 0.0, _wilson_value(N, lag, count, u)).reshape(t.shape)
+    value = np.empty(t.size, dtype=complex)
+    with np.errstate(over="ignore"):  # t * t past the float range is inf, as for a number
+        value.real, value.imag = _wilson_real(N, t.ravel())
+    return value.reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -223,8 +244,7 @@ def wilson_limit_partial(t: complex, q_max: int) -> complex:
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     u = -(complex(t) ** 2)
-    term = 1.0 + 0.0j
-    total = term
+    term = total = 1.0 + 0.0j
     for q in range(q_max):
         term *= u / ((q + 2) * (q + 1))
         total += term
@@ -232,11 +252,18 @@ def wilson_limit_partial(t: complex, q_max: int) -> complex:
 
 
 def wilson_bound(N: int, t: complex) -> float:
-    """Upper bound exp(-Re(t^2)/2N) * exp(2|t|) on |I(t, N)|."""
+    """Upper bound exp(2|t| - Re(t^2)/2N) on |I(t, N)|, taken as one exponent:
+    0 below the float range, OverflowError past it."""
     if N < 1:
         raise ValueError(f"wilson_bound requires N >= 1, got {N}")
-    t = complex(t)
-    return math.exp(-(t * t).real / (2 * N)) * math.exp(2 * abs(t))
+    return math.exp(_log_wilson_bound(N, complex(t)))
+
+
+def _log_wilson_bound(N: int, t: complex) -> float:
+    """2|t| - Re(t^2)/2N, the exponent of wilson_bound, with no overflow
+    error: |t| by hypot, and Re(t^2) as (x - y)(x + y), which is 0 at
+    x = y where x^2 - y^2 can be inf - inf."""
+    return 2 * math.hypot(t.real, t.imag) - (t.real - t.imag) * (t.real + t.imag) / (2 * N)
 
 
 def density(N: int) -> tuple[Fraction, ...]:
@@ -271,8 +298,14 @@ def _hermite_squares(N: int, y):
     return total, count
 
 
-def _density_value(N: int, total, scale):
-    """sqrt(N/2)/N scale^2 total, for numbers or elementwise for arrays."""
+def _density_real(N: int, lam):
+    """rho_N(lambda) for a number, or elementwise over a 1-d float64 array,
+    each point with the bits it gets alone.  Past y^2 = _RESCALE the
+    recurrence runs at y = 0 instead, and the Gaussian takes the value to
+    0, below the float range."""
+    y = math.sqrt(N / 2) * lam
+    total, count = _hermite_squares(N, _where(y * y > _RESCALE, 0.0, y))
+    scale = _exp(count * _LOG_RESCALE - y * y / 2)
     # scale * (scale * total): scale**2 alone can underflow while total is large
     return math.sqrt(N / 2) / N * scale * (scale * total)
 
@@ -281,28 +314,19 @@ def density_eval(N: int, lam):
     """Float64 value of rho_N(lambda) = sqrt(N/2)/N sum_{k<N} phi_k(y)^2, y = sqrt(N/2) lambda.
 
     lam is a real number (any numbers.Number, taken as a float) or a
-    float64 array; an array runs the recurrence once over all its points
-    and gives each the bits of the scalar call, and a number never loads
-    numpy.
+    float64 array, and both take one float body; an array runs the
+    recurrence once over all its points and gives each the bits of the
+    scalar call, and a number never loads numpy.
     """
     if N < 1:
         raise ValueError(f"density_eval requires N >= 1, got {N}")
     if _is_point(lam):
-        y = math.sqrt(N / 2) * float(lam)
-        if y * y > _RESCALE:
-            return 0.0  # below the float range
-        total, count = _hermite_squares(N, y)
-        return _density_value(N, total, math.exp(count * _LOG_RESCALE - y * y / 2))
+        return _density_real(N, float(lam))
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)
-    y = math.sqrt(N / 2) * lam.ravel()
-    with np.errstate(over="ignore"):
-        far = y * y > _RESCALE  # below the float range: 0, as for a number
-    y = np.where(far, 0.0, y)
-    total, count = _hermite_squares(N, y)
-    value = _density_value(N, total, pointwise(math.exp, count * _LOG_RESCALE - y * y / 2))
-    return np.where(far, 0.0, value).reshape(lam.shape)
+    with np.errstate(over="ignore"):  # y * y past the float range is inf, as for a number
+        return _density_real(N, lam.ravel()).reshape(lam.shape)
 
 
 def wigner_density(lam: float) -> float:
@@ -426,13 +450,20 @@ def truncation_time(N: int) -> float:
     """
     if N < 1:
         raise ValueError(f"truncation_time requires N >= 1, got {N}")
-    T = max(4.0, math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON)))
+    T = _truncation_start(N)
     while True:
         v = T * T / N
         lag, count = _laguerre1(N - 1, -v)
         if count * _LOG_RESCALE - v / 2 + math.log(lag / N) < math.log(TAIL_EPSILON):
             return T
         T += 2.0
+
+
+def _truncation_start(N: int) -> float:
+    """sqrt(2N ln(1/TAIL_EPSILON)), where the Gaussian factor alone is down
+    to TAIL_EPSILON: the first T truncation_time scans, so it never
+    returns less."""
+    return math.sqrt(2 * N * math.log(1.0 / TAIL_EPSILON))
 
 
 def _wilson_transform(N: int, kernels, T: float, tol: float) -> list[float]:
@@ -455,7 +486,9 @@ def resolvent_laplace(N: int, z: complex) -> complex:
     exp(-T Re z)/Re z; the integral runs over [0, T] with T the smaller of
     truncation_time(N) and ln(1/(TAIL_EPSILON min(Re z, 1)))/Re z: over
     the whole [0, truncation_time(N)], about 2.4 N long, the first Simpson
-    nodes would see exp(-Re z t) = 0 and converge falsely.  The real and
+    nodes would see exp(-Re z t) = 0 and converge falsely.  Where the
+    second is at most the scan's start, it is T with no scan (at the gate
+    points below, at most 56.6 against 235 at N = 1000).  The real and
     imaginary parts are the two rows of one integrate_real pass, each to
     1e-10, that takes I once per node; that target is no bound.  Gated
     within 1e-8 of the genus expansion through N^-4 at N in {200, 300,
@@ -468,12 +501,12 @@ def resolvent_laplace(N: int, z: complex) -> complex:
     z = complex(z)
     if z.real <= 0:
         raise ValueError(f"resolvent_laplace requires Re z > 0, got {z}")
-    import numpy as np
-
-    T = min(truncation_time(N), math.log(1.0 / (TAIL_EPSILON * min(z.real, 1.0))) / z.real)
+    T = math.log(1.0 / (TAIL_EPSILON * min(z.real, 1.0))) / z.real
+    if T > _truncation_start(N):  # else truncation_time(N), no less, need not scan
+        T = min(truncation_time(N), T)
 
     def kernels(t):  # cmath.exp per point: numpy's complex exp rounds differently
-        kernel = np.array([cmath.exp(-z * x) for x in t.tolist()])
+        kernel = pointwise(lambda x: cmath.exp(-z * x), t)
         return [kernel.real, kernel.imag]
 
     return complex(*_wilson_transform(N, kernels, T, 1e-10))
@@ -522,8 +555,7 @@ def resolvent_quadrature(N: int, z: complex, nodes: int = DEFAULT_RESOLVENT_NODE
     import numpy as np
 
     x, gw = _gauss_hermite(nodes)
-    scale = math.sqrt(2.0 / N)
-    a = x * scale  # A nodes; D nodes are identical
+    a = x * math.sqrt(2.0 / N)  # A nodes; D nodes are identical
     wts = gw / math.sqrt(math.pi)
     za = z - 1j * a
     zd = z - a

@@ -8,6 +8,7 @@ rounds once to float64.  It shares no code with guekit.
 
 import cmath
 import math
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -155,6 +156,25 @@ def test_wilson_refuses_imaginary_t_past_the_float_range(N, t):
         wilson_eval(N, t)
 
 
+@pytest.mark.parametrize("t", [1e200j, -1e200j, 1e160 + 1e160j, complex(1e200, 2e200)])
+def test_wilson_refuses_t_past_the_recurrences_bound(t):
+    # |t^2/N| > 2^400 and the bound exp(2|t| - Re(t^2)/2N) is not below the
+    # float range: a refusal in words, not an OverflowError from t**2 or the
+    # NaN of inf - inf
+    with pytest.raises(ValueError, match=re.escape(f"wilson_eval(8, {t!r}) is out of reach")):
+        wilson_eval(8, t)
+
+
+@pytest.mark.parametrize("t", [1e200 + 1j, complex(-1e200, -1e150), complex(1e62, 1e61)])
+def test_wilson_is_zero_where_its_bound_is_below_the_float_range(t):
+    assert _bits(wilson_eval(8, t)) == _bits(0j)
+
+
+@pytest.mark.parametrize("t", [complex(math.nan, 1.0), complex(1.0, math.nan)])
+def test_wilson_keeps_a_nan_part_off_the_real_axis(t):
+    assert _bits(wilson_eval(8, t)) == _bits(complex(math.nan, math.nan))
+
+
 def _mpmath_wilson_imaginary(N, x):
     """e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N, I(t, N) at t = ix, in 40-digit mpmath."""
     mpmath = pytest.importorskip("mpmath")
@@ -281,6 +301,30 @@ def test_resolvent_laplace_matches_the_genus_expansion(N, z):
     assert abs(resolvent_laplace(N, z) - _genus_expansion(N, z)) <= 1e-8
 
 
+class _Scanned(Exception):
+    pass
+
+
+def test_resolvent_laplace_scans_only_past_the_scan_start(monkeypatch):
+    # at the gate points ln(1/(1e-12 min(Re z, 1)))/Re z is at most 56.6,
+    # below sqrt(2N ln 1e12) = 235, where the scan of truncation_time(1000)
+    # starts and which it never undercuts; at z = 0.01+i it is 3224
+    want = {0.5 + 1j: ("0x1.52d177bb9d89bp-1", "-0x1.739c80a22b31dp-2"),
+            1 + 2j: ("0x1.3372c93d41dd9p-2", "-0x1.8031aa861543fp-2"),
+            1 + 5j: ("0x1.62092040d6c0fp-5", "-0x1.97562d23af09dp-3"),
+            2 + 1j: ("0x1.7d139c0e4423ap-2", "-0x1.15b9277dd5fc8p-3"),
+            3 + 1j: ("0x1.2134e8c985138p-2", "-0x1.44823457fc13dp-4")}
+
+    def scan(N):
+        raise _Scanned(N)
+
+    monkeypatch.setattr("guekit.observables.truncation_time", scan)
+    for z, (real, imag) in want.items():
+        assert resolvent_laplace(1000, z) == complex(float.fromhex(real), float.fromhex(imag)), z
+    with pytest.raises(_Scanned):
+        resolvent_laplace(1000, 0.01 + 1j)
+
+
 @pytest.mark.parametrize("lam", [0.7, 2.5])
 def test_density_fourier_check_at_n300(lam):
     assert abs(density_fourier_check(300, lam) - density_eval(300, lam)) <= 1e-10
@@ -322,18 +366,49 @@ def test_same_bits_is_strict():
 
 
 # around and past the 2^400 bound on u and y^2, past which the evaluators
-# return 0 without running the recurrence
+# run the recurrence at 0 and return 0
 _HUGE = [1e59, 1e60, 1e61, 1e62, 1e150, math.inf, math.nan]
 
 
-@pytest.mark.parametrize("N", [1, 8, 300, 1000])
-def test_array_evaluators_give_the_scalar_bits(N):
+class _CmathExpCalled(Exception):
+    pass
+
+
+def _exp_one_ulp_high(monkeypatch):
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda v: math.nextafter(exp(v), math.inf))
+
+
+def _cmath_exp_raises(monkeypatch):
+    def refuse(z):
+        raise _CmathExpCalled(z)
+
+    monkeypatch.setattr(cmath, "exp", refuse)
+
+
+# the real axis has one exponential, math.exp, shared by a number and an
+# array, and takes no complex arithmetic: a math.exp one ulp off moves both
+# alike, and a cmath.exp that raises stops only a t off the axis
+@pytest.mark.parametrize("N, stub", [pytest.param(N, None, id=str(N)) for N in (1, 8, 300, 1000)]
+                         + [pytest.param(N, stub, id=f"{N}-{stub.__name__.strip('_')}")
+                            for stub in (_exp_one_ulp_high, _cmath_exp_raises)
+                            for N in (1, 8, 300, 1000)])
+def test_array_evaluators_give_the_scalar_bits(N, stub, monkeypatch):
     # t up to 1300 and lambda up to 40 take the recurrences through their
     # rescales at N = 300 and 1000, and the Wilson scale through underflow
     ts = np.concatenate((np.linspace(0.0, 1300.0, 521), _HUGE, np.negative(_HUGE)))
     lams = np.concatenate((np.linspace(-40.0, 40.0, 641), _HUGE, np.negative(_HUGE)))
+    unstubbed = wilson_eval(N, ts).tolist(), density_eval(N, lams).tolist()
+    if stub:
+        stub(monkeypatch)
     assert _same_bits(wilson_eval(N, ts), [wilson_eval(N, t) for t in ts.tolist()])
     assert _same_bits(density_eval(N, lams), [density_eval(N, lam) for lam in lams.tolist()])
+    if stub is _exp_one_ulp_high:
+        assert not _same_bits(wilson_eval(N, ts), unstubbed[0])
+        assert not _same_bits(density_eval(N, lams), unstubbed[1])
+    if stub is _cmath_exp_raises:
+        with pytest.raises(_CmathExpCalled):
+            wilson_eval(N, 1 + 1j)
 
 
 def test_array_evaluators_keep_the_shape():

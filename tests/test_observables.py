@@ -111,6 +111,14 @@ def test_wilson_bound_values_and_property():
         assert abs(wilson_eval(N, t)) <= wilson_bound(N, t) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("N, t, exponent", [(8, 400, -9200.0), (8, 1e200 + 1j, -math.inf),
+                                             (100, 360, 72.0)])
+def test_wilson_bound_takes_one_exponent(N, t, exponent):
+    # exp(2|t|) alone is past the float range at each t, the bound is not
+    assert wilson_bound(N, t) == math.exp(exponent)
+    assert abs(wilson_eval(N, t)) <= wilson_bound(N, t)
+
+
 # -------------------------------------------------------------------- density
 
 def test_density_hermite_reduction_symbolically():
