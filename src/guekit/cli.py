@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .exact import catalan, double_factorial
@@ -179,6 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # the output flags, and `table`, which builds the command's record from
     # its flags; each builder looks its cmd_* up when it runs
     def add_common(p, table):
+        # a float flag's value may be "-1e200" or "-.5e3": argparse's own pattern
+        # for a negative number, with no public hook, takes these for options
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         p.set_defaults(table=table)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", metavar="FILE", default=None,

@@ -7,8 +7,8 @@ combinatorics) or carries an explicit tolerance (quadrature).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterator
 
 # Adaptive Simpson gives up once the interval has been split into more
 # panels than this.

@@ -135,24 +135,30 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def _times_exp(exp, x, lag):
+    """exp(x) lag, for the exponential `exp` of x's kind: _exp on the real
+    axis (a number or a 1-d float64 array), cmath.exp off it.  Where exp(x)
+    is below the normal range (subnormal, with few digits left, or 0), its
+    square root is multiplied in twice, so the rescaled lag (up to 2^400)
+    can lift the product back into the float range with its digits."""
+    scale, root = exp(x), exp(x / 2)
+    return _where(abs(scale) >= sys.float_info.min, scale * lag, root * (root * lag))
+
+
 def _wilson_real(N: int, t):
     """(real, imaginary) parts of I(t, N) at a real t, in float arithmetic:
     for a number, or elementwise over a 1-d float64 array, each point with
     the bits it gets alone.
 
     Past u = t^2/N = _RESCALE the recurrence runs at u = 0 instead, and
-    the exponent -u/2 takes the value to 0, below the float range.  Where
-    exp(count _LOG_RESCALE - u/2) is below the normal range (subnormal,
-    with few digits left, or 0), its square root is multiplied in twice,
-    so the rescaled lag (up to 2^400) can lift the product back into the
-    float range with its digits.  The real part is product / N, -0.0 taken
-    to 0.0; the imaginary part is 0.0, or NaN where the product is.
+    the exponent -u/2 takes the value to 0, below the float range.  The
+    product exp(count _LOG_RESCALE - u/2) lag is _times_exp's.  The real
+    part is product / N, -0.0 taken to 0.0; the imaginary part is 0.0, or
+    NaN where the product is.
     """
     u = t * t / N
     lag, count = _laguerre1(N - 1, _where(u > _RESCALE, 0.0, u))
-    x = count * _LOG_RESCALE - u / 2
-    scale, root = _exp(x), _exp(x / 2)
-    product = _where(scale >= sys.float_info.min, scale * lag, root * (root * lag))
+    product = _times_exp(_exp, count * _LOG_RESCALE - u / 2, lag)
     return (product + 0.0) / N, (0.0 - product * 0.0) / N
 
 
@@ -161,10 +167,11 @@ def _wilson_complex(N: int, t: complex) -> complex:
 
     Past |u| = |t^2/N| = _RESCALE it is 0 where wilson_bound is below
     every float, and refused with ValueError elsewhere.  Below it, the
-    exponential is split as on the real axis where it is below the normal
-    range; where it is above e^432, so that it or its product with lag may
-    pass the float range, its square root is multiplied in twice too, with
-    lag / N first.  A value past the float range raises OverflowError.
+    product exp(x) lag, x = count _LOG_RESCALE - u/2, is _times_exp's with
+    cmath.exp, except where Re x is above 432, so that exp(x) or its
+    product with lag may pass the float range: there the square root of
+    exp(x) is multiplied in twice, with lag / N first, and a value past
+    the float range is refused with ValueError.
     """
     if (t.real * t.real + t.imag * t.imag) / N > _RESCALE:
         if _log_wilson_bound(N, t) < math.log(sys.float_info.min * sys.float_info.epsilon):
@@ -174,17 +181,18 @@ def _wilson_complex(N: int, t: complex) -> complex:
     # a real u (t = ix) runs the same steps in float arithmetic: same bits, less time
     lag, count = _laguerre1(N - 1, u if u.imag else u.real)
     x = count * _LOG_RESCALE - u / 2
+    # tested as "> 432", so a NaN x takes _times_exp below and gives NaN, not a refusal
     if x.real > 432.0:  # e^432 2^400 < 2^1024: below it no product can overflow
-        root = cmath.exp(x / 2)  # OverflowError past e^1419: at t = ix (lag >= 1) so is I
-        value = root * (root * lag / N)
+        try:  # cmath.exp overflows past e^1419: at t = ix (lag >= 1) so does I
+            root = cmath.exp(x / 2)
+            value = root * (root * lag / N)
+        except OverflowError:
+            value = math.inf
         if not cmath.isfinite(value):
-            raise OverflowError("math range error")
+            raise ValueError(f"wilson_eval({N}, {t!r}) is past the float range: "
+                             f"|I(t, N)| > {sys.float_info.max!r}")
         return value
-    scale = cmath.exp(x)
-    if abs(scale) >= sys.float_info.min:
-        return scale * lag / N
-    root = cmath.exp(x / 2)
-    return root * (root * lag) / N
+    return _times_exp(cmath.exp, x, lag) / N
 
 
 def wilson_eval(N: int, t):
@@ -205,13 +213,7 @@ def wilson_eval(N: int, t):
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
     if _is_point(t):
         t = complex(t)
-        if not t.imag:
-            return complex(*_wilson_real(N, t.real))
-        try:
-            return _wilson_complex(N, t)
-        except OverflowError:
-            raise ValueError(f"wilson_eval({N}, {t!r}) is past the float range: "
-                             f"|I(t, N)| > {sys.float_info.max!r}") from None
+        return _wilson_complex(N, t) if t.imag else complex(*_wilson_real(N, t.real))
     import numpy as np
 
     if np.iscomplexobj(t):

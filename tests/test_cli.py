@@ -373,12 +373,31 @@ def test_main_out_file_that_cannot_be_opened_is_usage_error(tmp_path, capsys):
     ["density", "--N", "3", "--lambda-max", "nan", "--steps", "1"],
     ["sample", "--N", "3", "--samples", "100", "--t", "nan"],
     ["sample", "--N", "3", "--samples", "100", "--t", "1.0", "--t", "inf"],
+    # the span overflows, as in the "--t-min=-1e308" form above
+    ["wilson", "--N", "3", "--t-min", "-1e308", "--t-max", "1e308"],
+    ["density", "--N", "3", "--lambda-min", "-1e308", "--lambda-max", "1e308"],
 ])
 def test_main_rejects_non_finite_arguments(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["wilson", "--N", "1", "--t-min", "-1e200", "--t-max", "1e200", "--steps", "7"],
+    ["wilson", "--N", "1", "--t-min", "-.5e1", "--steps", "3"],
+    ["density", "--N", "2", "--lambda-min", "-1e5", "--lambda-max", "1", "--steps", "2"],
+    ["sample", "--N", "4", "--samples", "100", "--t", "-1e-1"],
+])
+def test_float_flags_take_a_negative_number_with_an_exponent(capsys, argv):
+    # argparse's own pattern for a negative number admits only "-1" and "-1.5"
+    # forms; the space form of "-1e200" must read as a value all the same
+    i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[1:2] in "0123456789.")
+    joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    assert run_main(capsys, joined) == (code, out)
 
 
 @pytest.mark.parametrize("N, l_max, code", [(1, 151, 2), (3, 184, 2), (8, 224, 2),
@@ -1075,10 +1094,10 @@ def _fresh(args, stdout=subprocess.PIPE, env=None):
                           stderr=subprocess.PIPE)
 
 
-# dataclasses and inspect count only where the bare interpreter lacks them
+# dataclasses, inspect and typing count only where the bare interpreter lacks them
 _IMPORT_PROBE = _TABLE_PROBE + """
 unneeded = {"numpy", "pickle", "guekit.montecarlo", "guekit.worker"}
-unneeded |= {"dataclasses", "inspect"} - bare
+unneeded |= {"dataclasses", "inspect", "typing"} - bare
 for argv in TABLES:
     assert run(argv) == 0, argv
     loaded = sorted(m for m in sys.modules
@@ -1088,9 +1107,11 @@ for argv in TABLES:
 
 
 def test_table_commands_load_only_their_modules():
-    # neither the enumeration oracles, the sampler and its worker, nor what they import
-    result = _fresh(["-c", _IMPORT_PROBE])
-    assert result.returncode == 0, result.stderr.decode()
+    # neither the enumeration oracles, the sampler and its worker, nor what they
+    # import; under -S no site hook has loaded typing before guekit
+    for flags in ([], ["-S"]):
+        result = _fresh([*flags, "-c", _IMPORT_PROBE])
+        assert result.returncode == 0, result.stderr.decode()
 
 
 # A fresh interpreter that runs the command in argv[1] in-process and

@@ -143,6 +143,10 @@ def test_wilson_keeps_its_digits_where_the_scale_is_subnormal(N, t):
     (8, 1.5, "0x1.d1d941a4dde8cp-3", "0x0.0p+0"),
     (40, 3 + 1j, "-0x1.8716b2182289ap-3", "0x1.42313ff9adde9p-2"),
     (1000, 2500.0, "-0x1.510700f738894p-724", "0x0.0p+0"),
+    # off the axis: the scale subnormal, then normal, then above e^432
+    (300, 970 + 2j, "-0x1.b009bb60bc2cap-879", "-0x1.139c772101509p-877"),
+    (300, 966 + 1j, "0x1.728dce57ca3cfp-863", "0x1.061a8d93c7237p-863"),
+    (1000, 340j, "0x1.384affb9f1993p+971", "0x0.0p+0"),
 ])
 def test_wilson_splits_the_scale_only_where_it_underflows_to_zero(N, t, real, imag):
     assert wilson_eval(N, t) == complex(float.fromhex(real), float.fromhex(imag))
