@@ -26,15 +26,14 @@ from .observables import (
     wilson_loop,
 )
 from .records import OutputRecord
-from .verify import (
-    DEFAULT_SEED,
-    HISTOGRAM_BINS,
-    HISTOGRAM_SAMPLES,
-    SUITES,
-    refuse_draw,
-    refuse_past,
-    run_suite,
-)
+from .verify import DEFAULT_SEED, SUITES, run_suite
+
+
+def refuse_past(used, budget, shape, rule, note=""):
+    """Refuse, as a usage error, a command whose `used` is past `budget`:
+    "<shape> is past the budget of <rule> <= <budget><note>"."""
+    if used > budget:
+        raise ValueError(f"{shape} is past the budget of {rule} <= {budget}{note}")
 
 
 # The largest `wilson --N`: the table's parameters carry the exact ladder,
@@ -142,11 +141,22 @@ def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
                         ["p", "series_coefficient", "from_rosette_counts"], rows)
 
 
+# The largest max(N, 32)^3 x samples of `sample`'s draw.  Its eigvalsh work
+# grows as N^3 x samples; below N = 32 the per-sample Philox set-up and
+# assembly set the cost, and N^3 alone would let N = 1 through with 2^29
+# samples.  At the budget's edges `sample` takes, from a fresh process on a
+# 2-core AVX-512 Xeon (median of 5), 2.0 s at N = 32 with 16384 samples,
+# 1.0 s at N = 64 with 2048 and 0.55 s at N = 128 with 256; N = 128 with
+# 2000 samples, about 8 times the budget, takes 3.3 s through estimate_wilson.
+SAMPLE_WORK_BUDGET = 2**29
+
+
 def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRecord:
     for t in t_list:
         if not math.isfinite(t):
             raise ValueError(f"--t must be finite, got {t}")
-    refuse_draw(N, samples, f"--N {N} with --samples {samples}")
+    refuse_past(max(N, 32)**3 * samples, SAMPLE_WORK_BUDGET,
+                f"--N {N} with --samples {samples}", "max(N, 32)^3 x samples")
     from .montecarlo import estimate_wilson, zscore
 
     rows = []
@@ -159,8 +169,8 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
                         ["t", "mean", "std_error", "exact", "zscore"], rows)
 
 
-def cmd_verify(suite: str, l_max: int | None, samples: int, bins: int, seed: int) -> int:
-    failures = run_suite(suite, l_max=l_max, samples=samples, bins=bins, seed=seed)
+def cmd_verify(suite: str, seed: int) -> int:
+    failures = run_suite(suite, seed=seed)
     if failures:
         print(json.dumps({"suite": suite, "status": "FAIL", "failures": failures},
                          indent=2))
@@ -180,9 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # the output flags, and `table`, which builds the command's record from
     # its flags; each builder looks its cmd_* up when it runs
     def add_common(p, table):
-        # a float flag's value may be "-1e200" or "-.5e3": argparse's own pattern
-        # for a negative number, with no public hook, takes these for options
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        # a float flag's value may be "-1e200", "-.5e3" or "-inf": argparse's own
+        # pattern for a negative number, with no public hook, takes these for options
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf(inity)?|nan)$", re.IGNORECASE)
         p.set_defaults(table=table)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--out", metavar="FILE", default=None,
@@ -228,10 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--l-max", type=int, default=None,
-                   help="lower (never raise) the enumeration budget")
-    p.add_argument("--samples", type=int, default=HISTOGRAM_SAMPLES)
-    p.add_argument("--bins", type=int, default=HISTOGRAM_BINS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
@@ -241,7 +247,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.suite, args.l_max, args.samples, args.bins, args.seed)
+            return cmd_verify(args.suite, args.seed)
         record = args.table(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

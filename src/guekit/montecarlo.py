@@ -182,18 +182,6 @@ def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
     return stats[0] if _is_point(t) else stats
 
 
-def refuse_histogram(samples: int, bins: int, lam_range: tuple[float, float]) -> None:
-    """Refuse, as a usage error, a histogram of fewer than 10 bins, over an
-    empty range or from fewer than two samples."""
-    lo, hi = lam_range
-    if bins < 10:
-        raise ValueError(f"need at least 10 bins, got {bins}")
-    if not lo < hi:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-
-
 def estimate_density_histogram(N: int, samples: int, bins: int,
                                lam_range: tuple[float, float],
                                seed: int) -> list[SampleStats]:
@@ -204,8 +192,13 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
     samples * N * bin_width.  Each half of the samples counts its own
     rows, a (rows, bins) array.
     """
-    refuse_histogram(samples, bins, lam_range)
     lo, hi = lam_range
+    if bins < 10:
+        raise ValueError(f"need at least 10 bins, got {bins}")
+    if not lo < hi:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if samples < 2:
+        raise ValueError("need at least two samples")
     width = (hi - lo) / bins
 
     def row_counts(eigs):

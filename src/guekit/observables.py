@@ -138,11 +138,16 @@ def wilson_loop(N: int) -> tuple[Fraction, ...]:
 def _times_exp(exp, x, lag):
     """exp(x) lag, for the exponential `exp` of x's kind: _exp on the real
     axis (a number or a 1-d float64 array), cmath.exp off it.  Where exp(x)
-    is below the normal range (subnormal, with few digits left, or 0), its
-    square root is multiplied in twice, so the rescaled lag (up to 2^400)
-    can lift the product back into the float range with its digits."""
-    scale, root = exp(x), exp(x / 2)
-    return _where(abs(scale) >= sys.float_info.min, scale * lag, root * (root * lag))
+    is below the normal range (subnormal, with few digits left, 0 or NaN),
+    its square root is multiplied in twice, so the rescaled lag (up to
+    2^400) can lift the product back into the float range with its digits;
+    the root is taken only where some point needs it."""
+    scale = exp(x)
+    normal = abs(scale) >= sys.float_info.min
+    if normal if _is_point(normal) else normal.all():
+        return scale * lag
+    root = exp(x / 2)
+    return _where(normal, scale * lag, root * (root * lag))
 
 
 def _wilson_real(N: int, t):

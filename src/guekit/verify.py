@@ -1,9 +1,8 @@
 """Named invariant suites behind the `verify` command.
 
 Each suite returns a list of failure dicts (module, operation, inputs,
-expected, actual); an empty list means the suite passed.  Budgets can be
-lowered through the keyword arguments but never raised past the module
-limits.
+expected, actual); an empty list means the suite passed.  Each runs at the
+budget its module fixes.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from .observables import (
 )
 
 # The enumeration oracles of guekit.maps are imported inside the suites that
-# run them, so the table commands, which import this module for its
-# constants, do not load them.
+# run them, so the table commands, which import this module, do not load them.
 
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 
@@ -35,32 +33,6 @@ HISTOGRAM_N = 8
 HISTOGRAM_RANGE = (-3.0, 3.0)
 HISTOGRAM_SAMPLES = 4000
 HISTOGRAM_BINS = 40
-# The largest samples x bins of the histogram, which holds a (samples, bins)
-# array of counts and one of densities; 16384 x 40 is inside.
-HISTOGRAM_CELL_BUDGET = 2**20
-
-# The largest max(N, 32)^3 x samples of a draw: `sample`'s, and the density
-# suite's at HISTOGRAM_N.  Its eigvalsh work grows as N^3 x samples; below
-# N = 32 the per-sample Philox set-up and assembly set the cost, and N^3
-# alone would let N = 1 through with 2^29 samples.  At the budget's edges
-# `sample` takes, from a fresh process on a 2-core AVX-512 Xeon (median of
-# 5), 2.0 s at N = 32 with 16384 samples, 1.0 s at N = 64 with 2048 and
-# 0.55 s at N = 128 with 256; N = 128 with 2000 samples, about 8 times the
-# budget, takes 3.3 s through estimate_wilson.
-SAMPLE_WORK_BUDGET = 2**29
-
-
-def refuse_past(used, budget, shape, rule, note=""):
-    """Refuse, as a usage error, a command whose `used` is past `budget`:
-    "<shape> is past the budget of <rule> <= <budget><note>"."""
-    if used > budget:
-        raise ValueError(f"{shape} is past the budget of {rule} <= {budget}{note}")
-
-
-def refuse_draw(N, samples, shape, note=""):
-    """Refuse a draw of `samples` N x N matrices past SAMPLE_WORK_BUDGET."""
-    refuse_past(max(N, 32)**3 * samples, SAMPLE_WORK_BUDGET, shape, "max(N, 32)^3 x samples", note)
-
 
 WICK_L_MAX = 7
 HZ_P_MAX = 7
@@ -81,22 +53,11 @@ def _check(failures, module, operation, inputs, expected, actual, tol=0, shown=N
                  expected if shown is None else shown, actual)
 
 
-def _cap(requested, default, flag):
-    if requested is None:
-        return default
-    if requested > default:
-        raise ValueError(f"{flag} can lower the budget but not raise it past {default}")
-    if requested < 1:
-        raise ValueError(f"{flag} must be at least 1")
-    return requested
-
-
-def suite_wick(l_max=None):
+def suite_wick():
     from .maps.rosettes import moment_wick
 
-    l_max = _cap(l_max, WICK_L_MAX, "--l-max")
     failures = []
-    for l in range(l_max + 1):
+    for l in range(WICK_L_MAX + 1):
         for N in range(1, 7):
             _check(failures, "map_combinatorics", "moment_wick", {"N": N, "l": l},
                    moment_exact(N, l), moment_wick(N, l))
@@ -138,7 +99,7 @@ def suite_best():
     return failures
 
 
-def suite_initial(l_max=None):
+def suite_initial():
     from .maps.multigraph import (
         DERIVATIVE_EDGE_BUDGET,
         INITIAL_IDENTITY_EDGE_BUDGET,
@@ -148,9 +109,8 @@ def suite_initial(l_max=None):
         trace_derivative_value,
     )
 
-    l_max = _cap(l_max, INITIAL_IDENTITY_EDGE_BUDGET, "--l-max")
     failures = []
-    for l in range(1, l_max + 1):
+    for l in range(1, INITIAL_IDENTITY_EDGE_BUDGET + 1):
         for N in range(1, 7):
             for message in initial_identity_report(l, N):
                 _failure(failures, "map_combinatorics", "verify_initial_identity",
@@ -164,15 +124,13 @@ def suite_initial(l_max=None):
     return failures
 
 
-def suite_hz(p_max=None):
+def suite_hz():
     # the closed forms stay this module's globals, which a test may replace
     from .maps.rosettes import harer_zagier_recursion, rosette_census
 
-    l_top = HZ_RECURSION_L_MAX if p_max is None else min(p_max, HZ_RECURSION_L_MAX)
-    p_max = _cap(p_max, HZ_P_MAX, "--l-max")
     failures = []
     for N in range(1, 6):
-        columns = zip(harer_zagier_closed(N, p_max), harer_zagier_from_counts(N, p_max))
+        columns = zip(harer_zagier_closed(N, HZ_P_MAX), harer_zagier_from_counts(N, HZ_P_MAX))
         for p, (closed, rebuilt) in enumerate(columns, 1):
             _check(failures, "map_combinatorics", "harer_zagier_closed", {"N": N, "p": p},
                    rebuilt, closed)
@@ -180,11 +138,11 @@ def suite_hz(p_max=None):
                 _check(failures, "map_combinatorics", "harer_zagier_closed", {"N": 1, "p": p},
                        1, closed)
     # C_g(l) from the closed form against each count source: the census and
-    # Catalan (g = 0 only) for l <= p_max, then the recursion for l <= l_top
-    rows = [row for l in range(1, p_max + 1)
+    # Catalan (g = 0 only) for l <= HZ_P_MAX, then the recursion for l <= HZ_RECURSION_L_MAX
+    rows = [row for l in range(1, HZ_P_MAX + 1)
             for row in ((l, rosette_census(l).counts), (l, [catalan(l)]))]
-    recursion = harer_zagier_recursion(l_top)
-    for l, counts in rows + [(l, recursion[l]) for l in range(1, l_top + 1)]:
+    recursion = harer_zagier_recursion(HZ_RECURSION_L_MAX)
+    for l, counts in rows + [(l, recursion[l]) for l in range(1, HZ_RECURSION_L_MAX + 1)]:
         for g, count in enumerate(counts):
             _check(failures, "map_combinatorics", "rosette_count_formula", {"l": l, "g": g},
                    count, rosette_count_formula(l, g))
@@ -200,12 +158,12 @@ FOURIER_POINTS = [
 ]
 
 
-def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_SEED):
-    # drawn first: a usage error in samples or bins comes before the integrals,
-    # and the draw splits over two processes before they load numpy
+def suite_density(seed=DEFAULT_SEED):
+    # drawn first: the draw splits over two processes before the integrals load numpy
     from .montecarlo import estimate_density_histogram
 
-    stats = estimate_density_histogram(HISTOGRAM_N, samples, bins, HISTOGRAM_RANGE, seed)
+    stats = estimate_density_histogram(HISTOGRAM_N, HISTOGRAM_SAMPLES, HISTOGRAM_BINS,
+                                       HISTOGRAM_RANGE, seed)
     failures = []
     for N in range(1, 11):
         # one pass over shared nodes: the normalization, the moments l = 1 .. 4
@@ -233,16 +191,17 @@ def suite_density(samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS, seed=DEFAULT_S
             _check(failures, "observables", "density_fourier_check", {"N": N, "lambda": lam},
                    density_eval(N, lam), got, 1e-8)
     lo, hi = HISTOGRAM_RANGE
-    width = (hi - lo) / bins
+    width = (hi - lo) / HISTOGRAM_BINS
     bad = 0
     for j, st in enumerate(stats):  # a NaN mean is an outlier
         center = lo + (j + 0.5) * width
         reference = density_eval(HISTOGRAM_N, center)
         if st.std_error > 0 and not abs(st.mean - reference) <= 4 * st.std_error:
             bad += 1
-    if bad > 0.05 * bins:
+    if bad > 0.05 * HISTOGRAM_BINS:
         _failure(failures, "montecarlo", "estimate_density_histogram",
-                 {"N": HISTOGRAM_N, "samples": samples, "bins": bins, "seed": seed},
+                 {"N": HISTOGRAM_N, "samples": HISTOGRAM_SAMPLES, "bins": HISTOGRAM_BINS,
+                  "seed": seed},
                  "within 4 std errors in >= 95% of bins", f"{bad} outliers")
     return failures
 
@@ -263,8 +222,7 @@ def suite_bound(seed=DEFAULT_SEED):
     return failures
 
 
-def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
-              seed=DEFAULT_SEED):
+def run_suite(name, seed=DEFAULT_SEED):
     """The failures of suite `name`.  "all" gives those of every suite, in
     SUITES order, through worker.run_beside: "density", the one suite that
     loads numpy, then "bound" in this process, and "wick", "best",
@@ -272,31 +230,12 @@ def run_suite(name, l_max=None, samples=HISTOGRAM_SAMPLES, bins=HISTOGRAM_BINS,
     turn where numpy has loaded already or no two CPUs can be pinned."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if name in ("all", "density"):  # the suites that draw, checked before any fork
-        refuse_draw(HISTOGRAM_N, samples, f"--samples {samples}", f" at N = {HISTOGRAM_N}")
-        refuse_past(max(samples, 0) * bins, HISTOGRAM_CELL_BUDGET,
-                    f"--samples {samples} with --bins {bins}", "samples x bins")
-    if name == "all":  # then the usage errors of wick and density, in suite order
-        from .montecarlo import refuse_histogram
-
-        _cap(l_max, WICK_L_MAX, "--l-max")
-        refuse_histogram(samples, bins, HISTOGRAM_RANGE)
-
-    def budget(top):
-        # under "all", one --l-max lowers each enumeration budget to at most its own maximum
-        return l_max if name != "all" or l_max is None else min(l_max, top)
-
-    def initial():
-        from .maps.multigraph import INITIAL_IDENTITY_EDGE_BUDGET
-
-        return suite_initial(budget(INITIAL_IDENTITY_EDGE_BUDGET))
-
     suites = {
-        "wick": lambda: suite_wick(l_max),
-        "best": lambda: suite_best(),
-        "initial": initial,
-        "hz": lambda: suite_hz(budget(HZ_P_MAX)),
-        "density": lambda: suite_density(samples=samples, bins=bins, seed=seed),
+        "wick": suite_wick,
+        "best": suite_best,
+        "initial": suite_initial,
+        "hz": suite_hz,
+        "density": lambda: suite_density(seed=seed),
         "bound": lambda: suite_bound(seed=seed),
     }
     if name != "all":

@@ -389,15 +389,28 @@ def test_main_rejects_non_finite_arguments(capsys, argv):
     ["wilson", "--N", "1", "--t-min", "-.5e1", "--steps", "3"],
     ["density", "--N", "2", "--lambda-min", "-1e5", "--lambda-max", "1", "--steps", "2"],
     ["sample", "--N", "4", "--samples", "100", "--t", "-1e-1"],
+    # not finite: the grid refuses these in its own words, in either form
+    ["wilson", "--N", "1", "--t-min", "-inf"],
+    ["wilson", "--N", "1", "--t-min", "-Infinity"],
+    ["density", "--N", "1", "--lambda-min", "-NaN"],
 ])
 def test_float_flags_take_a_negative_number_with_an_exponent(capsys, argv):
     # argparse's own pattern for a negative number admits only "-1" and "-1.5"
-    # forms; the space form of "-1e200" must read as a value all the same
-    i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[1:2] in "0123456789.")
+    # forms; the space form of "-1e200" or "-inf" must read as a value all the same
+    i = next(i for i, arg in enumerate(argv) if arg[:1] == "-" and arg[1:2] != "-")
     joined = [*argv[:i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1:]]
-    code, out = run_main(capsys, argv)
-    assert code == 0
-    assert run_main(capsys, joined) == (code, out)
+
+    def run(args):
+        code = main(args)
+        return code, *capsys.readouterr()
+
+    code, out, err = run(argv)
+    if math.isfinite(float(argv[i])):
+        assert code == 0
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: grid ends and their difference must be finite, got ")
+    assert run(joined) == (code, out, err)
 
 
 @pytest.mark.parametrize("N, l_max, code", [(1, 151, 2), (3, 184, 2), (8, 224, 2),
@@ -569,15 +582,10 @@ def test_main_sample_deterministic(capsys):
 
 
 def test_main_verify_quick_suites(capsys):
-    code, out = run_main(capsys, ["verify", "--suite", "wick", "--l-max", "4"])
+    code, out = run_main(capsys, ["verify", "--suite", "wick"])
     assert code == 0 and "PASS wick" in out
-    code, out = run_main(capsys, ["verify", "--suite", "hz", "--l-max", "4"])
+    code, out = run_main(capsys, ["verify", "--suite", "hz"])
     assert code == 0 and "PASS hz" in out
-
-
-def test_main_verify_budget_cannot_be_raised(capsys):
-    code = main(["verify", "--suite", "wick", "--l-max", "9"])
-    assert code == 2
 
 
 def _reported(capsys, argv):
@@ -615,38 +623,6 @@ def _force_split(monkeypatch):
 
     cpu = min(MASK)
     monkeypatch.setattr(worker, "_split_cpus", lambda: [cpu, cpu])
-
-
-@needs_affinity
-def test_main_verify_all_lowers_every_budget(capsys, monkeypatch):
-    # under "all" the enumeration suites run in a forked worker, so each
-    # recorder reports its budget as a failure rather than in a list here
-    import guekit.verify as verify
-    from guekit.maps.multigraph import INITIAL_IDENTITY_EDGE_BUDGET
-
-    _force_split(monkeypatch)
-
-    def recorder(name, top):
-        def suite(budget=None, **kwargs):
-            return _fails_once(name, budget=verify._cap(budget, top, "--l-max"))()
-        return suite
-
-    monkeypatch.setattr(verify, "suite_wick", recorder("wick", verify.WICK_L_MAX))
-    monkeypatch.setattr(verify, "suite_initial", recorder("initial", INITIAL_IDENTITY_EDGE_BUDGET))
-    monkeypatch.setattr(verify, "suite_hz", recorder("hz", verify.HZ_P_MAX))
-    for name in ("best", "density", "bound"):
-        monkeypatch.setattr(verify, f"suite_{name}", lambda *a, **k: [])
-
-    for flags, expected in [
-        (["--l-max", "3"], [("wick", 3), ("initial", 3), ("hz", 3)]),
-        (["--l-max", "5"], [("wick", 5), ("initial", 4), ("hz", 5)]),
-        ([], [("wick", 7), ("initial", 4), ("hz", 7)]),
-    ]:
-        code, reported = _reported(capsys, ["verify", "--suite", "all", *flags])
-        assert code == 1
-        assert [(name, inputs["budget"]) for name, inputs in reported] == expected
-    assert main(["verify", "--suite", "all", "--l-max", "8"]) == 2
-    _assert_no_child_left()
 
 
 def _stub_suites(monkeypatch, **suites):
@@ -728,23 +704,21 @@ def test_main_verify_all_raises_the_first_error_in_suite_order(capsys, monkeypat
 
 @needs_affinity
 def test_main_verify_all_refuses_its_usage_errors_before_it_forks(capsys, monkeypatch):
-    # each error is the one the suites give in suite order: wick's --l-max
-    # before density's --bins and --samples
+    # each suite runs at the budget its module fixes, so verify takes no
+    # budget flag: argparse refuses one before any suite runs
     _force_split(monkeypatch)
 
     def no_fork():
         raise OSError("verify forked before it refused its flags")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    for flags, error in [
-        (["--l-max", "8"], "--l-max can lower the budget but not raise it past 7"),
-        (["--l-max", "0"], "--l-max must be at least 1"),
-        (["--bins", "5"], "need at least 10 bins, got 5"),
-        (["--samples", "1"], "need at least two samples"),
-        (["--l-max", "0", "--bins", "5"], "--l-max must be at least 1"),
-    ]:
-        assert main(["verify", "--suite", "all", *flags]) == 2
-        assert capsys.readouterr() == ("", f"error: {error}\n")
+    for flag in (["--l-max", "3"], ["--samples", "100"], ["--bins", "20"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "all", *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n")
     assert os.sched_getaffinity(0) == MASK
 
 
@@ -786,22 +760,6 @@ def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
     with pytest.raises(QuadratureError, match="diverges"):
         main(["verify", "--suite", "all"])
     assert time.monotonic() - start < 30  # bound, after density, never ran
-    _assert_no_child_left()
-
-
-@needs_affinity
-@pytest.mark.parametrize("flag", [["--samples", "1"], ["--bins", "5"]])
-def test_main_verify_all_refuses_histogram_flags_before_integrating(capsys, monkeypatch, flag):
-    import guekit.verify as verify
-
-    _force_split(monkeypatch)
-
-    def integrates(*args, **kwargs):
-        raise AssertionError("integrated before the histogram flags were checked")
-
-    monkeypatch.setattr(verify, "integrate_real", integrates)
-    assert main(["verify", "--suite", "all", *flag]) == 2
-    assert capsys.readouterr().err.startswith("error: need at least")
     _assert_no_child_left()
 
 
@@ -936,58 +894,12 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
 
 def test_main_sample_runs_the_last_shape_inside_its_budget(capsys):
     # N counts as at least 32 in the budget, so N = 1 takes as many samples as N = 32
-    import guekit.verify as verify
+    import guekit.cli as cli
 
-    samples = verify.SAMPLE_WORK_BUDGET // 32**3
+    samples = cli.SAMPLE_WORK_BUDGET // 32**3
     code, out = run_main(capsys, ["sample", "--N", "1", "--samples", str(samples), "--t", "1.0"])
     assert code == 0
     assert OutputRecord.from_csv(out).parameters["samples"] == samples == 16384
-
-
-@needs_affinity
-@pytest.mark.parametrize("suite", ["density", "all"])
-@pytest.mark.parametrize("flags, error", [
-    (["--samples", "16385"], "--samples 16385 is past the budget of "
-                             "max(N, 32)^3 x samples <= 536870912 at N = 8"),
-    (["--samples", "16384", "--bins", "65"], "--samples 16384 with --bins 65 is past the "
-                                             "budget of samples x bins <= 1048576"),
-    (["--bins", "263"], "--samples 4000 with --bins 263 is past the budget of "
-                        "samples x bins <= 1048576"),
-])
-def test_main_verify_refuses_a_draw_past_its_budget_before_forking(capsys, monkeypatch, suite,
-                                                                   flags, error):
-    import guekit.verify as verify
-
-    _force_split(monkeypatch)
-
-    def no_fork():
-        raise AssertionError("forked before the draw's budget was checked")
-
-    def integrates(*args, **kwargs):
-        raise AssertionError("integrated before the draw's budget was checked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(verify, "integrate_real", integrates)
-    assert main(["verify", "--suite", suite, *flags]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {error}\n"
-    assert captured.out == ""
-    assert os.sched_getaffinity(0) == MASK
-
-
-def test_main_verify_draws_the_last_shape_inside_its_budgets(capsys):
-    # 16384 samples is sample's limit at N = 8, and 16384 x 64 the cell budget
-    import guekit.verify as verify
-
-    assert verify.SAMPLE_WORK_BUDGET // 32**3 == 16384
-    assert 16384 * 64 == verify.HISTOGRAM_CELL_BUDGET
-    code, out = run_main(capsys, ["verify", "--suite", "density",
-                                  "--samples", "16384", "--bins", "64"])
-    assert (code, out) == (0, "PASS density\n")
-    # the suites that do not draw read neither flag
-    code, out = run_main(capsys, ["verify", "--suite", "wick", "--l-max", "2",
-                                  "--samples", "16385", "--bins", "100000"])
-    assert (code, out) == (0, "PASS wick\n")
 
 
 @needs_affinity
@@ -1249,6 +1161,8 @@ finally:
     (["sample", "--N", "2", "--samples", "100", "--t", "1.0"], b"# command: sample\n"),
     (["rosettes", "--l", "4"], b"# command: rosettes\n"),
     (["--help"], b"usage: guekit"),
+    # the command line of perfbench's verify workload, which sets --seed
+    (["verify", "--suite", "all", "--seed", "7"], b"PASS all\n"),
 ])
 def test_fresh_cli_leaves_through_os_exit_with_no_child_left(argv, stdout_start):
     result = _fresh(["-c", _EXIT_PROBE, *argv])
@@ -1259,7 +1173,7 @@ def test_fresh_cli_leaves_through_os_exit_with_no_child_left(argv, stdout_start)
 @pytest.mark.parametrize("argv", [
     ["moments", "--N", "x"],  # argparse
     ["rosettes", "--l", "0"],  # a command's ValueError
-    ["verify", "--suite", "hz", "--l-max", "8"],
+    ["verify", "--suite", "hz", "--l-max", "8"],  # argparse: verify takes no budget flag
 ])
 def test_fresh_cli_usage_error_exits_2(argv):
     result = _fresh(["-c", _EXIT_PROBE, *argv])

@@ -119,6 +119,26 @@ def test_wilson_bound_takes_one_exponent(N, t, exponent):
     assert abs(wilson_eval(N, t)) <= wilson_bound(N, t)
 
 
+def test_wilson_takes_the_square_root_of_exp_x_only_where_a_point_needs_it(monkeypatch):
+    # one math.exp a point where every exp(x) is normal; at N = 300,
+    # t = 961.5 exp(x) is subnormal, so its grid takes exp(x / 2) too
+    grid = np.linspace(0.0, 40.0, 2001)
+    expected = wilson_eval(40, grid)
+    exp, calls = math.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    assert np.array_equal(wilson_eval(40, grid), expected)
+    assert len(calls) == len(grid)
+    for N, t, exps in [(40, 3.0, 1), (300, 961.5, 2), (300, np.array([1.0, 961.5]), 4)]:
+        calls.clear()
+        wilson_eval(N, t)
+        assert len(calls) == exps
+
+
 # -------------------------------------------------------------------- density
 
 def test_density_hermite_reduction_symbolically():

@@ -35,7 +35,7 @@ def test_suite_wick_records_each_wrong_moment(monkeypatch):
     off = {(5, 1), (2, 3)}
     monkeypatch.setattr(verify, "moment_exact",
                         lambda N, l: moment_exact(N, l) + ((N, l) in off))
-    assert verify.suite_wick(3) == [  # l outer, N inner
+    assert verify.suite_wick() == [  # l outer, N inner
         _record("map_combinatorics", "moment_wick", {"N": N, "l": l},
                 moment_exact(N, l) + 1, moment_wick(N, l))
         for N, l in [(5, 1), (2, 3)]]
@@ -71,7 +71,7 @@ def test_suite_initial_records_a_wrong_identity_and_a_wrong_derivative(monkeypat
                         lambda l, N: ["off"] if (l, N) == (2, 3) else report(l, N))
     monkeypatch.setattr(multigraph, "trace_derivative_value",
                         lambda graph: derivative(graph) + (graph.multiplicity == ((2,),)))
-    assert verify.suite_initial(2) == [
+    assert verify.suite_initial() == [
         _record("map_combinatorics", "verify_initial_identity", {"l": 2, "N": 3},
                 "exact identity", "off"),
         _record("map_combinatorics", "eulerian_count_normalized", {"graph": ((2,),)},
