@@ -37,28 +37,3 @@ from .observables import (
 from .records import OutputRecord
 
 __version__ = "0.1.0"
-
-# Names of the sampler and of the enumeration oracles in guekit.maps,
-# which no table command runs, resolve on first use (PEP 562): name -> the
-# submodule that defines it.  The sampler's names load numpy on their
-# first draw, not on import.  The exact observables, the closed forms and
-# the Harer-Zagier recursion among them, and the records load with the
-# package.
-_LAZY = {
-    **dict.fromkeys(("SampleStats", "estimate_density_histogram", "estimate_wilson",
-                     "sample_gue", "zscore"), "montecarlo"),
-    **dict.fromkeys(("CombinatorialMap", "DirectedDouble", "EulerianCycle", "Multigraph",
-                     "Pairing", "RosetteCensus", "best_forward", "best_inverse",
-                     "directed_double", "enumerate_connected_multigraphs", "enumerate_maps",
-                     "enumerate_pairings", "eulerian_count_normalized",
-                     "eulerian_count_rooted", "moment_wick", "rosette_census",
-                     "rosette_genus", "verify_initial_identity"), "maps"),
-}
-
-
-def __getattr__(name):
-    if name in _LAZY:
-        from importlib import import_module
-
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -103,26 +103,19 @@ def cmd_moments(N: int, l_max: int) -> OutputRecord:
 # The largest `rosettes --l`: the table builds every row of the recursion
 # up to l, and C_g(l) has thousands of digits there.  From a fresh process
 # l = 1400 takes about 1.5-1.9 s, l = 1500 about 1.8-2.4 s and l = 1700
-# about 3.5 s, with or without --g.
+# about 3.5 s.
 ROSETTES_L_BUDGET = 1500
 
 
-def cmd_rosettes(l: int, genus: int | None = None) -> OutputRecord:
+def cmd_rosettes(l: int) -> OutputRecord:
     if l < 1:
         raise ValueError("l must be >= 1")
     refuse_past(l, ROSETTES_L_BUDGET, f"--l {l}", "l")
-    params = {"l": l}
     counts = moment_genus_expansion(l)
-    if genus is not None:
-        if genus < 0:
-            raise ValueError(f"g must be >= 0, got {genus}")
-        params["g"] = genus
-        rows = [[genus, counts[genus] if genus < len(counts) else 0]]
-        return OutputRecord("rosettes", params, ["g", "count"], rows)
     rows: list[list] = [[g, c] for g, c in enumerate(counts)]
     rows.append(["sum", sum(counts)])
     rows.append(["double_factorial", double_factorial(2 * l - 1)])
-    return OutputRecord("rosettes", params, ["g", "count"], rows)
+    return OutputRecord("rosettes", {"l": l}, ["g", "count"], rows)
 
 
 # The largest `harer-zagier --p-max`: the closed form grows with N, so
@@ -219,8 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rosettes", help="genus counts C_g(l) of one-vertex maps")
     p.add_argument("--l", type=int, required=True)
-    p.add_argument("--g", type=int, default=None, help="restrict to one genus")
-    add_common(p, lambda a: cmd_rosettes(a.l, a.g))
+    add_common(p, lambda a: cmd_rosettes(a.l))
 
     p = sub.add_parser("harer-zagier", help="generating-series coefficients")
     p.add_argument("--N", type=int, required=True)

@@ -25,12 +25,8 @@ from .rosettes import (
     Pairing,
     RosetteCensus,
     enumerate_pairings,
-    harer_zagier_closed,
-    harer_zagier_from_counts,
-    harer_zagier_recursion,
     moment_wick,
     rosette_census,
-    rosette_count_formula,
     rosette_genus,
 )
 
@@ -51,13 +47,9 @@ __all__ = [
     "eulerian_count_normalized",
     "eulerian_count_rooted",
     "eulerian_cycles_rooted",
-    "harer_zagier_closed",
-    "harer_zagier_from_counts",
-    "harer_zagier_recursion",
     "initial_identity_report",
     "moment_wick",
     "rosette_census",
-    "rosette_count_formula",
     "rosette_genus",
     "spanning_trees",
     "trace_derivative_value",

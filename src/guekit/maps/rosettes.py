@@ -13,15 +13,8 @@ from functools import lru_cache
 from typing import Iterator
 
 from ..exact import double_factorial
-# the closed forms and the recursion live beside C_g(l) in observables; they
-# are served here too
-from ..observables import (  # noqa: F401
-    _genus_series,
-    harer_zagier_closed,
-    harer_zagier_from_counts,
-    harer_zagier_recursion,
-    rosette_count_formula,
-)
+# the closed forms live beside C_g(l) in observables; they are served here too
+from ..observables import _genus_series, harer_zagier_closed, rosette_count_formula  # noqa: F401
 
 # (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
 PAIRING_BUDGET = 8

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .observables import _is_point
 from .worker import run_beside
 
 # A batch holds at most _BATCH_ENTRIES matrix entries (at least one matrix),
@@ -99,13 +98,6 @@ def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     return h
 
 
-def sample_gue(N: int, seed: int, index: int = 0) -> np.ndarray:
-    """Draw sample `index` of the stream started by `seed` as an N x N array."""
-    if N < 1:
-        raise ValueError(f"sample_gue requires N >= 1, got {N}")
-    return _gue_batch(N, seed, index, index + 1)[0]
-
-
 def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     """(stop - start, N) eigenvalues of samples start .. stop-1 of the stream
     started by `seed`, from one LAPACK eigvalsh over the range.
@@ -148,19 +140,19 @@ def _stats(values: np.ndarray) -> SampleStats:
     return SampleStats(mean, sd / math.sqrt(n), n)
 
 
-def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
-                   seed: int) -> SampleStats | list[SampleStats]:
+def estimate_wilson(N: int, ts: Sequence[float], samples: int,
+                   seed: int) -> list[SampleStats]:
     """Mean and standard error of (1/N) sum_k exp(it lambda_k) over samples.
 
-    `t` is one number, for one SampleStats, or a sequence of them, for a
-    list of SampleStats in its order from one draw: each half of the
-    samples reduces its rows to their means at every t.  The real part is
-    reported; the imaginary part must vanish within five standard errors
-    (it does in distribution, since -H and H are equally likely).
+    One SampleStats for each t of `ts`, in its order, from one draw: each
+    half of the samples reduces its rows to their means at every t.  The
+    real part is reported; the imaginary part must vanish within five
+    standard errors (it does in distribution, since -H and H are equally
+    likely).
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    ts = [t] if _is_point(t) else list(t)
+    ts = list(ts)
     if not ts:
         raise ValueError("need at least one t")
 
@@ -179,7 +171,7 @@ def estimate_wilson(N: int, t: float | Sequence[float], samples: int,
                 f"imaginary part {im.mean} inconsistent with zero at {im.std_error} std error"
             )
         stats.append(_stats(values.real))
-    return stats[0] if _is_point(t) else stats
+    return stats
 
 
 def estimate_density_histogram(N: int, samples: int, bins: int,
@@ -197,6 +189,8 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
         raise ValueError(f"need at least 10 bins, got {bins}")
     if not lo < hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"range ends and their difference must be finite, got {lo} and {hi}")
     if samples < 2:
         raise ValueError("need at least two samples")
     width = (hi - lo) / bins

@@ -8,6 +8,7 @@ rounds once to float64.  It shares no code with guekit.
 
 import cmath
 import math
+import random
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -172,6 +173,53 @@ def test_wilson_refuses_t_past_the_recurrences_bound(t):
 @pytest.mark.parametrize("t", [1e200 + 1j, complex(-1e200, -1e150), complex(1e62, 1e61)])
 def test_wilson_is_zero_where_its_bound_is_below_the_float_range(t):
     assert _bits(wilson_eval(8, t)) == _bits(0j)
+
+
+def _log_tight_bound(N, t):
+    """-Re(u)/2 + N ln(1 + |u|) - ln(N |u|), u = t^2/N: the log of
+    |I(t, N)| <= e^{-Re(u)/2} (1 + |u|)^N / (N |u|), which holds since
+    |L^(1)_{N-1}(u)| <= sum_k binom(N, k+1) |u|^k.  Taken in logs with no
+    float overflow: t/4 is exact, so Re(t^2) = 16 (x/4 - y/4)(x/4 + y/4);
+    and |Re(u)/2| is capped at e^700, which dwarfs the other terms."""
+    x, y = t.real / 4, t.imag / 4
+    log_u = 2 * math.log(math.hypot(x, y)) + math.log(16 / N)
+    log1p_u = log_u + math.log1p(math.exp(-log_u))  # |u| > 2^400 here
+    re = (x - y) * (x + y)
+    half = 0.0 if re == 0 else math.copysign(
+        math.exp(min(math.log(abs(re)) + math.log(8 / N), 700.0)), re)
+    return -half + N * log1p_u - (math.log(N) + log_u)
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 1000, 10**6, 2**22])
+def test_wilson_past_the_recurrences_bound_refuses_no_t_the_tight_bound_puts_below(N):
+    # Past |t^2/N| = 2^400, wilson_eval gives 0 where its loose bound
+    # exp(2|t| - Re(t^2)/2N) is below the float range and refuses elsewhere.
+    # A nonzero Re(t^2) = (x - y)(x + y) is at least about |t|^2 2^-53,
+    # which there dwarfs 2|t| and N ln(1 + |u|), and where Re(t^2) <= 0
+    # neither bound is below the float range.  So in float64 the loose
+    # bound and the tight one above answer alike: seeded points near the
+    # four diagonals x = +-y, a few ulps off, |t| from the edge to 2^1023.
+    rng = random.Random(N)
+    floor = math.log(sys.float_info.min * sys.float_info.epsilon)
+    low = (401 + math.log2(N)) / 2  # |t^2/N| > 2^400 at every point
+    answers = {True: 0, False: 0}
+    for _ in range(250):
+        a = 2.0 ** rng.uniform(low, 1022.5)
+        k = rng.randrange(-4, 5)  # b is k ulps from a
+        b = a
+        for _ in range(abs(k)):
+            b = math.nextafter(b, math.copysign(math.inf, k))
+        for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            for t in (complex(sx * a, sy * b), complex(sx * b, sy * a)):
+                below = _log_tight_bound(N, t) < floor
+                try:
+                    value = wilson_eval(N, t)
+                except ValueError as exc:
+                    assert not below and "is out of reach" in str(exc), (N, t)
+                else:
+                    assert below and _bits(value) == _bits(0j), (N, t)
+                answers[below] += 1
+    assert min(answers.values()) > 0, answers  # both sides are reached
 
 
 @pytest.mark.parametrize("t", [complex(math.nan, 1.0), complex(1.0, math.nan)])

@@ -20,19 +20,21 @@ from guekit.maps import (
     eulerian_count_normalized,
     eulerian_count_rooted,
     eulerian_cycles_rooted,
-    harer_zagier_closed,
-    harer_zagier_from_counts,
-    harer_zagier_recursion,
     moment_wick,
     rosette_census,
-    rosette_count_formula,
     rosette_genus,
     spanning_trees,
     trace_derivative_value,
     verify_initial_identity,
 )
 from guekit.maps.multigraph import _connected_multigraphs
-from guekit.observables import moment_exact
+from guekit.observables import (
+    harer_zagier_closed,
+    harer_zagier_from_counts,
+    harer_zagier_recursion,
+    moment_exact,
+    rosette_count_formula,
+)
 
 
 def _is_connected(g):

@@ -11,10 +11,14 @@ from guekit.montecarlo import (
     _reduced_rows,
     estimate_density_histogram,
     estimate_wilson,
-    sample_gue,
     zscore,
 )
 from guekit.observables import density_eval, wilson_eval
+
+
+def sample_gue(N, seed, index=0):
+    """Sample `index` of the stream started by `seed`, as an N x N array."""
+    return _gue_batch(N, seed, index, index + 1)[0]
 
 
 def reference_gue(N, seed, index):
@@ -127,11 +131,9 @@ def test_sample_is_exactly_hermitian():
 
 
 def test_sample_rejects_empty_matrix():
-    with pytest.raises(ValueError):
-        sample_gue(0, seed=1)
     for N in (0, -1):
         with pytest.raises(ValueError):
-            estimate_wilson(N, 1.0, samples=200, seed=1)
+            estimate_wilson(N, [1.0], samples=200, seed=1)
         with pytest.raises(ValueError):
             estimate_density_histogram(N, 200, 10, (-3.0, 3.0), seed=1)
 
@@ -177,25 +179,25 @@ def test_trace_moment_estimates():
 
 
 def test_estimate_wilson_at_zero_time():
-    st = estimate_wilson(8, 0.0, samples=200, seed=1)
+    [st] = estimate_wilson(8, [0.0], samples=200, seed=1)
     assert st.mean == 1.0
     assert st.std_error == 0.0
     assert st.sample_count == 200
 
 
 def test_estimate_wilson_against_scalar_gaussian():
-    st = estimate_wilson(1, 2.0, samples=20000, seed=2024)
+    [st] = estimate_wilson(1, [2.0], samples=20000, seed=2024)
     assert abs(st.mean - math.exp(-2.0)) <= 4 * st.std_error
 
 
 def test_estimate_wilson_against_exact_formula():
-    st = estimate_wilson(8, 1.5, samples=10000, seed=31)
+    [st] = estimate_wilson(8, [1.5], samples=10000, seed=31)
     assert abs(st.mean - wilson_eval(8, 1.5).real) <= 4 * st.std_error
 
 
 def test_estimate_wilson_reproducible():
-    a = estimate_wilson(4, 0.8, samples=500, seed=77)
-    b = estimate_wilson(4, 0.8, samples=500, seed=77)
+    [a] = estimate_wilson(4, [0.8], samples=500, seed=77)
+    [b] = estimate_wilson(4, [0.8], samples=500, seed=77)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
@@ -205,10 +207,9 @@ TS = [0.0, -1.5, 0.5, 2.0, 4.0]
 def test_estimate_wilson_over_many_t_is_the_per_t_calls():
     many = estimate_wilson(5, TS, samples=301, seed=13)
     assert isinstance(many, list)
-    assert many == [estimate_wilson(5, t, samples=301, seed=13) for t in TS]
+    assert many == [st for t in TS for st in estimate_wilson(5, [t], samples=301, seed=13)]
     assert many[0] == SampleStats(1.0, 0.0, 301)
     assert estimate_wilson(5, tuple(TS[1:2]), samples=301, seed=13) == [many[1]]
-    assert isinstance(estimate_wilson(5, np.float64(0.5), samples=301, seed=13), SampleStats)
 
 
 def _record_draws(monkeypatch):
@@ -227,10 +228,12 @@ def test_estimate_wilson_refuses_an_empty_t_sequence_before_drawing(monkeypatch)
     drawn = _record_draws(monkeypatch)
     with pytest.raises(ValueError, match="need at least one t"):
         estimate_wilson(4, [], samples=200, seed=1)
+    with pytest.raises(TypeError):  # one number is not a sequence of t
+        estimate_wilson(4, 1.0, samples=200, seed=1)
     assert drawn == []
 
 
-@pytest.mark.parametrize("ts", [1.0, [1.0], TS, [0.5 * k for k in range(1, 41)]])
+@pytest.mark.parametrize("ts", [(1.0,), [1.0], TS, [0.5 * k for k in range(1, 41)]])
 def test_estimate_wilson_draws_each_half_once_per_call(monkeypatch, ts):
     # numpy has loaded here, so both halves are drawn in this process, in turn
     drawn = _record_draws(monkeypatch)
@@ -287,7 +290,7 @@ def test_histogram_counts_each_row_of_its_half():
 
 def test_estimate_wilson_validates_sample_count():
     with pytest.raises(ValueError):
-        estimate_wilson(4, 1.0, samples=50, seed=1)
+        estimate_wilson(4, [1.0], samples=50, seed=1)
 
 
 def test_histogram_matches_gaussian_density():
@@ -316,6 +319,15 @@ def test_histogram_validation():
         estimate_density_histogram(2, 1000, 5, (-3, 3), 0)
     with pytest.raises(ValueError):
         estimate_density_histogram(2, 1000, 12, (3, -3), 0)
+    # an infinite end or span would bin every eigenvalue at width inf and
+    # report mean 0.0 with std_error 0.0
+    for lo, hi in ((-math.inf, 0.0), (-1.0, math.inf), (-1e308, 1e308)):
+        with pytest.raises(ValueError) as refused:
+            estimate_density_histogram(4, 200, 10, (lo, hi), 1)
+        assert str(refused.value) == (
+            f"range ends and their difference must be finite, got {lo} and {hi}")
+    with pytest.raises(ValueError, match="^empty range"):
+        estimate_density_histogram(4, 200, 10, (math.nan, 1.0), 1)
 
 
 def test_zscore():
