@@ -154,6 +154,8 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
 
     rows = []
     for t, st in zip(t_list, estimate_wilson(N, t_list, samples, seed)):
+        if math.isnan(st.mean):  # z = 0.0 beside it would claim agreement
+            raise ValueError(f"--t {t} times a drawn eigenvalue is past float range")
         exact = wilson_eval(N, t).real
         z = zscore(st, exact) if st.std_error > 0 else 0.0
         rows.append([t, st.mean, st.std_error, exact, z])

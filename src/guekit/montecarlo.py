@@ -15,19 +15,14 @@ for H_ab.
 Entry variances follow the weight exp(-(N/2) Tr H^2): diagonal entries
 have variance 1/N and off-diagonal entries have <|H_ab|^2> = 1/N.
 
-The estimators draw their samples in two index ranges through
-worker.run_beside, and each range reduces its own rows (a Wilson loop
-row mean per t, a histogram row of counts) before it is handed back: the
-first range in this process and the second in a forked child, each
-pinned to one CPU before numpy loads, so OpenBLAS gives it one thread;
-or both in turn in this process, where numpy has loaded before the draw
-(a caller that loaded it, in-process tests, any later draw in the
-process), where os.sched_setaffinity is missing or where the affinity
-mask holds fewer than two CPUs (the pinned density suite of `verify
---suite all`).  Each half is drawn, diagonalised and reduced batch by
-batch, so no eigenvalue array outlives the batch that drew it.  So this
-module imports numpy only inside the functions that build or reduce
-arrays, and the parent's side of a draw only after run_beside returns.
+The estimators draw their samples in two index ranges, the tasks of
+worker.run_beside with the second range last, and each range reduces its
+own rows (a Wilson loop row mean per t, a histogram row of counts) before
+it is handed back.  Each half is drawn, diagonalised and reduced batch
+by batch, so no eigenvalue array outlives the batch that drew it.
+run_beside splits only before numpy loads, so this module imports numpy
+only inside the functions that build or reduce arrays, and the
+estimators only after run_beside returns.
 """
 
 from __future__ import annotations
@@ -113,12 +108,12 @@ def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
 def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
     """reduce(eigs) for the (rows, N) eigenvalues of each batch of samples
     0 .. samples-1, the results put together along their first axis, in
-    index order.  The halves [0, samples//2) and [samples//2, samples) each
-    run in their own process of worker.run_beside, and each draws,
-    diagonalises and reduces one batch of _BATCH_ENTRIES // N^2 samples (at
-    least one) before the next.  A sample's bits depend only on (seed,
-    index), and `reduce` reduces each row on its own, so the result is the
-    one-process, one-batch result; no eigenvalue array outlives its batch."""
+    index order.  The halves [0, samples//2) and [samples//2, samples), the
+    last, are the tasks of worker.run_beside, and each draws, diagonalises
+    and reduces one batch of _BATCH_ENTRIES // N^2 samples (at least one)
+    before the next.  A sample's bits depend only on (seed, index), and
+    `reduce` reduces each row on its own, so the result is the one-process,
+    one-batch result; no eigenvalue array outlives its batch."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
     batch = max(1, _BATCH_ENTRIES // (N * N))
@@ -127,7 +122,7 @@ def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
                   reduce(eigenvalue_range(N, seed, lo, min(lo + batch, stop)))
                   for lo in range(start, stop, batch)]
               for start, stop in ((0, samples // 2), (samples // 2, samples))}
-    parts = run_beside(halves, here=next(iter(halves)))
+    parts = run_beside(halves)
     import numpy as np  # only now: run_beside splits only before numpy loads
 
     return np.concatenate([rows for part in parts for rows in part])
@@ -148,7 +143,8 @@ def estimate_wilson(N: int, ts: Sequence[float], samples: int,
     half of the samples reduces its rows to their means at every t.  The
     real part is reported; the imaginary part must vanish within five
     standard errors (it does in distribution, since -H and H are equally
-    likely).
+    likely).  A t whose product with a drawn eigenvalue is past float
+    range gets a NaN mean.
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
@@ -160,8 +156,10 @@ def estimate_wilson(N: int, ts: Sequence[float], samples: int,
         import numpy as np
 
         # (t, sample, k) with k, the reduced axis, contiguous: the bits of a
-        # mean over each row at each t in turn
-        return np.exp(np.multiply.outer(1j * np.array(ts), eigs)).mean(axis=2).T
+        # mean over each row at each t in turn; a t lambda past float range
+        # makes its row's mean NaN, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.exp(np.multiply.outer(1j * np.array(ts), eigs)).mean(axis=2).T
 
     stats = []
     for values in _reduced_rows(N, samples, seed, row_means).T:

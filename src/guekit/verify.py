@@ -225,10 +225,9 @@ def suite_bound(seed=DEFAULT_SEED):
 
 def run_suite(name, seed=DEFAULT_SEED):
     """The failures of suite `name`.  "all" gives those of every suite, in
-    SUITES order, through worker.run_beside: "density", the one suite that
-    loads numpy, then "bound" in this process, and "wick", "best",
-    "initial" and "hz" in a forked child beside it, or every suite here in
-    turn where numpy has loaded already or no two CPUs can be pinned."""
+    SUITES order, through worker.run_beside: "wick", "best", "initial" and
+    "hz", then "density", the one suite that loads numpy, and "bound" as
+    its last task."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     suites = {
@@ -243,11 +242,11 @@ def run_suite(name, seed=DEFAULT_SEED):
         return suites[name]()
     from .worker import run_beside
 
-    # density and then bound, the last two suites, run here: with density
-    # alone here the worker, bound included, finished last (0.37-0.40 s from
-    # the start of the split against 0.27-0.33 s here, on a 2-core Xeon),
-    # and bound is 0.04-0.07 s of its work
+    # density and then bound, the last two suites, are the last task, which
+    # runs here: with density alone here the worker, bound included,
+    # finished last (0.37-0.40 s from the start of the split against
+    # 0.27-0.33 s here, on a 2-core Xeon), and bound is 0.04-0.07 s of its work
     tasks = {f"suite {each!r}": suites[each] for each in SUITES[1:5]}
     tasks["suites 'density', 'bound'"] = lambda: suites["density"]() + suites["bound"]()
-    outcomes = run_beside(tasks, here="suites 'density', 'bound'")
+    outcomes = run_beside(tasks)
     return [failure for failures in outcomes for failure in failures]

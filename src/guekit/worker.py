@@ -26,13 +26,13 @@ def _split_cpus() -> list[int] | None:
     return cpus if len(cpus) == 2 else None
 
 
-def run_beside(tasks, here):
+def run_beside(tasks):
     """The results of `tasks` (description -> callable without arguments),
     in task order.  The first task in that order to raise raises here, as
     when the tasks run in turn, which they do in this process if
     _split_cpus() finds no split.
 
-    Otherwise task `here` runs in this process and the others, in order,
+    Otherwise the last task runs in this process and the others, in order,
     in a forked child; each process is pinned to one CPU first, so numpy,
     loaded by a task, sizes OpenBLAS for one thread.  The child starts
     with this process's modules, pickles each outcome, the result or the
@@ -45,64 +45,55 @@ def run_beside(tasks, here):
     cpus = _split_cpus()
     if cpus is None:
         return [task() for task in tasks.values()]
+    *theirs, (_, last) = tasks.items()
     mask = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {cpus[1]})  # the child's CPU, which the fork inherits
     try:
         read_fd, write_fd = os.pipe()
-        try:
+        with open(read_fd, "rb") as received, open(write_fd, "wb") as sent:
             pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                with open(write_fd, "wb") as out:
-                    for what, task in tasks.items():
-                        if what == here:
-                            continue
+            if pid == 0:
+                status = 1
+                try:
+                    for _, task in theirs:
                         try:
                             outcome = task()
                         except Exception as exc:
                             outcome = exc
-                        out.write(pickle.dumps(outcome))
-                        out.flush()
+                        sent.write(pickle.dumps(outcome))
+                        sent.flush()
                         if isinstance(outcome, Exception):
                             break
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        reaped = False
-        try:
-            with open(read_fd, "rb") as received:
+                    status = 0
+                finally:
+                    os._exit(status)
+            sent.close()  # so the child's exit ends the pipe
+            reaped = False
+            try:
                 os.sched_setaffinity(0, {cpus[0]})
                 try:
-                    mine = tasks[here]()
+                    mine = last()
                 except Exception as exc:  # raised below, unless an earlier task raised
                     mine = exc
                 results = []
-                for what in tasks:
-                    if what == here:
-                        outcome = mine
-                    else:
-                        try:
-                            outcome = pickle.load(received)
-                        except (EOFError, pickle.UnpicklingError):
-                            _, status = os.waitpid(pid, 0)
-                            reaped = True
-                            code = os.waitstatus_to_exitcode(status)
-                            raise RuntimeError(f"worker exited with status {code} "
-                                               f"before reporting {what}") from None
+                for what, _ in theirs:
+                    try:
+                        outcome = pickle.load(received)
+                    except (EOFError, pickle.UnpicklingError):
+                        _, status = os.waitpid(pid, 0)
+                        reaped = True
+                        code = os.waitstatus_to_exitcode(status)
+                        raise RuntimeError(f"worker exited with status {code} "
+                                           f"before reporting {what}") from None
                     if isinstance(outcome, Exception):
                         raise outcome
                     results.append(outcome)
-                return results
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                if isinstance(mine, Exception):
+                    raise mine
+                return results + [mine]
+            finally:
+                if not reaped:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     finally:
         os.sched_setaffinity(0, mask)

@@ -727,8 +727,8 @@ def test_main_verify_all_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
 @needs_affinity
 def test_main_verify_all_kills_the_worker_when_density_raises(monkeypatch):
     # bound runs after density in this process, so density's error stops it
-    # there; killing a worker that still hangs after this process's task
-    # raised is covered by
+    # there; killing a worker that still hangs when this process's task is
+    # interrupted is covered by
     # test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path
     import time
 
@@ -804,8 +804,8 @@ def test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path(monkeypa
     def where():
         return os.getpid(), os.sched_getaffinity(0)
 
-    # results in task order: "b" here, "a" and "c" in the child
-    child, here, child_again = run_beside({"a": where, "b": where, "c": where}, here="b")
+    # results in task order: the last, "c", here, "a" and "b" in the child
+    child, child_again, here = run_beside({"a": where, "b": where, "c": where})
     assert here == (os.getpid(), {min(MASK)})
     assert child == child_again and child[0] != os.getpid() and child[1] == {min(MASK)}
     assert os.sched_getaffinity(0) == MASK
@@ -813,25 +813,40 @@ def test_run_beside_restores_the_mask_and_reaps_the_child_on_every_path(monkeypa
     def hangs():
         time.sleep(60)
 
+    def interrupted():
+        raise KeyboardInterrupt  # not an Exception, so it leaves at once
+
     start = time.monotonic()
-    with pytest.raises(ValueError, match="here refuses"):
-        run_beside({"here": _refuses("here"), "there": hangs}, here="here")
+    with pytest.raises(KeyboardInterrupt):
+        run_beside({"there": hangs, "here": interrupted})
     assert time.monotonic() - start < 30  # the child was killed, not waited out
     assert os.sched_getaffinity(0) == MASK
     _assert_no_child_left()
+
+    # an Exception here waits for the child's earlier tasks, and the first
+    # in task order to raise raises, as in turn
+    def slow_refusal():
+        time.sleep(0.2)
+        raise ValueError("there refuses")
+
+    for there, error in [(slow_refusal, "there refuses"), (list, "here refuses")]:
+        with pytest.raises(ValueError, match=error):
+            run_beside({"there": there, "here": _refuses("here")})
+        assert os.sched_getaffinity(0) == MASK
+        _assert_no_child_left()
 
     def dies():
         os._exit(3)
 
     with pytest.raises(RuntimeError, match="worker exited with status 3 before reporting there"):
-        run_beside({"here": list, "there": dies}, here="here")
+        run_beside({"there": dies, "here": list})
     assert os.sched_getaffinity(0) == MASK
     _assert_no_child_left()
 
 
 @needs_affinity
 def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
-    # 101 samples: this process draws 0 .. 49, the worker 50 .. 100
+    # 101 samples: this process draws the last task's 50 .. 100, the worker 0 .. 49
     import guekit.montecarlo as montecarlo
 
     argv = ["sample", "--N", "3", "--samples", "101", "--seed", "5"]
@@ -848,7 +863,7 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "eigenvalue_range", recorded)
     code, split = run_main(capsys, argv)
     assert code == 0
-    assert drawn_here == [(0, 50)]
+    assert drawn_here == [(50, 101)]
     assert split == one_share
     _assert_no_child_left()
     assert os.sched_getaffinity(0) == MASK
@@ -880,6 +895,29 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
     assert os.sched_getaffinity(0) == MASK
 
 
+@needs_affinity
+def test_main_sample_refuses_a_t_past_float_range_with_a_drawn_eigenvalue(capsys, monkeypatch):
+    # t lambda overflows for some draws at t = 1e308, which made the mean NaN
+    # beside a z-score of 0.0; the overflow depends on the draw, so it is
+    # refused after it, split or in turn, with no numpy warning
+    argv = ["sample", "--N", "2", "--samples", "100"]
+    for split in (False, True):
+        if split:
+            _force_split(monkeypatch)
+        for t in ("1e308", "-1e308"):
+            for out_format in ("csv", "json"):
+                assert main([*argv, "--t", "1.0", "--t", t, "--format", out_format]) == 2
+                captured = capsys.readouterr()
+                assert captured.err == (f"error: --t {float(t)} times a drawn eigenvalue "
+                                        f"is past float range\n")
+                assert captured.out == ""
+        code, out = run_main(capsys, [*argv, "--t", "1e300"])
+        assert code == 0
+        assert all(math.isfinite(value) for value in OutputRecord.from_csv(out).rows[0])
+    _assert_no_child_left()
+    assert os.sched_getaffinity(0) == MASK
+
+
 def test_main_sample_runs_the_last_shape_inside_its_budget(capsys):
     # N counts as at least 32 in the budget, so N = 1 takes as many samples as N = 32
     import guekit.cli as cli
@@ -898,13 +936,13 @@ def test_main_sample_fails_loudly_when_the_worker_dies(capsys, monkeypatch):
     draw = montecarlo.eigenvalue_range
 
     def dies_in_worker(N, seed, start, stop):
-        if start > 0:
+        if start < 50:
             os._exit(1)
         return draw(N, seed, start, stop)
 
     monkeypatch.setattr(montecarlo, "eigenvalue_range", dies_in_worker)
     with pytest.raises(RuntimeError,
-                       match=r"status 1 before reporting the eigenvalues of samples 50 \.\. 100"):
+                       match=r"status 1 before reporting the eigenvalues of samples 0 \.\. 49"):
         main(["sample", "--N", "3", "--samples", "101"])
     assert capsys.readouterr().out == ""
     _assert_no_child_left()

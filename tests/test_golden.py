@@ -80,6 +80,12 @@ def test_sample_golden_output_from_a_fresh_process(name, one_cpu):
 
 
 @needs_affinity
+def test_verify_all_runs_in_turn_from_a_fresh_process():
+    # numpy has not loaded, but the mask holds one CPU, so every suite runs here in turn
+    assert _fresh_stdout(["verify", "--suite", "all"], one_cpu=True) == b"PASS all\n"
+
+
+@needs_affinity
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
                     reason="splits only with two CPUs in the mask")
 def test_sample_split_into_unequal_shares_prints_the_one_share_bytes():

@@ -264,7 +264,7 @@ def test_split_and_one_process_estimates_agree(monkeypatch):
     drawn = _record_draws(monkeypatch)
     _force_split(monkeypatch)
     assert estimates() == one_process
-    assert drawn == [(0, 101)] * 2  # the second half was drawn in the forked child
+    assert drawn == [(101, 203)] * 2  # the first half was drawn in the forked child
     with pytest.raises(ChildProcessError):  # every child has been waited for
         os.waitpid(-1, os.WNOHANG)
     assert os.sched_getaffinity(0) == mask
