@@ -52,12 +52,22 @@ class SampleStats:
             raise ValueError("need at least one sample")
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside 0 .. 2^64 - 1, the range of the Philox key word
+    it fills; any other seed would draw the samples of another."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in 0 .. 2^64 - 1, got {seed}")
+
+
 def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
-    """Samples start .. stop-1 of the stream started by `seed`, as one
-    (stop - start, N, N) array.
+    """Samples start .. stop-1 of the stream started by `seed`, as the lower
+    triangles of one (stop - start, N, N) array, the triangles that
+    eigvalsh reads; the strict upper triangles are zero.
 
     (seed, s) fills the full 2x64-bit Philox key, so distinct samples get
-    disjoint streams no matter how many blocks each one consumes.
+    disjoint streams no matter how many blocks each one consumes.  The
+    array is the transpose of a buffer whose row a holds conj(H[a, a+1:]),
+    so each off-diagonal value is written once, as a contiguous row.
     """
     import numpy as np
 
@@ -68,11 +78,11 @@ def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     # that of a fresh Philox(key=(seed, s)): counter 0, empty buffer.
     bitgen = np.random.Philox()
     gen = np.random.Generator(bitgen)
-    key = [seed % 2**64, 0]
+    key = [seed, 0]
     state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for row, index in zip(u, range(start, stop)):
-        key[1] = index % 2**64
+        key[1] = index
         bitgen.state = state
         gen.random(out=row)
     # Box-Muller: row i of z holds the normals of sample start + i
@@ -81,21 +91,20 @@ def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     z = np.empty_like(u)
     z[:, 0::2] = r * np.cos(angle)
     z[:, 1::2] = r * np.sin(angle)
-    h = np.empty((B, N, N), dtype=complex)
+    h = np.zeros((B, N, N), dtype=complex)
     h.reshape(B, count)[:, ::N + 1] = z[:, :N] / math.sqrt(N)
     vals = (z[:, N:count:2] + 1j * z[:, N + 1:count:2]) / math.sqrt(2 * N)
     first = 0
     for a in range(N - 1):
-        upper = vals[:, first:first + N - 1 - a]
-        h[:, a, a + 1:] = upper
-        h[:, a + 1:, a] = upper.conj()
+        np.conjugate(vals[:, first:first + N - 1 - a], out=h[:, a, a + 1:])
         first += N - 1 - a
-    return h
+    return h.transpose(0, 2, 1)
 
 
 def eigenvalue_range(N: int, seed: int, start: int, stop: int) -> np.ndarray:
     """(stop - start, N) eigenvalues of samples start .. stop-1 of the stream
-    started by `seed`, from one LAPACK eigvalsh over the range.
+    started by `seed`, from one LAPACK eigvalsh over the range, which reads
+    the lower triangles that _gue_batch fills (numpy's default UPLO='L').
 
     No sample's bits depend on its batch, so the rows of any split of a
     range, put together in index order, are those of the whole range.
@@ -116,6 +125,7 @@ def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
     one-batch result; no eigenvalue array outlives its batch."""
     if N < 1:
         raise ValueError(f"GUE sampling requires N >= 1, got {N}")
+    check_seed(seed)
     batch = max(1, _BATCH_ENTRIES // (N * N))
     halves = {f"the eigenvalues of samples {start} .. {stop - 1}":
               lambda start=start, stop=stop: [
@@ -131,7 +141,7 @@ def _reduced_rows(N: int, samples: int, seed: int, reduce) -> np.ndarray:
 def _stats(values: np.ndarray) -> SampleStats:
     n = len(values)
     mean = float(values.mean())
-    sd = float(values.std(ddof=1)) if n > 1 else 0.0
+    sd = float(values.std(ddof=1))
     return SampleStats(mean, sd / math.sqrt(n), n)
 
 

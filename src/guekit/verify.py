@@ -230,6 +230,9 @@ def run_suite(name, seed=DEFAULT_SEED):
     its last task."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    from .montecarlo import check_seed
+
+    check_seed(seed)  # before the split, and before bound's draw too
     suites = {
         "wick": suite_wick,
         "best": suite_best,

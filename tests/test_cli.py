@@ -879,6 +879,11 @@ def test_main_sample_split_prints_the_one_share_bytes(capsys, monkeypatch):
                                          "of max(N, 32)^3 x samples <= 536870912"),
     (["--N", "1", "--samples", "16385"], "--N 1 with --samples 16385 is past the budget "
                                          "of max(N, 32)^3 x samples <= 536870912"),
+    # taken modulo 2^64, a seed outside the Philox key word drew another seed's samples
+    (["--N", "2", "--seed", str(2**64 + 1), "--t", "1"],
+     f"seed must be in 0 .. 2^64 - 1, got {2**64 + 1}"),
+    (["--N", "2", "--seed", str(2**64)], f"seed must be in 0 .. 2^64 - 1, got {2**64}"),
+    (["--N", "2", "--seed", "-5"], "seed must be in 0 .. 2^64 - 1, got -5"),
 ])
 def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags, error):
     _force_split(monkeypatch)
@@ -893,6 +898,41 @@ def test_main_sample_refuses_bad_flags_before_forking(capsys, monkeypatch, flags
     assert captured.out == ""
     _assert_no_child_left()
     assert os.sched_getaffinity(0) == MASK
+
+
+@needs_affinity
+@pytest.mark.parametrize("suite, seed", [("bound", -3), ("bound", -1), ("density", 2**64),
+                                         ("all", -1)])
+def test_main_verify_refuses_a_seed_outside_the_philox_key_word_before_it_runs(
+        capsys, monkeypatch, suite, seed):
+    # bound's random.Random seeded by the absolute value, so -3 drew the points of 3
+    _force_split(monkeypatch)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the seed was checked")
+
+    monkeypatch.setattr(os, "fork", no_run)
+    _stub_suites(monkeypatch, **{name: no_run for name in
+                                 ("wick", "best", "initial", "hz", "density", "bound")})
+    assert main(["verify", "--suite", suite, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: seed must be in 0 .. 2^64 - 1, got {seed}\n")
+    assert os.sched_getaffinity(0) == MASK
+
+
+def test_main_takes_the_ends_of_the_seed_range(capsys):
+    import guekit.montecarlo as montecarlo
+
+    for seed in (0, 2**64 - 1):
+        code, out = run_main(capsys, ["sample", "--N", "2", "--samples", "100",
+                                      "--seed", str(seed), "--t", "1"])
+        assert code == 0
+        rec = OutputRecord.from_csv(out)
+        assert rec.parameters["seed"] == seed
+        [st] = montecarlo.estimate_wilson(2, [1.0], 100, seed)
+        assert rec.rows[0][1:3] == [st.mean, st.std_error]
+        assert main(["verify", "--suite", "bound", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == "PASS bound\n"
 
 
 @needs_affinity
@@ -1130,6 +1170,8 @@ def test_fresh_verify_density_forks_its_worker_before_numpy_loads():
 
 def test_package_serves_the_oracle_names_and_the_closed_forms_once():
     import guekit.maps as maps
+    import guekit.maps.bijection as bijection
+    import guekit.maps.multigraph as multigraph
     import guekit.maps.rosettes as rosettes
     import guekit.observables as observables
 
@@ -1141,11 +1183,33 @@ def test_package_serves_the_oracle_names_and_the_closed_forms_once():
         assert not hasattr(maps, name), name
     for name in ("rosette_count_formula", "harer_zagier_closed"):
         assert getattr(rosettes, name) is getattr(observables, name), name
-    # the sampler and the oracles are read from the modules that define them
-    for name in ("sample_gue", "rosette_census", "Multigraph", *maps.__all__):
+    # the sampler and the oracles are read from the modules that define them,
+    # neither from the package nor from guekit.maps
+    oracles = [name for module in (bijection, multigraph, rosettes)
+               for name, value in vars(module).items()
+               if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__]
+    assert {"rosette_census", "Multigraph", "best_forward"} <= set(oracles)
+    assert not hasattr(maps, "__all__")
+    for name in ("sample_gue", *oracles):
         assert not hasattr(guekit, name), name
+        assert not hasattr(maps, name), name
     with pytest.raises(AttributeError):
         guekit.no_such_name
+
+
+def test_importing_maps_loads_its_three_modules_and_re_exports_none_of_their_names():
+    # the benchmark's tracer imports guekit.maps.rosettes and then reads the
+    # other two submodules from sys.modules
+    probe = """
+import sys
+import guekit.maps as maps
+for sub in ("bijection", "multigraph", "rosettes"):
+    assert getattr(maps, sub) is sys.modules["guekit.maps." + sub], sub
+public = {name for name in vars(maps) if not name.startswith("_")}
+assert public == {"bijection", "multigraph", "rosettes"}, sorted(public)
+"""
+    result = _fresh(["-c", probe])
+    assert result.returncode == 0, result.stderr.decode()
 
 
 # -------------------------------------------------------------- process exit

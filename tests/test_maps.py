@@ -6,28 +6,32 @@ from itertools import combinations_with_replacement
 import pytest
 
 from guekit.exact import catalan, double_factorial, moment_term
-from guekit.maps import (
+from guekit.maps.bijection import (
     CombinatorialMap,
     EulerianCycle,
-    Multigraph,
-    Pairing,
     best_forward,
     best_inverse,
+    enumerate_maps,
+    spanning_trees,
+)
+from guekit.maps.multigraph import (
+    Multigraph,
+    _connected_multigraphs,
     directed_double,
     enumerate_connected_multigraphs,
-    enumerate_maps,
-    enumerate_pairings,
     eulerian_count_normalized,
     eulerian_count_rooted,
     eulerian_cycles_rooted,
-    moment_wick,
-    rosette_census,
-    rosette_genus,
-    spanning_trees,
     trace_derivative_value,
     verify_initial_identity,
 )
-from guekit.maps.multigraph import _connected_multigraphs
+from guekit.maps.rosettes import (
+    Pairing,
+    enumerate_pairings,
+    moment_wick,
+    rosette_census,
+    rosette_genus,
+)
 from guekit.observables import (
     harer_zagier_closed,
     harer_zagier_from_counts,

@@ -17,15 +17,18 @@ from guekit.observables import density_eval, wilson_eval
 
 
 def sample_gue(N, seed, index=0):
-    """Sample `index` of the stream started by `seed`, as an N x N array."""
-    return _gue_batch(N, seed, index, index + 1)[0]
+    """Sample `index` of the stream started by `seed`, as an N x N array:
+    the Hermitian matrix whose lower triangle its batch holds."""
+    lower = np.ascontiguousarray(_gue_batch(N, seed, index, index + 1)[0])
+    assert not np.triu(lower, 1).any()
+    return lower + np.tril(lower, -1).conj().T
 
 
 def reference_gue(N, seed, index):
     """One sample built the unbatched way: a fresh Philox keyed (seed, index),
     Box-Muller on that sample alone, and a triu_indices scatter."""
     count = N * N
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     m = (count + 1) // 2
     u = gen.random(2 * m)
@@ -64,8 +67,9 @@ def test_eigenvalue_batches_match_unbatched_reference(N, samples):
     # batch is a short one; one batch of all samples must give the same bits
     seed = 2**64 - 1 - N
     stacked = np.stack([reference_gue(N, seed, s) for s in range(samples)])
-    whole = _gue_batch(N, seed, 0, samples)
-    assert np.array_equal(whole.view(np.float64), stacked.view(np.float64))
+    # the batch holds the lower triangles, the ones eigvalsh reads
+    whole = np.ascontiguousarray(_gue_batch(N, seed, 0, samples))
+    assert np.array_equal(whole.view(np.float64), np.tril(stacked).view(np.float64))
     assert np.array_equal(_reduced_rows(N, samples, seed, lambda eigs: eigs),
                           np.linalg.eigvalsh(stacked))
 
@@ -230,6 +234,19 @@ def test_estimate_wilson_refuses_an_empty_t_sequence_before_drawing(monkeypatch)
         estimate_wilson(4, [], samples=200, seed=1)
     with pytest.raises(TypeError):  # one number is not a sequence of t
         estimate_wilson(4, 1.0, samples=200, seed=1)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_estimators_refuse_a_seed_outside_the_key_word_before_drawing(monkeypatch, seed):
+    # the seed fills one 64-bit word of the Philox key; taken modulo 2^64 it
+    # drew the samples of another seed
+    drawn = _record_draws(monkeypatch)
+    error = f"seed must be in 0 .. 2\\^64 - 1, got {seed}$"
+    with pytest.raises(ValueError, match=error):
+        estimate_wilson(4, [1.0], samples=200, seed=seed)
+    with pytest.raises(ValueError, match=error):
+        estimate_density_histogram(4, 200, 10, (-3.0, 3.0), seed=seed)
     assert drawn == []
 
 

@@ -14,7 +14,7 @@ import guekit.maps.multigraph as multigraph
 import guekit.montecarlo as montecarlo
 import guekit.verify as verify
 from guekit.exact import catalan
-from guekit.maps import moment_wick
+from guekit.maps.rosettes import moment_wick
 from guekit.observables import (
     density_eval,
     harer_zagier_closed,
