@@ -85,11 +85,24 @@ def cmd_density(N: int, lam_min: float, lam_max: float, steps: int) -> OutputRec
     return OutputRecord("density", params, ["lambda", "density", "wigner"], rows)
 
 
+# The largest `--N` of `moments` and `harer-zagier`: each exact m_2l is a
+# sum over N^{-2g}, so both tables grow with the digits of N.  From a fresh
+# process `moments --l-max 519`, the slower of the two, takes about 0.3 s
+# at N = 10^6, 1.1-1.3 s at 10^18 and 1.7-1.9 s at 10^24 (2.8-3.1 s at
+# 10^30, 25 s at 10^100); `harer-zagier --p-max 300` about half as long.
+MOMENT_N_BUDGET = 10**24
+
+
+def _check_moment_n(N: int) -> None:
+    refuse_past(N, MOMENT_N_BUDGET, f"--N {N}", "N", " for the exact moments")
+
+
 def cmd_moments(N: int, l_max: int) -> OutputRecord:
     if l_max < 0:
         raise ValueError("l-max must be >= 0")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    _check_moment_n(N)
     rows = []
     try:  # nothing renders before this returns, so a refusal prints no row
         for l, m in zip(range(l_max + 1), _moment_rows(N)):
@@ -118,15 +131,16 @@ def cmd_rosettes(l: int) -> OutputRecord:
     return OutputRecord("rosettes", {"l": l}, ["g", "count"], rows)
 
 
-# The largest `harer-zagier --p-max`: the closed form grows with N, so
-# N = 10^6 is the slowest; the count column is one walk of the recursion's
-# rows up to p_max.  From a fresh process p = 300 takes about 0.22 s at
-# N = 10^6, 0.17 s at N = 1000 and 0.09 s at N = 3.
+# The largest `harer-zagier --p-max`: the count column is one walk of the
+# recursion's rows up to p_max, and both columns grow with the digits of N,
+# up to MOMENT_N_BUDGET.  From a fresh process p = 300 takes about 0.09 s
+# at N = 3, 0.17 s at N = 1000, 0.22 s at N = 10^6 and 0.8-1.0 s at 10^24.
 HARER_ZAGIER_P_BUDGET = 300
 
 
 def cmd_harer_zagier(N: int, p_max: int) -> OutputRecord:
     refuse_past(p_max, HARER_ZAGIER_P_BUDGET, f"--p-max {p_max}", "p-max")
+    _check_moment_n(N)
     # the closed form runs first, so its words refuse a bad N or p_max
     columns = zip(harer_zagier_closed(N, p_max), harer_zagier_from_counts(N, p_max))
     rows = [[p, *pair] for p, pair in enumerate(columns, 1)]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .verify import check_seed
 from .worker import run_beside
 
 # A batch holds at most _BATCH_ENTRIES matrix entries (at least one matrix),
@@ -50,13 +51,6 @@ class SampleStats:
             raise ValueError("standard error cannot be negative")
         if self.sample_count < 1:
             raise ValueError("need at least one sample")
-
-
-def check_seed(seed: int) -> None:
-    """Refuse a seed outside 0 .. 2^64 - 1, the range of the Philox key word
-    it fills; any other seed would draw the samples of another."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in 0 .. 2^64 - 1, got {seed}")
 
 
 def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:

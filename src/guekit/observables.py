@@ -378,14 +378,6 @@ def _genus_rows():
         before, row = row, new
 
 
-def harer_zagier_recursion(l_max: int) -> list[list[int]]:
-    """counts[l][g] = C_g(l) for 0 <= l <= l_max, 0 <= g <= l // 2: the
-    first l_max + 1 rows of the integer Harer-Zagier recursion."""
-    if l_max < 0:
-        raise ValueError(f"harer_zagier_recursion requires l_max >= 0, got {l_max}")
-    return list(itertools.islice(_genus_rows(), l_max + 1))
-
-
 def moment_genus_expansion(l: int) -> list[int]:
     """Coefficients C_g(l) of N^{-2g} in m_2l, g = 0 .. floor(l/2): row l
     of the Harer-Zagier recursion, non-negative integers."""

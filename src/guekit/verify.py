@@ -7,16 +7,17 @@ budget its module fixes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 from .exact import catalan, integrate_real
 from .observables import (
+    _genus_rows,
     density_eval,
     density_fourier_check,
     harer_zagier_closed,
     harer_zagier_from_counts,
-    harer_zagier_recursion,
     moment_exact,
     rosette_count_formula,
     wilson_bound,
@@ -29,6 +30,15 @@ from .observables import (
 SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
 
 DEFAULT_SEED = 20240901
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside 0 .. 2^64 - 1, the range of the Philox key word
+    it fills; any other seed would draw the samples of another."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in 0 .. 2^64 - 1, got {seed}")
+
+
 # the density suite's Monte Carlo histogram: rho_N on HISTOGRAM_RANGE
 HISTOGRAM_N = 8
 HISTOGRAM_RANGE = (-3.0, 3.0)
@@ -142,8 +152,8 @@ def suite_hz():
     # Catalan (g = 0 only) for l <= HZ_P_MAX, then the recursion for l <= HZ_RECURSION_L_MAX
     rows = [row for l in range(1, HZ_P_MAX + 1)
             for row in ((l, rosette_census(l).counts), (l, [catalan(l)]))]
-    recursion = harer_zagier_recursion(HZ_RECURSION_L_MAX)
-    for l, counts in rows + [(l, recursion[l]) for l in range(1, HZ_RECURSION_L_MAX + 1)]:
+    rows += enumerate(itertools.islice(_genus_rows(), 1, HZ_RECURSION_L_MAX + 1), 1)
+    for l, counts in rows:
         for g, count in enumerate(counts):
             _check(failures, "map_combinatorics", "rosette_count_formula", {"l": l, "g": g},
                    count, rosette_count_formula(l, g))
@@ -230,8 +240,6 @@ def run_suite(name, seed=DEFAULT_SEED):
     its last task."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    from .montecarlo import check_seed
-
     check_seed(seed)  # before the split, and before bound's draw too
     suites = {
         "wick": suite_wick,

@@ -485,6 +485,37 @@ def test_main_harer_zagier_refuses_a_p_max_past_its_budget(capsys, monkeypatch):
     assert OutputRecord.from_csv(out).rows[-1][0] == cli.HARER_ZAGIER_P_BUDGET
 
 
+@pytest.mark.parametrize("command, work", [("moments", "_moment_rows"),
+                                           ("harer-zagier", "harer_zagier_closed")])
+def test_main_exact_tables_refuse_an_n_past_the_moment_budget_before_any_work(
+        capsys, monkeypatch, command, work):
+    import guekit.cli as cli
+
+    def summed(*args):
+        raise AssertionError("summed before the budget was checked")
+
+    monkeypatch.setattr(cli, work, summed)
+    N = cli.MOMENT_N_BUDGET + 1
+    assert main([command, "--N", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --N {N} is past the budget of "
+                            f"N <= {cli.MOMENT_N_BUDGET} for the exact moments\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["moments", "harer-zagier"])
+def test_fresh_exact_tables_run_at_the_moment_budget_and_refuse_past_it(command):
+    import guekit.cli as cli
+
+    result = _capped([command, "--N", str(cli.MOMENT_N_BUDGET)])
+    assert result.returncode == 0, result.stderr
+    assert OutputRecord.from_csv(result.stdout.decode()).parameters["N"] == cli.MOMENT_N_BUDGET
+    result = _capped([command, "--N", str(cli.MOMENT_N_BUDGET + 1)])
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: --N ") and result.stderr.count(b"\n") == 1
+    assert result.stdout == b""
+
+
 def test_main_wilson_refuses_an_n_past_its_ladder_budget(capsys, monkeypatch):
     import guekit.cli as cli
 
@@ -1092,6 +1123,34 @@ def test_table_commands_load_only_their_modules():
         assert result.returncode == 0, result.stderr.decode()
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    probe = """
+import sys
+import guekit
+loaded = sorted(m for m in sys.modules if m.startswith("guekit."))
+assert loaded == [], loaded
+assert [name for name in vars(guekit) if not name.startswith("_")] == [], vars(guekit)
+"""
+    result = _fresh(["-c", probe])
+    assert result.returncode == 0, result.stderr.decode()
+
+
+# bound draws nothing, and wick runs the enumeration oracles, whose
+# dataclasses it loads; neither loads the sampler, its worker or pickle
+_SUITE_PROBE = _TABLE_PROBE + """
+for suite, unneeded in (("bound", {"dataclasses", "inspect"} - bare), ("wick", set())):
+    assert run(["verify", "--suite", suite]) == 0, suite
+    unneeded |= {"guekit.montecarlo", "guekit.worker", "pickle", "numpy"}
+    loaded = sorted(m for m in sys.modules if m in unneeded)
+    assert loaded == [], (suite, loaded)
+"""
+
+
+def test_verify_bound_and_wick_load_no_sampler():
+    result = _fresh(["-c", _SUITE_PROBE])
+    assert result.returncode == 0, result.stderr.decode()
+
+
 # A fresh interpreter that runs the command in argv[1] in-process and
 # checks the split: one fork, before numpy loads; the child pinned to one
 # CPU, this process to another when it loads numpy; the mask in argv[2:]
@@ -1169,30 +1228,38 @@ def test_fresh_verify_density_forks_its_worker_before_numpy_loads():
 
 
 def test_package_serves_the_oracle_names_and_the_closed_forms_once():
+    import guekit.exact as exact
     import guekit.maps as maps
     import guekit.maps.bijection as bijection
     import guekit.maps.multigraph as multigraph
     import guekit.maps.rosettes as rosettes
+    import guekit.montecarlo as montecarlo
     import guekit.observables as observables
+    import guekit.records as records
 
-    # the closed forms and the recursion are the observables ones; the two
-    # closed forms the acceptance tests read from maps.rosettes are too
-    for name in ("rosette_count_formula", "harer_zagier_closed", "harer_zagier_from_counts",
-                 "harer_zagier_recursion"):
-        assert getattr(guekit, name) is getattr(observables, name), name
+    # the closed forms are the observables ones; the two the acceptance tests
+    # read from maps.rosettes are too
+    for name in ("rosette_count_formula", "harer_zagier_closed", "harer_zagier_from_counts"):
         assert not hasattr(maps, name), name
     for name in ("rosette_count_formula", "harer_zagier_closed"):
         assert getattr(rosettes, name) is getattr(observables, name), name
-    # the sampler and the oracles are read from the modules that define them,
-    # neither from the package nor from guekit.maps
-    oracles = [name for module in (bijection, multigraph, rosettes)
-               for name, value in vars(module).items()
-               if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__]
-    assert {"rosette_census", "Multigraph", "best_forward"} <= set(oracles)
+    # every name is read from the module that defines it, neither from the
+    # package nor from guekit.maps
+    def defined(*modules):
+        return {name for module in modules for name, value in vars(module).items()
+                if not name.startswith("_")
+                and getattr(value, "__module__", None) == module.__name__}
+
+    oracles = defined(bijection, multigraph, rosettes)
+    assert {"rosette_census", "Multigraph", "best_forward"} <= oracles
+    library = defined(exact, observables, records, montecarlo)
+    assert {"integrate_real", "moment_genus_expansion", "OutputRecord",
+            "estimate_wilson"} <= library
     assert not hasattr(maps, "__all__")
-    for name in ("sample_gue", *oracles):
-        assert not hasattr(guekit, name), name
+    for name in oracles:
         assert not hasattr(maps, name), name
+    for name in oracles | library:
+        assert not hasattr(guekit, name), name
     with pytest.raises(AttributeError):
         guekit.no_such_name
 
