@@ -67,11 +67,12 @@ def _grid(lo: float, hi: float, steps: int) -> list[float]:
 def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
     refuse_past(N, WILSON_LADDER_N_BUDGET, f"--N {N}", "N", " for the exact ladder")
     _check_grid_work(N, steps)
+    grid = _grid(t_min, t_max, steps)  # a bad grid is refused before the ladder is built
     params = {
         "N": N, "t_min": t_min, "t_max": t_max, "steps": steps,
         "coefficients": list(wilson_loop(N)),
     }
-    rows = [[t, wilson_eval(N, t).real] for t in _grid(t_min, t_max, steps)]
+    rows = [[t, wilson_eval(N, t).real] for t in grid]
     return OutputRecord("wilson", params, ["t", "wilson_loop"], rows)
 
 

@@ -19,15 +19,6 @@ class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature exhausts its subdivision budget."""
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def double_factorial(n: int) -> int:
     """n!! with (-1)!! = 0!! = 1."""
     if n < -1:
@@ -41,7 +32,7 @@ def double_factorial(n: int) -> int:
 
 def catalan(l: int) -> int:
     """l-th Catalan number binom(2l, l) / (l + 1)."""
-    return binomial(2 * l, l) // (l + 1)
+    return math.comb(2 * l, l) // (l + 1)
 
 
 def moment_term(l: int, q: int) -> int:

@@ -5,9 +5,10 @@ DirectedDouble, laid out as its docstring states.  A rooted map plus a
 plane spanning tree determines an Eulerian cycle of di(G) by always
 leaving a vertex on the first unused outgoing dart counterclockwise after
 the reference dart (the tree dart toward the root, or the root dart at the
-root vertex itself); the inverse reads rotations off the order in which
-the cycle exits each vertex and marks each vertex's last exit as its tree
-edge.
+root vertex itself); the inverse reads the graph and the root arc off the
+cycle (its directed double and its first arc), rotations off the order in
+which the cycle exits each vertex, and marks each vertex's last exit as
+its tree edge.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ class EulerianCycle:
 
 
 def _canonical_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    if not seq:
-        return seq
     i = seq.index(min(seq))
     return seq[i:] + seq[:i]
 
@@ -152,33 +151,30 @@ def best_forward(M: CombinatorialMap, T: frozenset[int], root: int) -> EulerianC
         assert chosen is not None, "walk stalled before exhausting the arcs"
         seq.append(chosen)
         at = arcs[chosen].head
-    assert at == root_vertex, "walk must close at the root vertex"
     return EulerianCycle(M.double, tuple(seq))
 
 
-def best_inverse(c: EulerianCycle, G: Multigraph, root: int
-                 ) -> tuple[CombinatorialMap, frozenset[int]]:
-    """Rebuild (map, spanning tree) from an Eulerian cycle of di(G) rooted at `root`.
+def best_inverse(c: EulerianCycle) -> tuple[CombinatorialMap, frozenset[int]]:
+    """Rebuild (map, spanning tree) from an Eulerian cycle, rooted at its first arc.
 
-    Rotations list each vertex's outgoing darts in traversal order; the
-    last edge exiting a non-root vertex is its tree edge toward the root.
+    The map lives on the cycle's own directed double, so its graph is
+    c.double.graph.  Rotations list each vertex's outgoing darts in
+    traversal order; the last edge exiting a non-root vertex is its tree
+    edge toward the root.
     """
-    _check_root_arc(c.double, root)
-    if G != c.double.graph:
-        raise ValueError("cycle walks the directed double of another graph")
-    if c.arc_sequence[0] != root:
-        raise ValueError("cycle does not start with the requested root arc")
+    if not c.arc_sequence:
+        raise ValueError("cycle has no root arc: its graph has no edge")
     arcs = c.double.arcs
-    v_count = G.vertex_count
-    exit_order: list[list[int]] = [[] for _ in range(v_count)]
+    G = c.double.graph
+    exit_order: list[list[int]] = [[] for _ in range(G.vertex_count)]
     for d in c.arc_sequence:
         exit_order[arcs[d].tail].append(d)
 
-    root_vertex = arcs[root].tail
+    root_vertex = arcs[c.arc_sequence[0]].tail
     tree = frozenset(
         order[-1] // 2 for v, order in enumerate(exit_order) if v != root_vertex and order
     )
-    if not _is_spanning_tree(v_count, G.edges(), tree):
+    if not _is_spanning_tree(G.vertex_count, G.edges(), tree):
         raise ValueError("last-exit edges do not form a spanning tree")
 
     rotation = tuple(_canonical_rotation(tuple(order)) for order in exit_order)

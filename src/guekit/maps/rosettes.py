@@ -95,12 +95,7 @@ def rosette_genus(p: Pairing) -> int:
 class RosetteCensus:
     """counts[g] = number of genus-g rosettes with l edges."""
 
-    l: int
     counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.counts) != double_factorial(2 * self.l - 1):
-            raise ValueError(f"census total must be (2l-1)!! for l={self.l}")
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +162,9 @@ def rosette_census(l: int) -> RosetteCensus:
     for faces, count in enumerate(by_faces):
         if count:
             counts[_euler_genus(l, faces)] += count
-    return RosetteCensus(l, tuple(counts))
+    if sum(counts) != double_factorial(2 * l - 1):
+        raise ValueError(f"census total must be (2l-1)!! for l={l}")
+    return RosetteCensus(tuple(counts))
 
 
 def moment_wick(N: int, l: int) -> Fraction:

@@ -40,17 +40,14 @@ _BATCH_ENTRIES = 2**15
 
 @dataclass(frozen=True)
 class SampleStats:
-    """Estimator summary: mean, standard error, and number of samples."""
+    """Estimator summary: mean and standard error."""
 
     mean: float
     std_error: float
-    sample_count: int
 
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("standard error cannot be negative")
-        if self.sample_count < 1:
-            raise ValueError("need at least one sample")
 
 
 def _gue_batch(N: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -136,7 +133,7 @@ def _stats(values: np.ndarray) -> SampleStats:
     n = len(values)
     mean = float(values.mean())
     sd = float(values.std(ddof=1))
-    return SampleStats(mean, sd / math.sqrt(n), n)
+    return SampleStats(mean, sd / math.sqrt(n))
 
 
 def estimate_wilson(N: int, ts: Sequence[float], samples: int,
@@ -210,7 +207,7 @@ def estimate_density_histogram(N: int, samples: int, bins: int,
     sds = per_sample.std(axis=0, ddof=1)
     root = math.sqrt(samples)
     return [
-        SampleStats(float(m), float(sd) / root, samples)
+        SampleStats(float(m), float(sd) / root)
         for m, sd in zip(means, sds)
     ]
 

@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
-    binomial,
     double_factorial,
     integrate_real,
     moment_term,
@@ -349,7 +348,7 @@ def moment_exact(N: int, l: int) -> Fraction:
         raise ValueError(f"moment_exact requires N >= 1, got {N}")
     if l < 0:
         raise ValueError(f"moment_exact requires l >= 0, got {l}")
-    total = sum(binomial(N, q2 + 1) * moment_term(l, q2) for q2 in range(min(l, N - 1) + 1))
+    total = sum(math.comb(N, q2 + 1) * moment_term(l, q2) for q2 in range(min(l, N - 1) + 1))
     return Fraction(total, N ** (l + 1))
 
 
@@ -436,8 +435,8 @@ def harer_zagier_closed(N: int, p_max: int) -> list[Fraction]:
     """
     if N < 1 or p_max < 1:
         raise ValueError(f"harer_zagier_closed requires N >= 1, p_max >= 1, got ({N}, {p_max})")
-    weights = [binomial(N, j) << (j - 1) for j in range(1, min(p_max + 1, N) + 1)]
-    return [Fraction(sum(w * binomial(k - 1, j) for j, w in enumerate(weights[:k])), N**k)
+    weights = [math.comb(N, j) << (j - 1) for j in range(1, min(p_max + 1, N) + 1)]
+    return [Fraction(sum(w * math.comb(k - 1, j) for j, w in enumerate(weights[:k])), N**k)
             for k in range(2, p_max + 2)]
 
 

@@ -96,7 +96,7 @@ def suite_best():
                     for m in maps:
                         for tree in trees:
                             cycle = best_forward(m, tree, root)
-                            back_m, back_t = best_inverse(cycle, graph, root)
+                            back_m, back_t = best_inverse(cycle)
                             if (back_m.rotation, back_t) != (m.rotation, tree):
                                 _failure(failures, "map_combinatorics", "best_inverse", inputs,
                                          (m.rotation, sorted(tree)),

@@ -168,7 +168,7 @@ def test_criterion_10_best_bijection():
                     for m in maps:
                         for tree in trees:
                             cycle = best_forward(m, tree, root)
-                            back_m, back_t = best_inverse(cycle, graph, root)
+                            back_m, back_t = best_inverse(cycle)
                             assert (back_m.rotation, back_t) == (m.rotation, tree)
                             produced.add(cycle.arc_sequence)
                     all_cycles = set(eulerian_cycles_rooted(dd, root))

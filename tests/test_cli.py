@@ -18,7 +18,7 @@ from guekit.cli import (
     cmd_wilson,
     main,
 )
-from guekit.observables import wilson_loop
+from guekit.observables import wilson_eval, wilson_loop
 from guekit.records import OutputRecord, decode_cell, encode_cell
 
 
@@ -84,6 +84,30 @@ def test_record_keeps_the_dataclass_interface():
                             "columns=['x'], rows=[[1]])")
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "x\n1\n",  # a bare table
+    "# parameters: {}\n# command: demo\nx\n",  # the two comment lines swapped
+    "# command: demo\n# parameters: {}\n",  # no header line
+])
+def test_from_csv_refuses_text_without_its_preamble(text):
+    with pytest.raises(ValueError, match="^missing CSV preamble$"):
+        OutputRecord.from_csv(text)
+
+
+def test_render_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        OutputRecord("demo", {}, ["x"], [[1]]).render("xml")
+
+
+def test_json_hook_refuses_a_value_that_is_no_fraction():
+    with pytest.raises(TypeError, match="^Object of type complex is not JSON serializable$"):
+        OutputRecord("demo", {}, ["x"], [[1 + 2j]]).to_json()
+    # the CSV preamble's parameters go through the same hook
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        OutputRecord("demo", {"N": {3}}, ["x"]).to_csv()
+
+
 def test_round_trip_on_random_tables():
     import random
 
@@ -129,6 +153,32 @@ def test_cmd_wilson_root_and_coefficients():
     rec3 = cmd_wilson(3, 0.0, 1.0, 2)
     assert rec3.parameters["coefficients"] == [Fraction(1), Fraction(1, 3), Fraction(1, 54)]
     assert "1/54" in rec3.to_csv()
+
+
+@pytest.mark.parametrize("t_min, steps, reason", [
+    (math.nan, 3, "^grid ends and their difference must be finite"),
+    (0.0, 0, "^steps must be >= 1$"),
+])
+def test_cmd_wilson_refuses_a_bad_grid_before_it_builds_the_ladder(monkeypatch, t_min, steps,
+                                                                   reason):
+    import guekit.cli as cli
+
+    def ladder(N):
+        raise AssertionError("the exact ladder was built for a grid that is refused")
+
+    monkeypatch.setattr(cli, "wilson_loop", ladder)
+    with pytest.raises(ValueError, match=reason):
+        cli.cmd_wilson(cli.WILSON_LADDER_N_BUDGET, t_min, 4.0, steps)
+
+
+def test_main_wilson_grid_of_no_step_and_of_one(capsys):
+    assert main(["wilson", "--N", "2", "--steps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: steps must be >= 1\n")
+    # one step is the one point t_min; t_max is ignored
+    code, out = run_main(capsys, ["wilson", "--N", "2", "--t-min", "1.5", "--steps", "1"])
+    assert code == 0
+    assert OutputRecord.from_csv(out).rows == [[1.5, wilson_eval(2, 1.5).real]]
 
 
 def test_cmd_density_rows():

@@ -12,7 +12,6 @@ from guekit.exact import (
     SIMPSON_INITIAL_PANELS,
     SIMPSON_PANEL_BUDGET,
     QuadratureError,
-    binomial,
     catalan,
     double_factorial,
     enumerate_partition_terms,
@@ -51,22 +50,6 @@ def test_rational_arithmetic_properties():
         total = a + b
         assert math.gcd(total.numerator, total.denominator) == 1
         assert total.denominator > 0
-
-
-def test_binomial_small_cases():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 0) == 1
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_symmetry_and_row_sums():
-    for n in range(31):
-        assert sum(binomial(n, k) for k in range(n + 1)) == 2**n
-        for k in range(n + 1):
-            assert binomial(n, k) == binomial(n, n - k)
 
 
 def test_double_factorial_values():
@@ -149,6 +132,13 @@ def test_partition_term_sum_validates_arguments():
         partition_term_sum(0, 0)
     with pytest.raises(ValueError):
         partition_term_sum(3, -1)
+
+
+@pytest.mark.parametrize("l, g, reason", [(0, 0, "l >= 1, got 0"), (3, -1, "g >= 0, got -1")])
+def test_partition_terms_validate_arguments(l, g, reason):
+    # a generator: the refusal comes at the first term
+    with pytest.raises(ValueError, match=f"^enumerate_partition_terms requires {reason}$"):
+        next(enumerate_partition_terms(l, g))
 
 
 def test_integrate_constant_and_parabola():

@@ -106,6 +106,20 @@ def test_pairing_validation():
         enumerate_pairings(0)
 
 
+@pytest.mark.parametrize("l", [0, 9])
+def test_rosette_census_refuses_an_l_outside_its_budget(l):
+    with pytest.raises(ValueError, match=f"^census supports 1 <= l <= 8, got {l}$"):
+        rosette_census(l)
+
+
+def test_rosette_census_refuses_a_total_that_is_not_every_pairing(monkeypatch):
+    import guekit.maps.rosettes as rosettes
+
+    monkeypatch.setattr(rosettes, "double_factorial", lambda n: double_factorial(n) + 1)
+    with pytest.raises(ValueError, match=r"^census total must be \(2l-1\)!! for l=3$"):
+        rosettes.rosette_census.__wrapped__(3)  # past the cache, which holds the true l = 3
+
+
 def test_rosette_genus_small_diagrams():
     assert rosette_genus(Pairing((1, 0))) == 0
     assert rosette_genus(Pairing((2, 3, 0, 1))) == 1  # crossing
@@ -174,12 +188,23 @@ def test_rosette_formula_catalan_and_total():
         assert total == double_factorial(2 * l - 1)
 
 
+def test_rosette_count_formula_is_zero_past_the_top_genus_at_once():
+    # 0 before any 4^g is formed: at g = 10^12 that power alone would not fit in memory
+    assert rosette_count_formula(5, 3) == 0
+    assert rosette_count_formula(5, 10**12) == 0
+    for l, g in [(0, 0), (1, -1)]:
+        with pytest.raises(ValueError, match=r"^rosette_count_formula requires l >= 1, g >= 0"):
+            rosette_count_formula(l, g)
+
+
 def test_moment_wick_values():
     for N in [1, 2, 7]:
         assert moment_wick(N, 1) == 1
     assert moment_wick(2, 2) == Fraction(9, 4)
     assert moment_wick(3, 3) == 5 + Fraction(10, 9)
     assert moment_wick(4, 0) == 1
+    with pytest.raises(ValueError, match="^moment_wick requires N >= 1, got 0$"):
+        moment_wick(0, 2)
 
 
 def test_moment_wick_agrees_with_exact_formula():
@@ -232,6 +257,11 @@ def test_multigraph_validation_and_properties():
         Multigraph.from_edges(2, [(-1, 0)])  # not read as vertex 1
     with pytest.raises(ValueError):
         Multigraph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        Multigraph(0, ())
+    for rows in (((0, 1),), ((0, 1), (1,))):  # one row; a short row
+        with pytest.raises(ValueError, match="^multiplicity must be a v x v matrix$"):
+            Multigraph(2, rows)
 
 
 def test_multigraph_disconnected_flag():
@@ -382,6 +412,11 @@ def test_derivative_oracle_single_edge():
     assert trace_derivative_value(Multigraph.from_edges(2, [(0, 1)])) == 2
 
 
+def test_derivative_oracle_refuses_l_past_its_budget():
+    with pytest.raises(ValueError, match="^differentiation oracle supports l <= 3, got 4$"):
+        trace_derivative_value(Multigraph.from_edges(2, [(0, 1)] * 4))
+
+
 def test_derivative_oracle_matches_literal_differentiation():
     # d^2/dH_aa^2 per loop at a and d^2/dH_ab dH_ba per edge ab, applied by
     # sympy to Tr H^{2l} over independent entries H_ij, then H = 0; every
@@ -433,6 +468,22 @@ def test_eulerian_identity_holds_at_l5():
 def test_initial_identity_budget():
     with pytest.raises(ValueError):
         verify_initial_identity(5, 2)
+    with pytest.raises(ValueError, match="^identity check requires N >= 1, got 0$"):
+        verify_initial_identity(1, 0)
+
+
+def test_initial_identity_report_names_the_side_that_fails(monkeypatch):
+    import guekit.maps.multigraph as multigraph
+
+    report = multigraph.initial_identity_report
+    assert report(2, 3) == []
+    # 3^3 m_4 = 57 at N = 3; one more from the Wick side is 27 more
+    monkeypatch.setattr(multigraph, "moment_wick", lambda N, l: moment_wick(N, l) + 1)
+    assert report(2, 3) == ["moment side: N^(l+1) m_2l = 84 but binomial sum = 57"]
+    monkeypatch.setattr(multigraph, "moment_wick", moment_wick)
+    # every term from q2 = 1 on is off by one, and only the first is reported
+    monkeypatch.setattr(multigraph, "moment_term", lambda l, q2: moment_term(l, q2) + (q2 > 0))
+    assert report(2, 3) == ["graph side at q2=1: Eulerian sum 12 != 13"]
 
 
 # ------------------------------------------------------------------ best maps
@@ -468,6 +519,13 @@ def test_enumerate_maps_invariants():
         assert _map_genus(m) >= 0
         for tree in spanning_trees(g):
             assert best_forward(m, tree, 0).double is m.double
+
+
+def test_enumerate_maps_budget():
+    # four loops put 8 darts at the vertex, 7! rotations, drawn lazily
+    assert len(next(enumerate_maps(Multigraph.from_edges(1, [(0, 0)] * 4))).rotation[0]) == 8
+    with pytest.raises(ValueError, match="^map enumeration supports <= 8 darts per vertex$"):
+        enumerate_maps(Multigraph.from_edges(2, [(0, 1)] * 9))
 
 
 def test_map_validation():
@@ -558,7 +616,7 @@ def test_best_bijection_round_trip_small():
             for m in enumerate_maps(g):
                 for tree in spanning_trees(g):
                     cycle = best_forward(m, tree, root)
-                    m2, t2 = best_inverse(cycle, g, root)
+                    m2, t2 = best_inverse(cycle)
                     assert (m2.rotation, t2) == (m.rotation, tree)
 
 
@@ -580,39 +638,14 @@ def test_eulerian_cycle_type_invariants():
         EulerianCycle(d, (0, 2, 1, 3))  # 0 and 2 are not head-to-tail
 
 
-def test_best_inverse_rejects_wrong_root():
-    g = Multigraph.from_edges(2, [(0, 1)])
-    (m,) = enumerate_maps(g)
-    cycle = best_forward(m, frozenset({0}), 0)
-    with pytest.raises(ValueError):
-        best_inverse(cycle, g, 1)
-
-
-def test_best_inverse_rejects_last_exits_that_are_no_spanning_tree():
-    d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
-    # vertex 1 exits last through arc 1, edge 0: a self loop in the graph below
-    cycle = EulerianCycle(d, (0, 3, 2, 1))
-    with pytest.raises(ValueError, match="another graph"):
-        best_inverse(cycle, Multigraph.from_edges(2, [(0, 0), (0, 1)]), 0)
-
-
-def test_best_inverse_rejects_a_graph_the_cycle_does_not_walk():
-    d = directed_double(Multigraph.from_edges(2, [(0, 1), (0, 1)]))
-    cycle = EulerianCycle(d, (0, 1, 2, 3))
-    for g in (Multigraph.from_edges(2, [(0, 0), (0, 1)]),  # as many edges
-              Multigraph.from_edges(2, [(0, 1)])):  # fewer edges
-        with pytest.raises(ValueError, match="another graph"):
-            best_inverse(cycle, g, 0)
-
-
 def test_best_inverse_rejects_a_vertex_the_cycle_never_leaves():
     g = Multigraph.from_edges(2, [(0, 0)])  # vertex 1 has no edge
     cycle = EulerianCycle(directed_double(g), (0, 1))
     with pytest.raises(ValueError, match="spanning tree"):
-        best_inverse(cycle, g, 0)
+        best_inverse(cycle)
 
 
 def test_best_inverse_refuses_a_root_arc_of_the_edgeless_graph():
     g = Multigraph(1, ((0,),))
-    with pytest.raises(ValueError, match="root arc index 0 out of range"):
-        best_inverse(EulerianCycle(directed_double(g), ()), g, 0)
+    with pytest.raises(ValueError, match="^cycle has no root arc: its graph has no edge$"):
+        best_inverse(EulerianCycle(directed_double(g), ()))

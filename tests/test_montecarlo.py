@@ -186,7 +186,6 @@ def test_estimate_wilson_at_zero_time():
     [st] = estimate_wilson(8, [0.0], samples=200, seed=1)
     assert st.mean == 1.0
     assert st.std_error == 0.0
-    assert st.sample_count == 200
 
 
 def test_estimate_wilson_against_scalar_gaussian():
@@ -212,7 +211,7 @@ def test_estimate_wilson_over_many_t_is_the_per_t_calls():
     many = estimate_wilson(5, TS, samples=301, seed=13)
     assert isinstance(many, list)
     assert many == [st for t in TS for st in estimate_wilson(5, [t], samples=301, seed=13)]
-    assert many[0] == SampleStats(1.0, 0.0, 301)
+    assert many[0] == SampleStats(1.0, 0.0)
     assert estimate_wilson(5, tuple(TS[1:2]), samples=301, seed=13) == [many[1]]
 
 
@@ -310,6 +309,15 @@ def test_estimate_wilson_validates_sample_count():
         estimate_wilson(4, [1.0], samples=50, seed=1)
 
 
+def test_estimate_wilson_refuses_an_imaginary_part_away_from_zero(monkeypatch):
+    # every eigenvalue in (0, 1): sin(t lambda) > 0 in every sample at t = 1
+    eigs = np.linspace(0.1, 0.9, 200).reshape(100, 2)
+    monkeypatch.setattr(montecarlo, "_reduced_rows",
+                        lambda N, samples, seed, reduce: reduce(eigs))
+    with pytest.raises(RuntimeError, match="^imaginary part .* inconsistent with zero at "):
+        estimate_wilson(2, [1.0], samples=100, seed=1)
+
+
 def test_histogram_matches_gaussian_density():
     stats = estimate_density_histogram(1, samples=10000, bins=20,
                                        lam_range=(-3.0, 3.0), seed=5)
@@ -345,18 +353,18 @@ def test_histogram_validation():
             f"range ends and their difference must be finite, got {lo} and {hi}")
     with pytest.raises(ValueError, match="^empty range"):
         estimate_density_histogram(4, 200, 10, (math.nan, 1.0), 1)
+    with pytest.raises(ValueError, match="^need at least two samples$"):
+        estimate_density_histogram(4, 1, 10, (-1.0, 1.0), 1)
 
 
 def test_zscore():
-    assert zscore(SampleStats(1.0, 0.1, 10), 1.0) == 0.0
-    assert zscore(SampleStats(1.2, 0.1, 10), 1.0) == pytest.approx(2.0)
-    assert zscore(SampleStats(0.9, 0.05, 10), 1.0) == pytest.approx(-2.0)
+    assert zscore(SampleStats(1.0, 0.1), 1.0) == 0.0
+    assert zscore(SampleStats(1.2, 0.1), 1.0) == pytest.approx(2.0)
+    assert zscore(SampleStats(0.9, 0.05), 1.0) == pytest.approx(-2.0)
     with pytest.raises(ValueError):
-        zscore(SampleStats(1.0, 0.0, 10), 1.0)
+        zscore(SampleStats(1.0, 0.0), 1.0)
 
 
 def test_sample_stats_validation():
     with pytest.raises(ValueError):
-        SampleStats(0.0, -1.0, 5)
-    with pytest.raises(ValueError):
-        SampleStats(0.0, 1.0, 0)
+        SampleStats(0.0, -1.0)

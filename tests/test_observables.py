@@ -320,6 +320,20 @@ def test_resolvent_quadrature_domain_checks():
         resolvent_quadrature(41, 2.0)
 
 
+@pytest.mark.parametrize("evaluator, args, line", [
+    (wilson_limit_partial, (1.0, -1), "q_max must be >= 0, got -1"),
+    (wilson_bound, (0, 1.0), "wilson_bound requires N >= 1, got 0"),
+    (moment_exact, (0, 2), "moment_exact requires N >= 1, got 0"),
+    (moment_exact, (2, -1), "moment_exact requires l >= 0, got -1"),
+    (moment_genus_expansion, (0,), "moment_genus_expansion requires l >= 1, got 0"),
+    (resolvent_quadrature, (2, 2.0, 1), "need at least 2 quadrature nodes, got 1"),
+])
+def test_evaluators_refuse_a_bad_argument_in_their_own_words(evaluator, args, line):
+    with pytest.raises(ValueError) as refusal:
+        evaluator(*args)
+    assert str(refusal.value) == line
+
+
 # -------------------------------------------------------------- Fourier route
 
 def test_truncation_time_bounds_envelope():

@@ -9,6 +9,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
+
 import guekit.maps.bijection as bijection
 import guekit.maps.multigraph as multigraph
 import guekit.montecarlo as montecarlo
@@ -47,9 +49,9 @@ def test_suite_best_records_a_failed_inverse_and_a_wrong_cycle_count(monkeypatch
     inverse, count = bijection.best_inverse, multigraph.eulerian_count_rooted
     calls = []
 
-    def wrong_inverse(cycle, graph, root):
-        calls.append(root)
-        back_m, back_t = inverse(cycle, graph, root)
+    def wrong_inverse(cycle):
+        calls.append(cycle)
+        back_m, back_t = inverse(cycle)
         return back_m, (frozenset({5}) if len(calls) == 1 else back_t)
 
     monkeypatch.setattr(bijection, "best_inverse", wrong_inverse)
@@ -241,3 +243,10 @@ def test_suite_bound_records_a_nan_bound(monkeypatch):
     assert failures == [
         _record("observables", "wilson_bound", {"N": N, "t": str(t)}, math.nan,
                 abs(wilson_eval(N, t)))]
+
+
+def test_run_suite_refuses_an_unknown_suite_name():
+    with pytest.raises(ValueError) as refusal:
+        verify.run_suite("wicks")
+    assert str(refusal.value) == ("unknown suite 'wicks'; choose from "
+                                  "all, wick, best, initial, hz, density, bound")
