@@ -2,7 +2,7 @@
 
 Closed-form quantities (Wilson loop, spectral density, resolvent, moments,
 genus-indexed map counts) are held in exact rational arithmetic and
-cross-checked three independent ways: brute-force pairing enumeration,
+cross-checked three independent ways: a genus census of Wick pairings,
 numerical quadrature, and seeded matrix sampling.
 
 The package serves no name of its own but `__version__`: each is imported

@@ -58,6 +58,8 @@ class EulerianCycle:
 
     def __post_init__(self):
         arcs = self.double.arcs
+        if not self.arc_sequence:
+            raise ValueError("cycle has no root arc: its graph has no edge")
         if sorted(self.arc_sequence) != list(range(len(arcs))):
             raise ValueError("cycle must use every arc exactly once")
         for i, a in enumerate(self.arc_sequence):
@@ -162,8 +164,6 @@ def best_inverse(c: EulerianCycle) -> tuple[CombinatorialMap, frozenset[int]]:
     traversal order; the last edge exiting a non-root vertex is its tree
     edge toward the root.
     """
-    if not c.arc_sequence:
-        raise ValueError("cycle has no root arc: its graph has no edge")
     arcs = c.double.arcs
     G = c.double.graph
     exit_order: list[list[int]] = [[] for _ in range(G.vertex_count)]

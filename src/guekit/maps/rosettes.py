@@ -3,6 +3,9 @@
 A pairing of the 2l darts around a single vertex of coordination 2l is a
 rooted rosette; its genus comes from tracing faces of the permutation
 gamma o alpha, gamma the cyclic step i -> i+1 and alpha the pairing.
+enumerate_pairings and rosette_genus do so pairing by pairing; the census
+counts faces by genus over all pairings at once, memoizing on the open
+paths of gamma o alpha that the darts paired so far leave.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from ..exact import double_factorial
 # the closed forms live beside C_g(l) in observables; they are served here too
 from ..observables import _genus_series, harer_zagier_closed, rosette_count_formula  # noqa: F401
 
-# (2l-1)!! grows superexponentially; l = 8 already means 2,027,025 pairings.
+# (2l-1)!! grows superexponentially: at l = 8 the reference enumerates
+# 2,027,025 pairings, while the census memoizes 2598 open-path states.
 PAIRING_BUDGET = 8
 
 
@@ -99,67 +103,49 @@ class RosetteCensus:
 
 
 @lru_cache(maxsize=None)
-def rosette_census(l: int) -> RosetteCensus:
-    """Genus histogram over every pairing of 2l darts (brute force).
+def _faces_closed(after: tuple[int, ...]) -> tuple[int, ...]:
+    """by_faces[f] = pairings of the free darts that close f faces of phi.
 
-    Visits all (2l-1)!! pairings, in the order of _iter_partner_tuples, and
-    counts the faces of each (the cycles of phi(x) = partner[x] + 1 mod 2l)
-    while it pairs darts.  Each unpaired dart ends an open path of phi:
-    start[x] is the first dart of the path ending at x, end[y] the last
-    dart of the path starting at y.  Pairing lo with j adds the arrows
-    lo -> j+1 and j -> lo+1.  An arrow whose target starts the path it
-    leaves closes a face; any other arrow joins two paths, and backtracking
-    restores both entries it changed.  The last pair a < b closes two faces
-    if the path ending at a starts at b+1, else one.
+    Free dart i ends an open path of phi(x) = partner[x] + 1, and that path
+    starts just after free dart after[i].  Pairing free dart 0 with k adds
+    the arrows 0 -> k+1 and k -> 0+1; an arrow x -> y+1 closes a face if the
+    path starting after y is the one ending at x, and otherwise joins the
+    two paths.  The other free darts, relabelled by rank, pose the same
+    problem again.
+    """
+    if not after:
+        return (1,)
+    by_faces = [0] * (len(after) + 1)  # len(after) arrows, each closing one face at most
+    for k in range(1, len(after)):
+        aft = list(after)
+        closed = 0
+        for x, y in ((0, k), (k, 0)):
+            e = aft.index(y)  # the path starting just after y ends at e
+            if e == x:
+                closed += 1
+            else:
+                aft[e] = aft[x]
+            aft[x] = -1  # x no longer ends a path
+        rest = tuple(v - 1 - (v > k) for v in aft if v >= 0)
+        for f, count in enumerate(_faces_closed(rest)):
+            by_faces[closed + f] += count
+    return tuple(by_faces)
+
+
+@lru_cache(maxsize=None)
+def rosette_census(l: int) -> RosetteCensus:
+    """Genus histogram over every pairing of 2l darts.
+
+    Counts the faces (the cycles of phi(x) = partner[x] + 1 mod 2l) of all
+    (2l-1)!! pairings by one memoized recursion over the open paths of
+    phi.  Before any dart is paired, each dart x is a path of its own,
+    which starts just after dart x - 1.
     """
     if not 1 <= l <= PAIRING_BUDGET:
         raise ValueError(f"census supports 1 <= l <= {PAIRING_BUDGET}, got {l}")
     n = 2 * l
-    start = list(range(n))
-    end = list(range(n))
-    by_faces = [0] * (l + 2)
-
-    def pair(free: tuple[int, ...], faces: int) -> None:
-        lo = free[0]
-        lo1 = lo + 1  # lo is the smallest unpaired dart, so lo + 1 < n
-        last = len(free) == 4
-        for k in range(1, len(free)):
-            j = free[k]
-            j1 = j + 1 if j + 1 < n else 0
-            f = faces
-            s = start[lo]
-            if s == j1:
-                f += 1
-            else:
-                e = end[j1]
-                end[s] = e
-                start[e] = s
-            s2 = start[j]
-            if s2 == lo1:
-                f += 1
-            else:
-                e2 = end[lo1]
-                end[s2] = e2
-                start[e2] = s2
-            rest = free[1:k] + free[k + 1:]
-            if last:
-                a, b = rest
-                by_faces[f + (2 if start[a] == (b + 1) % n else 1)] += 1
-            else:
-                pair(rest, f)
-            if s2 != lo1:
-                end[s2] = j
-                start[e2] = lo1
-            if s != j1:
-                end[s] = lo
-                start[e] = j1
-
-    if l == 1:
-        by_faces[2] = 1  # the one pairing (0 1): two faces
-    else:
-        pair(tuple(range(n)), 0)
     counts = [0] * (l // 2 + 1)
-    for faces, count in enumerate(by_faces):
+    for faces, count in enumerate(_faces_closed(tuple((x - 1) % n for x in range(n)))):
         if count:
             counts[_euler_genus(l, faces)] += count
     if sum(counts) != double_factorial(2 * l - 1):

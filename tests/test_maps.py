@@ -26,6 +26,7 @@ from guekit.maps.multigraph import (
     verify_initial_identity,
 )
 from guekit.maps.rosettes import (
+    PAIRING_BUDGET,
     Pairing,
     enumerate_pairings,
     moment_wick,
@@ -39,6 +40,7 @@ from guekit.observables import (
     moment_genus_expansion,
     rosette_count_formula,
 )
+from guekit.verify import WICK_L_MAX
 
 
 def _is_connected(g):
@@ -130,9 +132,9 @@ def test_rosette_genus_small_diagrams():
 def test_rosette_census_values():
     assert rosette_census(2).counts == (2, 1)
     assert rosette_census(3).counts == (5, 10)
-    for l in range(1, 7):
+    for l in range(1, WICK_L_MAX + 1):
         assert sum(rosette_census(l).counts) == double_factorial(2 * l - 1)
-        # the census counts faces while it pairs; the reference traces them per pairing
+        # the census counts open-path states; the reference traces faces per pairing
         histogram = [0] * (l // 2 + 1)
         for p in enumerate_pairings(l):
             histogram[rosette_genus(p)] += 1
@@ -156,7 +158,7 @@ def test_rosette_formula_matches_census():
 
 
 def test_harer_zagier_recursion_matches_census():
-    for l in range(1, 8):
+    for l in range(1, PAIRING_BUDGET + 1):
         assert moment_genus_expansion(l) == list(rosette_census(l).counts)
 
 
@@ -647,5 +649,6 @@ def test_best_inverse_rejects_a_vertex_the_cycle_never_leaves():
 
 def test_best_inverse_refuses_a_root_arc_of_the_edgeless_graph():
     g = Multigraph(1, ((0,),))
+    # the edgeless graph's empty cycle is refused as it is built, before best_inverse
     with pytest.raises(ValueError, match="^cycle has no root arc: its graph has no edge$"):
         best_inverse(EulerianCycle(directed_double(g), ()))
