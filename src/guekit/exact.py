@@ -109,8 +109,9 @@ def partition_term_sum(l: int, g: int) -> Fraction:
 
 def pointwise(fn: Callable[[float], float], x):
     """fn at each point of a 1-d float64 array, as an array: for integrands
-    of integrate_real built from scalar math (math.exp, math.cos, float
-    powers), whose numpy counterparts can round differently."""
+    of integrate_real built from scalar math whose numpy counterpart can
+    round differently (math.exp, cmath.exp).  A cosine needs none: numpy's
+    float64 cos is libm's cos, bit for bit, so np.cos takes a whole array."""
     import numpy as np
 
     return np.array([fn(v) for v in x.tolist()])

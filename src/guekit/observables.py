@@ -468,9 +468,11 @@ def _wilson_transform(N: int, kernels, T: float, tol: float) -> list[float]:
     """integral_0^T k_i(t) I(t, N) dt for each real kernel row k_i.
 
     kernels takes a float64 array of nodes and returns the rows k_i there,
-    as a list of arrays.  One integrate_real pass, each row to tol, with
-    I(t, N) taken once per node for every row; a list of floats, one per
-    row.
+    as a list of arrays: with pointwise scalar math only where numpy
+    rounds differently (cmath.exp), and with numpy where it is libm's
+    function bit for bit (np.cos).  One integrate_real pass, each row to
+    tol, with I(t, N) taken once per node for every row; a list of
+    floats, one per row.
     """
     import numpy as np
 
@@ -571,12 +573,16 @@ def density_fourier_check(N: int, lam):
     floats: one integrate_real pass with one row cos(lambda t) per
     lambda, each to 1e-11, that takes I(t, N) once per node for every row
     (the pass resolvent_laplace makes with its two rows).  A number is
-    the one-row case, with the same bits.
+    the one-row case, with the same bits.  Each row is np.cos of the whole
+    node array: numpy's float64 cos is libm's cos, bit for bit, unlike its
+    exp, so the rows are those of math.cos per node.
     """
     one = _is_point(lam)
     lams = [lam] if one else list(lam)
     if not lams:
         raise ValueError("need at least one lambda")
-    value = _wilson_transform(N, lambda t: [pointwise(math.cos, each * t) for each in lams],
+    import numpy as np
+
+    value = _wilson_transform(N, lambda t: [np.cos(each * t) for each in lams],
                               truncation_time(N), 1e-11)
     return value[0] / math.pi if one else [each / math.pi for each in value]

@@ -27,7 +27,7 @@ from .observables import (
 # The enumeration oracles of guekit.maps are imported inside the suites that
 # run them, so the table commands, which import this module, do not load them.
 
-SUITES = ("all", "wick", "best", "initial", "hz", "density", "bound")
+SUITES = ("all", "wick", "best", "initial", "hz", "bound", "density")
 
 DEFAULT_SEED = 20240901
 
@@ -235,9 +235,9 @@ def suite_bound(seed=DEFAULT_SEED):
 
 def run_suite(name, seed=DEFAULT_SEED):
     """The failures of suite `name`.  "all" gives those of every suite, in
-    SUITES order, through worker.run_beside: "wick", "best", "initial" and
-    "hz", then "density", the one suite that loads numpy, and "bound" as
-    its last task."""
+    SUITES order, through worker.run_beside: the pure-Python "wick",
+    "best", "initial", "hz" and "bound", then "density", the one suite
+    that loads numpy, as its last task."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     check_seed(seed)  # before the split, and before bound's draw too
@@ -246,18 +246,12 @@ def run_suite(name, seed=DEFAULT_SEED):
         "best": suite_best,
         "initial": suite_initial,
         "hz": suite_hz,
-        "density": lambda: suite_density(seed=seed),
         "bound": lambda: suite_bound(seed=seed),
+        "density": lambda: suite_density(seed=seed),
     }
     if name != "all":
         return suites[name]()
     from .worker import run_beside
 
-    # density and then bound, the last two suites, are the last task, which
-    # runs here: with density alone here the worker, bound included,
-    # finished last (0.37-0.40 s from the start of the split against
-    # 0.27-0.33 s here, on a 2-core Xeon), and bound is 0.04-0.07 s of its work
-    tasks = {f"suite {each!r}": suites[each] for each in SUITES[1:5]}
-    tasks["suites 'density', 'bound'"] = lambda: suites["density"]() + suites["bound"]()
-    outcomes = run_beside(tasks)
+    outcomes = run_beside({f"suite {each!r}": suites[each] for each in SUITES[1:]})
     return [failure for failures in outcomes for failure in failures]

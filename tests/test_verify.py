@@ -249,4 +249,4 @@ def test_run_suite_refuses_an_unknown_suite_name():
     with pytest.raises(ValueError) as refusal:
         verify.run_suite("wicks")
     assert str(refusal.value) == ("unknown suite 'wicks'; choose from "
-                                  "all, wick, best, initial, hz, density, bound")
+                                  "all, wick, best, initial, hz, bound, density")
