@@ -72,7 +72,7 @@ def cmd_wilson(N: int, t_min: float, t_max: float, steps: int) -> OutputRecord:
         "N": N, "t_min": t_min, "t_max": t_max, "steps": steps,
         "coefficients": list(wilson_loop(N)),
     }
-    rows = [[t, wilson_eval(N, t).real] for t in grid]
+    rows = [[t, wilson_eval(N, t)] for t in grid]
     return OutputRecord("wilson", params, ["t", "wilson_loop"], rows)
 
 
@@ -171,7 +171,7 @@ def cmd_sample(N: int, samples: int, seed: int, t_list: list[float]) -> OutputRe
     for t, st in zip(t_list, estimate_wilson(N, t_list, samples, seed)):
         if math.isnan(st.mean):  # z = 0.0 beside it would claim agreement
             raise ValueError(f"--t {t} times a drawn eigenvalue is past float range")
-        exact = wilson_eval(N, t).real
+        exact = wilson_eval(N, t)
         z = zscore(st, exact) if st.std_error > 0 else 0.0
         rows.append([t, st.mean, st.std_error, exact, z])
     params = {"N": N, "samples": samples, "seed": seed}

@@ -165,8 +165,8 @@ def best_inverse(c: EulerianCycle) -> tuple[CombinatorialMap, frozenset[int]]:
     edge toward the root.
     """
     arcs = c.double.arcs
-    G = c.double.graph
-    exit_order: list[list[int]] = [[] for _ in range(G.vertex_count)]
+    vertex_count = c.double.graph.vertex_count
+    exit_order: list[list[int]] = [[] for _ in range(vertex_count)]
     for d in c.arc_sequence:
         exit_order[arcs[d].tail].append(d)
 
@@ -174,7 +174,7 @@ def best_inverse(c: EulerianCycle) -> tuple[CombinatorialMap, frozenset[int]]:
     tree = frozenset(
         order[-1] // 2 for v, order in enumerate(exit_order) if v != root_vertex and order
     )
-    if not _is_spanning_tree(G.vertex_count, G.edges(), tree):
+    if not _is_spanning_tree(vertex_count, arcs[::2], tree):  # arc 2e runs along edge e
         raise ValueError("last-exit edges do not form a spanning tree")
 
     rotation = tuple(_canonical_rotation(tuple(order)) for order in exit_order)

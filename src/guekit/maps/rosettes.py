@@ -10,7 +10,6 @@ paths of gamma o alpha that the darts paired so far leave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
@@ -22,21 +21,6 @@ from ..observables import _genus_series, harer_zagier_closed, rosette_count_form
 # (2l-1)!! grows superexponentially: at l = 8 the reference enumerates
 # 2,027,025 pairings, while the census memoizes 2598 open-path states.
 PAIRING_BUDGET = 8
-
-
-@dataclass(frozen=True, slots=True)
-class Pairing:
-    """Fixed-point-free involution on darts 0 .. 2l-1, partner[i] = j."""
-
-    partner: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.partner)
-        if n == 0 or n % 2:
-            raise ValueError("pairing needs a positive even number of darts")
-        for i, j in enumerate(self.partner):
-            if not 0 <= j < n or j == i or self.partner[j] != i:
-                raise ValueError(f"not a fixed-point-free involution at dart {i}")
 
 
 def _iter_partner_tuples(n: int) -> Iterator[tuple[int, ...]]:
@@ -58,11 +42,12 @@ def _iter_partner_tuples(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0)
 
 
-def enumerate_pairings(l: int) -> Iterator[Pairing]:
-    """All (2l-1)!! pairings of 2l darts, in a fixed deterministic order."""
+def enumerate_pairings(l: int) -> Iterator[tuple[int, ...]]:
+    """All (2l-1)!! pairings of 2l darts, in a fixed deterministic order, each
+    as its partner tuple: partner[i] = j pairs dart i with dart j."""
     if not 1 <= l <= PAIRING_BUDGET:
         raise ValueError(f"pairing enumeration supports 1 <= l <= {PAIRING_BUDGET}, got {l}")
-    return (Pairing(partner) for partner in _iter_partner_tuples(2 * l))
+    return _iter_partner_tuples(2 * l)
 
 
 def _euler_genus(l: int, faces: int) -> int:
@@ -90,16 +75,16 @@ def _genus(partner: tuple[int, ...]) -> int:
     return _euler_genus(n // 2, faces)
 
 
-def rosette_genus(p: Pairing) -> int:
-    """Genus of the rooted rosette drawn by the pairing."""
-    return _genus(p.partner)
-
-
-@dataclass(frozen=True, slots=True)
-class RosetteCensus:
-    """counts[g] = number of genus-g rosettes with l edges."""
-
-    counts: tuple[int, ...]
+def rosette_genus(partner: tuple[int, ...]) -> int:
+    """Genus of the rooted rosette drawn by the pairing partner[i] = j of
+    darts 0 .. 2l-1, which must be a fixed-point-free involution."""
+    n = len(partner)
+    if n == 0 or n % 2:
+        raise ValueError("pairing needs a positive even number of darts")
+    for i, j in enumerate(partner):
+        if not 0 <= j < n or j == i or partner[j] != i:
+            raise ValueError(f"not a fixed-point-free involution at dart {i}")
+    return _genus(partner)
 
 
 @lru_cache(maxsize=None)
@@ -133,8 +118,9 @@ def _faces_closed(after: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def rosette_census(l: int) -> RosetteCensus:
-    """Genus histogram over every pairing of 2l darts.
+def rosette_census(l: int) -> tuple[int, ...]:
+    """Genus histogram over every pairing of 2l darts: entry g is the
+    number of genus-g rosettes with l edges.
 
     Counts the faces (the cycles of phi(x) = partner[x] + 1 mod 2l) of all
     (2l-1)!! pairings by one memoized recursion over the open paths of
@@ -150,7 +136,7 @@ def rosette_census(l: int) -> RosetteCensus:
             counts[_euler_genus(l, faces)] += count
     if sum(counts) != double_factorial(2 * l - 1):
         raise ValueError(f"census total must be (2l-1)!! for l={l}")
-    return RosetteCensus(tuple(counts))
+    return tuple(counts)
 
 
 def moment_wick(N: int, l: int) -> Fraction:
@@ -159,4 +145,4 @@ def moment_wick(N: int, l: int) -> Fraction:
         raise ValueError(f"moment_wick requires N >= 1, got {N}")
     if l == 0:
         return Fraction(1)
-    return _genus_series(rosette_census(l).counts, N)
+    return _genus_series(rosette_census(l), N)

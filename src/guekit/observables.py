@@ -150,20 +150,19 @@ def _times_exp(exp, x, lag):
 
 
 def _wilson_real(N: int, t):
-    """(real, imaginary) parts of I(t, N) at a real t, in float arithmetic:
-    for a number, or elementwise over a 1-d float64 array, each point with
-    the bits it gets alone.
+    """I(t, N) at a real t, in float arithmetic: a float for a number, or
+    elementwise over a 1-d float64 array, each point with the bits it gets
+    alone.
 
     Past u = t^2/N = _RESCALE the recurrence runs at u = 0 instead, and
     the exponent -u/2 takes the value to 0, below the float range.  The
-    product exp(count _LOG_RESCALE - u/2) lag is _times_exp's.  The real
-    part is product / N, -0.0 taken to 0.0; the imaginary part is 0.0, or
-    NaN where the product is.
+    product exp(count _LOG_RESCALE - u/2) lag is _times_exp's, and the
+    value is product / N, -0.0 taken to 0.0.
     """
     u = t * t / N
     lag, count = _laguerre1(N - 1, _where(u > _RESCALE, 0.0, u))
     product = _times_exp(_exp, count * _LOG_RESCALE - u / 2, lag)
-    return (product + 0.0) / N, (0.0 - product * 0.0) / N
+    return (product + 0.0) / N
 
 
 def _wilson_complex(N: int, t: complex) -> complex:
@@ -203,30 +202,28 @@ def wilson_eval(N: int, t):
     """Float64 value of I(t, N) = exp(-u/2) L^(1)_{N-1}(u) / N, u = t^2/N.
 
     t is a number (any numbers.Number, taken as a complex), or a real
-    float64 array (a complex array per point).  A real t, as a number or
-    as an array, takes float arithmetic in one body, and an array runs the
-    recurrence once over all its points and gives each the bits of the
-    scalar call; only a number off the real axis takes complex arithmetic,
-    and a number never loads numpy.  A point whose value is past the float
-    range raises ValueError; only a t off the real axis gets there, such
-    as t = ix, where I = e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N.  So does a t
-    off the axis with |t^2/N| past 2^400, unless wilson_bound puts it
-    below every float, where it is 0.
+    float64 array.  A real t takes float arithmetic in one body and gives
+    a float, or a float64 array of the input's shape, whose points run the
+    recurrence once together and each have the bits of the scalar call;
+    only a number off the real axis takes complex arithmetic and gives a
+    complex, and a number never loads numpy.  A point whose value is past
+    the float range raises ValueError; only a t off the real axis gets
+    there, such as t = ix, where I = e^{x^2/2N} L^(1)_{N-1}(-x^2/N) / N.
+    So does a t off the axis with |t^2/N| past 2^400, unless wilson_bound
+    puts it below every float, where it is 0.
     """
     if N < 1:
         raise ValueError(f"wilson_eval requires N >= 1, got {N}")
     if _is_point(t):
         t = complex(t)
-        return _wilson_complex(N, t) if t.imag else complex(*_wilson_real(N, t.real))
+        return _wilson_complex(N, t) if t.imag else _wilson_real(N, t.real)
     import numpy as np
 
     if np.iscomplexobj(t):
         raise TypeError("wilson_eval takes complex t as a number, not as an array")
     t = np.asarray(t, dtype=float)
-    value = np.empty(t.size, dtype=complex)
     with np.errstate(over="ignore"):  # t * t past the float range is inf, as for a number
-        value.real, value.imag = _wilson_real(N, t.ravel())
-    return value.reshape(t.shape)
+        return _wilson_real(N, t.ravel()).reshape(t.shape)
 
 
 def wilson_taylor_coefficients(N: int, l_max: int) -> list[Fraction]:
@@ -471,12 +468,12 @@ def _wilson_transform(N: int, kernels, T: float, tol: float) -> list[float]:
     as a list of arrays: with pointwise scalar math only where numpy
     rounds differently (cmath.exp), and with numpy where it is libm's
     function bit for bit (np.cos).  One integrate_real pass, each row to
-    tol, with I(t, N) taken once per node for every row; a list of
-    floats, one per row.
+    tol, with I(t, N) taken once per node for every row, as the float64
+    array wilson_eval gives on the real axis; a list of floats, one per row.
     """
     import numpy as np
 
-    return integrate_real(lambda t: np.asarray(kernels(t)) * wilson_eval(N, t).real, 0.0, T, tol)
+    return integrate_real(lambda t: np.asarray(kernels(t)) * wilson_eval(N, t), 0.0, T, tol)
 
 
 def resolvent_laplace(N: int, z: complex) -> complex:

@@ -18,7 +18,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 _INT_RE = re.compile(r"[+-]?\d+$")
-_FRACTION_RE = re.compile(r"[+-]?\d+/\d+$")
+# a zero denominator is no number: such a cell stays text, as any other
+_FRACTION_RE = re.compile(r"[+-]?\d+/0*[1-9]\d*$")
 
 
 @contextmanager

@@ -151,7 +151,7 @@ def suite_hz():
     # C_g(l) from the closed form against each count source: the census and
     # Catalan (g = 0 only) for l <= HZ_P_MAX, then the recursion for l <= HZ_RECURSION_L_MAX
     rows = [row for l in range(1, HZ_P_MAX + 1)
-            for row in ((l, rosette_census(l).counts), (l, [catalan(l)]))]
+            for row in ((l, rosette_census(l)), (l, [catalan(l)]))]
     rows += enumerate(itertools.islice(_genus_rows(), 1, HZ_RECURSION_L_MAX + 1), 1)
     for l, counts in rows:
         for g, count in enumerate(counts):

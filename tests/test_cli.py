@@ -36,6 +36,15 @@ def test_cell_encoding():
     assert decode_cell("sum") == "sum"
 
 
+@pytest.mark.parametrize("cell", ["1/0", "-3/00", "+0/0"])
+def test_a_zero_denominator_decodes_as_text(cell):
+    assert decode_cell(cell) == cell
+    assert decode_cell(cell.replace("/0", "/01")) == Fraction(cell.replace("/0", "/1"))
+    rec = OutputRecord("demo", {"x": cell}, ["a"], [[cell]])
+    for back in (OutputRecord.from_csv(rec.to_csv()), OutputRecord.from_json(rec.to_json())):
+        assert back == rec
+
+
 def test_csv_round_trip():
     rec = OutputRecord(
         "demo",
